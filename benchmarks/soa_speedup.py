@@ -151,8 +151,7 @@ def main() -> int:
         cycles, warmup, repeats = args.cycles, args.warmup, args.repeats
 
     # Table-3-style scenario (4-node mesh, 2 VCs, uniform, sensor-wise)
-    # at the low-injection point where quiescence dominates — the same
-    # scenario BENCH_hotpath.json uses, so the two speedups compose.
+    # at the low-injection point where quiescence dominates.
     scenario = ScenarioConfig(
         num_nodes=4, num_vcs=2, injection_rate=args.rate,
         policy="sensor-wise", traffic="uniform",

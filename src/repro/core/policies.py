@@ -218,7 +218,7 @@ class SensorWisePolicy(RecoveryPolicy):
     stable = True
     # Algorithm 2 is a pure function of the VC states, the traffic bit
     # and the Down_Up value; only the *degraded* fallback rotates, and
-    # fast-forward eligibility rules degradation out (healthy banks
+    # SoA eligibility rules degradation out (healthy banks
     # heartbeat well inside the watchdog thresholds).
     cycle_free_decide = True
 
@@ -323,10 +323,10 @@ class RejuvenationPolicy(RecoveryPolicy):
     the in-window bit, both constant between multiples of
     ``gcd(period, duration)`` — so the policy declares
     ``epoch_period = gcd(period, duration)`` and an :meth:`epoch` that
-    distinguishes in-window from out-of-window buckets.  That keeps both
-    the quiescence fast-forward and the SoA engine eligible (their
-    planners pin jumps at declared epoch boundaries), verified by the
-    three-way equivalence tests in ``tests/test_regime.py``.
+    distinguishes in-window from out-of-window buckets.  That keeps the
+    SoA engine eligible (it re-runs policies at declared epoch
+    boundaries), verified by the stepped-vs-SoA equivalence tests in
+    ``tests/test_regime.py``.
     """
 
     name = "rejuvenation"
@@ -351,7 +351,7 @@ class RejuvenationPolicy(RecoveryPolicy):
         Window boundaries (``k*period`` and ``k*period + duration``) are
         multiples of ``gcd(period, duration)``, so the epoch is constant
         within every ``epoch_period`` bucket — the declared-period
-        contract the fast-forward and SoA planners rely on.
+        contract the SoA engine relies on.
         """
         k, offset = divmod(cycle, self.period)
         return 2 * k + (0 if offset < self.duration else 1)

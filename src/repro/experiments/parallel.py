@@ -947,11 +947,15 @@ class Executor:
                     index, attempt, _ = queue.pop(due)
                     launch(index, attempt)
 
-                # Sleep until the next event could possibly happen.
+                # Sleep until the next event could possibly happen.  A
+                # queued attempt is such an event only while a slot is
+                # free to launch it; otherwise its (possibly past) start
+                # time would turn the wait into a busy poll.
                 horizons = [
                     t["deadline"] for t in running.values() if t["deadline"] is not None
                 ]
-                horizons.extend(item[2] for item in queue)
+                if len(running) < self.max_workers and not self._drain.is_set():
+                    horizons.extend(item[2] for item in queue)
                 wait_for = (
                     None if not horizons
                     else max(0.0, min(horizons) - time.monotonic())

@@ -189,7 +189,7 @@ class FaultInjector:
         # Fault hooks (onset windows, per-cycle drops, watchdog
         # degradation accounting) act on arbitrary cycles, so faulted
         # runs must step every cycle.
-        network.allow_fast_forward = False
+        network.allow_soa = False
         taken: Dict[Tuple[int, int, str], FaultSpec] = {}
         for spec in self.specs:
             node, pid = self._resolve_site(network, spec)

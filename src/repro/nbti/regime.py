@@ -17,8 +17,7 @@ Every campaign up to now aged factory-fresh devices under NBTI only.  A
   :class:`~repro.nbti.transistor.PMOSDevice`.  The stress probability is
   the same powered fraction the NBTI duty-cycle counter tracks — a
   rail-gated buffer removes bias from both device flavours — so no hot
-  path changes and every engine (stepped, fast-forward, SoA) stays
-  bit-identical.
+  path changes and both engines (stepped, SoA) stay bit-identical.
 * **A technology override** — e.g. the FinFET-flavored
   :data:`~repro.nbti.constants.TECH_14NM_FINFET` node for the PBTI
   regimes, where the high-k gate stack makes PBTI first-class.

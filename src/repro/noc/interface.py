@@ -165,11 +165,6 @@ class NetworkInterface:
         queued = sum(len(q) for q in self.source_queues)
         return queued + sum(1 for q in self._send_queues if q)
 
-    def is_idle(self) -> bool:
-        """Nothing queued or partially sent — the short-circuit form of
-        ``pending_packets == 0`` the quiescence probe runs every cycle."""
-        return not any(self.source_queues) and not any(self._send_queues)
-
     # ------------------------------------------------------------------
     # Ejection
     # ------------------------------------------------------------------

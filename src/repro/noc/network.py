@@ -17,7 +17,7 @@ order so the simulation is fully deterministic:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.nbti.model import NBTIModel
 from repro.nbti.process_variation import ProcessVariationModel, VCKey
@@ -101,9 +101,9 @@ class Network:
     #: Engine override for :meth:`run` (class attribute so tests and
     #: benchmarks can force an arm globally or per instance without
     #: widening ``ScenarioConfig``):  ``None``/"auto" picks the SoA
-    #: engine when eligible, else fast-forward, else dense stepping;
-    #: "soa" requires eligibility (raises otherwise); "fast" skips the
-    #: SoA engine; "stepped" forces the dense per-cycle loop.
+    #: engine when eligible, else dense stepping; "soa" requires
+    #: eligibility (raises otherwise); "stepped" forces the dense
+    #: per-cycle loop, the oracle.
     force_engine: Optional[str] = None
 
     def __init__(
@@ -137,18 +137,18 @@ class Network:
         #: reset_stats re-bases it so mid-run counter resets (warm-up
         #: discard) don't fake conservation violations.
         self.conservation_baseline = 0
-        #: Master switch for quiescence fast-forward in :meth:`run`.
-        #: Telemetry instrumentation and fault injection clear it so
-        #: traced/faulted runs take the dense per-cycle stepping loop.
-        self.allow_fast_forward = True
+        #: Master switch for the SoA engine in :meth:`run`.  Telemetry
+        #: instrumentation and fault injection clear it so traced and
+        #: faulted runs take the dense per-cycle stepping loop.
+        self.allow_soa = True
 
         self.routers: List[Router] = []
         self.interfaces: List[NetworkInterface] = []
         #: Devices keyed by (router, input port, vc) in canonical order.
         self.devices: Dict[VCKey, PMOSDevice] = {}
-        # Flat traversal lists for the hot path, filled by _build():
-        # units carrying NBTI devices, units with power/occupancy state,
-        # every delay line, and every sensor bank.
+        # Flat traversal lists, filled by _build(): units carrying NBTI
+        # devices, units with power/occupancy state, every delay line
+        # (whole-network state inspection), and every sensor bank.
         self._nbti_units: List[InputUnit] = []
         self._power_units: List[InputUnit] = []
         self._all_channels: List[Channel] = []
@@ -311,7 +311,7 @@ class Network:
             ni._eject_control_channel = eject_channels[node]["up_down"]
             self.interfaces.append(ni)
 
-        # Flat hot-path traversal lists (canonical build order).
+        # Flat traversal lists (canonical build order).
         for node in range(topo.num_nodes):
             for port in in_ports[node]:
                 unit = input_units[(node, port)]
@@ -384,15 +384,11 @@ class Network:
     ) -> int:
         """Advance the network ``cycles`` cycles; return the violation count.
 
-        The hot path fast-forwards *quiescent* windows: when nothing is
-        buffered, queued, waking or in flight on any link, and every
-        event source can report its next event cycle (traffic injection,
-        sensor samples, policy epoch boundaries), the clock jumps
-        directly to that event.  Results are byte-identical to stepping:
-        skipped cycles are provably no-ops, and the traffic RNG consumes
-        exactly the draws the skipped cycles would have made.  Runs with
-        ``validate_every > 0``, telemetry instrumentation, faults, or an
-        unsupported traffic generator use the dense stepping loop.
+        Eligible networks (see :meth:`_soa_eligible`) run on the
+        struct-of-arrays engine (:mod:`repro.noc.soa`), which skips
+        provably idle components and cycles; everything else steps
+        densely with :meth:`step`, the oracle the SoA engine reproduces
+        byte for byte.  :attr:`force_engine` overrides the choice.
 
         Device counters are flushed on return, so post-run duty-cycle
         reads need no extra synchronization.
@@ -401,7 +397,10 @@ class Network:
         ----------
         validate_every:
             When positive, run :func:`repro.noc.validation.validate_network`
-            every N cycles (full sweeps are O(network), so keep N coarse).
+            after every full N-cycle chunk counted from the start of the
+            call (never after a final partial chunk).  Full sweeps are
+            O(network), so keep N coarse.  Validation does not affect the
+            engine choice: the chosen engine advances chunk by chunk.
         raise_on_violation:
             With ``validate_every > 0``: raise ``RuntimeError`` on the
             first violation (debugging aid, the default) or count every
@@ -412,61 +411,65 @@ class Network:
             raise ValueError(f"cycles must be non-negative, got {cycles}")
         if validate_every < 0:
             raise ValueError(f"validate_every must be >= 0, got {validate_every}")
-        end = self.cycle + cycles
-        violations = 0
         force = self.force_engine
-        if force not in (None, "auto", "soa", "fast", "stepped"):
+        if force not in (None, "auto", "soa", "stepped"):
             raise ValueError(f"unknown force_engine {force!r}")
-        if validate_every == 0:
-            if force in (None, "auto", "soa") and self._soa_eligible():
-                from repro.noc.soa import SoAEngine
+        if force != "stepped" and self._soa_eligible():
+            from repro.noc.soa import SoAEngine
 
-                SoAEngine(self).run_span(end)
-            elif force == "soa":
-                raise RuntimeError(
-                    "force_engine='soa' but the network is not SoA-eligible "
-                    "(telemetry/faults/per-cycle NBTI or unstable policies)"
-                )
-            elif force == "stepped":
-                while self.cycle < end:
-                    self.step()
-            else:
-                plan = self._fast_forward_plan()
-                if plan is None:
-                    while self.cycle < end:
-                        self.step()
-                else:
-                    self._run_fast(end, plan)
+            advance = SoAEngine(self).run_span
+        elif force == "soa":
+            raise RuntimeError(
+                "force_engine='soa' but the network is not SoA-eligible "
+                "(telemetry/faults/per-cycle NBTI or unstable policies)"
+            )
         else:
-            from repro.noc.validation import validate_network
+            advance = self._step_until
+        from repro.noc.validation import validate_network
 
-            stepped = 0
-            while self.cycle < end:
-                self.step()
-                stepped += 1
-                if stepped % validate_every == 0:
-                    found = validate_network(self)
-                    if found and raise_on_violation:
-                        raise RuntimeError(
-                            f"invariant violations at cycle {self.cycle}: "
-                            + "; ".join(found[:5])
-                        )
-                    violations += len(found)
+        start = self.cycle
+        end = start + cycles
+        chunk = validate_every or cycles
+        violations = 0
+        while self.cycle < end:
+            advance(min(end, self.cycle + chunk))
+            if validate_every and (self.cycle - start) % validate_every == 0:
+                found = validate_network(self)
+                if found and raise_on_violation:
+                    raise RuntimeError(
+                        f"invariant violations at cycle {self.cycle}: "
+                        + "; ".join(found[:5])
+                    )
+                violations += len(found)
         self.flush_nbti()
         return violations
+
+    def _step_until(self, end: int) -> None:
+        """Dense per-cycle stepping up to ``end`` (the oracle engine)."""
+        while self.cycle < end:
+            self.step()
 
     def _soa_eligible(self) -> bool:
         """Check struct-of-arrays engine eligibility (see ``noc/soa.py``).
 
-        The gates match :meth:`_fast_forward_plan` minus the traffic
-        probe (an unsupported generator is simply consulted per cycle),
-        plus the watchdog-safety bound made explicit: Down_Up
+        Ineligible networks step densely.  Eligibility requires:
+
+        * :attr:`allow_soa` (cleared by telemetry and fault injection),
+        * no per-cycle reference NBTI accounting,
+        * fault-free sensor banks and healthy policy engines, and
+        * every recovery policy *stable*, with a cycle-free healthy
+          decision, a declared ``epoch_period`` (whose boundaries the
+          engine re-runs the policy at), or a constant epoch.
+
+        The watchdog-safety bound is made explicit too: Down_Up
         heartbeats arrive one per sensor sample, so as long as every
         staleness threshold covers the longest sample period and no
         plausibility interval exceeds the shortest one, ``faulted`` can
-        never flip mid-run and skipped watchdog ticks are no-ops.
+        never flip mid-run and skipped watchdog ticks are no-ops.  A
+        traffic generator without ``next_injection_cycle`` support does
+        not disqualify a run; the engine then consults it every cycle.
         """
-        if not self.allow_fast_forward:
+        if not self.allow_soa:
             return False
         if any(router.per_cycle_nbti for router in self.routers):
             return False
@@ -492,131 +495,6 @@ class Network:
                 if period is None and policy.epoch(0) != policy.epoch(1 << 30):
                     return False
         return True
-
-    # ------------------------------------------------------------------
-    # Quiescence fast-forward
-    # ------------------------------------------------------------------
-    def _fast_forward_plan(
-        self,
-    ) -> Optional[Tuple[List[int], List[SensorBank]]]:
-        """Check fast-forward eligibility; return the pinned-event plan.
-
-        ``None`` means "step every cycle".  Eligibility requires:
-
-        * :attr:`allow_fast_forward` (cleared by telemetry/faults),
-        * a traffic generator that implements ``next_injection_cycle``
-          (``None`` from the probe means unsupported), and
-        * every recovery policy *stable* with a declared
-          ``epoch_period`` (pinned) or a constant epoch, and no engine
-          currently degraded (watchdog accounting is per-cycle).
-          Policies declaring ``cycle_free_decide`` need no pin at all:
-          their healthy decision is a pure function of the context, so
-          skipped epoch boundaries provably change nothing.
-
-        The plan is the sorted set of distinct epoch periods plus every
-        sensor bank (whose next sample cycle pins jumps); faulted banks
-        force stepping since their hooks may act on any cycle.
-        """
-        if not self.allow_fast_forward:
-            return None
-        traffic = self.traffic
-        if traffic is not None:
-            probe = getattr(traffic, "next_injection_cycle", None)
-            if probe is None or probe(self.cycle) is None:
-                return None
-        periods = set()
-        for port in self.upstream_ports():
-            for engine in port.engines:
-                if engine.faulted:
-                    return None
-                policy = engine.policy
-                if not policy.stable:
-                    return None
-                if policy.cycle_free_decide:
-                    # The healthy-path decision never reads ctx.cycle, so
-                    # re-evaluating after a jump with an unchanged context
-                    # reproduces the applied decision verbatim (no
-                    # commands issued) — epoch boundaries need no pin.
-                    # Eligibility already guarantees the engine stays
-                    # healthy (fault-free banks heartbeat well inside the
-                    # watchdog thresholds), so the cycle-dependent
-                    # fallback can never engage mid-run.
-                    continue
-                period = getattr(policy, "epoch_period", None)
-                if period is not None:
-                    periods.add(period)
-                elif policy.epoch(0) != policy.epoch(1 << 30):
-                    return None  # time-varying epoch with undeclared period
-        if any(bank.fault is not None for bank in self._sensor_banks):
-            return None
-        return (sorted(periods), self._sensor_banks)
-
-    def _quiescent(self) -> bool:
-        """Nothing queued, resident, waking, or in flight anywhere.
-
-        Runs after every fast-mode step, so the checks are ordered by
-        likelihood of an early exit during an active burst (a resident
-        packet keeps some unit busy for the whole traversal) and read
-        the heap of each delay line directly instead of going through
-        its ``in_flight`` property.
-        """
-        for unit in self._power_units:
-            if unit.busy_count or unit._any_waking:
-                return False
-        for channel in self._all_channels:
-            if channel._queue:
-                return False
-        for ni in self.interfaces:
-            if not ni.is_idle():
-                return False
-        return True
-
-    def _run_fast(self, end: int, plan: Tuple[List[int], List[SensorBank]]) -> None:
-        """Stepping loop that jumps over quiescent windows.
-
-        After each simulated cycle, if the network is quiescent the
-        clock jumps to the earliest *pinned* cycle: the traffic
-        generator's next injection (its RNG is bulk-advanced over the
-        skip so the stream position matches stepping exactly), the next
-        actual sensor sample of any bank, a policy epoch boundary, or
-        the end of the run.  Every skipped cycle is a provable no-op:
-        deliveries, ejection, policy memos, VA/SA and the NBTI phase all
-        see no work, and interval accounting books the skipped cycles at
-        the next flush.
-        """
-        periods, banks = plan
-        traffic = self.traffic
-        while self.cycle < end:
-            self.step()
-            cycle = self.cycle
-            if cycle >= end or not self._quiescent():
-                continue
-            if traffic is not None:
-                target = traffic.next_injection_cycle(cycle)
-                if target is None:
-                    # Support withdrawn mid-run: step the remainder.
-                    while self.cycle < end:
-                        self.step()
-                    return
-                target = min(end, target)
-            else:
-                target = end
-            for period in periods:
-                # Smallest epoch boundary >= cycle (cycle itself may be
-                # one: it must then be stepped, not skipped).
-                boundary = -(-cycle // period) * period
-                if boundary < target:
-                    target = boundary
-            for bank in banks:
-                last = bank.last_sample_cycle
-                due = 0 if last < 0 else last + bank.sample_period
-                if due < target:
-                    target = due
-            delta = target - cycle
-            if delta > 0:
-                if traffic is not None:
-                    traffic.advance(delta)
-                self.cycle = target
 
     @staticmethod
     def _ni_deliver(ni: NetworkInterface, cycle: int) -> None:
@@ -656,14 +534,13 @@ class Network:
 
         Every tracked device is aged by one counter increment per
         simulated cycle (the seed engine's O(cycles x devices)
-        schedule) instead of by interval flushes, and fast-forward is
-        disabled since skipped cycles would skip ticks.  Results are
+        schedule) instead of by interval flushes, and the SoA engine is
+        ineligible since skipped cycles would skip ticks.  Results are
         bit-identical to the default engine; only the cost model
         changes.  This is the baseline arm of
-        ``benchmarks/hotpath_speedup.py`` and the oracle the
-        equivalence tests compare against.
+        ``benchmarks/soa_speedup.py`` and the oracle the
+        interval-accounting tests compare against.
         """
-        self.allow_fast_forward = False
         for router in self.routers:
             router.per_cycle_nbti = True
         for unit in self._nbti_units:

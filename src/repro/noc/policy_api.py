@@ -157,24 +157,24 @@ class RecoveryPolicy:
     stable: bool = False
     #: Period of :meth:`epoch` in cycles, when the epoch is
     #: time-varying: ``epoch(c) == epoch(c')`` whenever
-    #: ``c // epoch_period == c' // epoch_period``.  The network's
-    #: quiescence fast-forward pins jumps at these boundaries so a
-    #: rotating policy re-evaluates exactly where stepping would.
+    #: ``c // epoch_period == c' // epoch_period``.  The SoA engine
+    #: re-runs the policy and stops its idle jumps at these boundaries
+    #: so a rotating policy re-evaluates exactly where stepping would.
     #: ``None`` (the default) declares a time-invariant epoch; a policy
-    #: whose epoch varies without declaring its period disables
-    #: fast-forward (conservative).
+    #: whose epoch varies without declaring its period makes the network
+    #: step densely (conservative).
     epoch_period: Optional[int] = None
     #: A stronger property than a declared period: the healthy-path
     #: :meth:`decide` never reads ``ctx.cycle`` at all — the decision is
     #: a pure function of VC states, traffic bit and sensor input.  The
-    #: fast-forward planner then skips the policy's epoch boundaries
+    #: SoA engine then skips the policy's epoch boundaries
     #: entirely: re-evaluating after a jump with an unchanged context
     #: reproduces the already-applied decision, so no commands are
     #: issued and nothing observable differs from stepping.  Policies
     #: whose candidate rotates with the cycle (round-robin) must leave
     #: this False.  Only consulted while the engine is healthy; a policy
     #: with a cycle-dependent *degraded* fallback may still declare it,
-    #: because fast-forward eligibility requires fault-free sensors,
+    #: because SoA eligibility requires fault-free sensors,
     #: whose heartbeats provably keep the watchdog below both the
     #: staleness and plausibility thresholds.
     cycle_free_decide: bool = False

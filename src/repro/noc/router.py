@@ -306,7 +306,7 @@ class Router:
         reference engine: every device aged by one cycle, every bank
         probed and every vnet reduced, each and every cycle — the
         O(cycles x devices) schedule the interval engine replaces and
-        the baseline arm of ``benchmarks/hotpath_speedup.py``.  The
+        the baseline arm of ``benchmarks/soa_speedup.py``.  The
         protocol (heartbeat + change resends) is identical, only the
         bookkeeping schedule differs.
         """

@@ -29,8 +29,7 @@ it has work, components tell the engine when they will:
 * every policy engine notifies on memo busts
   (:attr:`VnetEngine.on_invalidate`), so ``run_policy`` runs exactly
   when the dense engine's memoization would miss — plus at declared
-  epoch boundaries, the same pinned events quiescence fast-forward
-  uses;
+  epoch boundaries;
 * VA / SA / NI phases run only for routers and interfaces whose
   occupancy counters show resident work, which is precisely the
   condition under which the dense phases do anything but iterate;
@@ -41,19 +40,20 @@ it has work, components tell the engine when they will:
   byte-identical to per-cycle ``inject()`` calls.
 
 Whenever every activity structure is empty the engine jumps the clock
-to the next pinned event exactly like
-:meth:`Network._run_fast` — the SoA engine strictly generalizes
-quiescence fast-forward to per-component quiescence.
+to the next pinned event: the end of the span, the traffic generator's
+next scouted injection, the next sensor sample, or a declared policy
+epoch boundary.
 
 Correctness contract
 --------------------
-Eligibility is checked by :meth:`Network._soa_eligible` under the same
-rules fast-forward uses (no telemetry, no faults, stable policies with
-declared or constant epochs, healthy watchdogs); ineligible runs fall
-back to the dense loop.  For eligible runs every skipped component is a
-proven no-op of the corresponding dense phase, so results — duty
-cycles, statistics, arbiter states, RNG position — are byte-identical
-to stepping.  The per-object engines remain intact
+Eligibility is checked by :meth:`Network._soa_eligible` (no telemetry,
+no faults, stable policies with declared or constant epochs, healthy
+watchdogs); ineligible runs fall back to the dense loop.  Validated runs
+(``validate_every``) drive one engine through consecutive spans and
+sweep the invariants in between.  For eligible runs every skipped
+component is a proven no-op of the corresponding dense phase, so
+results — duty cycles, statistics, arbiter states, RNG position — are
+byte-identical to stepping.  The per-object engines remain intact
 (:meth:`Network.use_per_cycle_nbti` for the per-cycle oracle, dense
 stepping via ``force_engine="stepped"``) and the differential fuzz
 harness in ``tests/test_soa_equivalence.py`` enforces the equivalence
@@ -223,10 +223,11 @@ class NbtiArrays:
 class SoAEngine:
     """Event-directed fused stepping over one :class:`Network`.
 
-    Create one per :meth:`Network.run` call and drive it with
-    :meth:`run_span`; the constructor builds the static routing tables
-    (ports, channels, epoch schedules) and :meth:`run_span` attaches the
-    live hooks for the duration of the span.
+    Create one per :meth:`Network.run` call and drive it with one or
+    more consecutive :meth:`run_span` calls; the constructor builds the
+    static routing tables (ports, channels, epoch schedules) and
+    :meth:`run_span` attaches the live hooks for the duration of the
+    span.
     """
 
     def __init__(self, network) -> None:
@@ -251,8 +252,8 @@ class SoAEngine:
 
         # --- epoch schedule: period -> port indexes -------------------
         # Only non-cycle-free stable policies with a declared period need
-        # boundary re-runs (the fast-forward pin rule); cycle-free
-        # policies re-deciding on an unchanged context is a no-op.
+        # boundary re-runs; cycle-free policies re-deciding on an
+        # unchanged context is a no-op.
         by_period: Dict[int, List[int]] = {}
         for idx, (_, _, _, upstream) in enumerate(self._ports):
             for engine in upstream.engines:

@@ -212,8 +212,8 @@ def instrument_network(network, tracer: Tracer, config: TelemetryConfig) -> None
 
     tracer.clock = lambda: network.cycle
     # Traced runs must observe every cycle (per-cycle spans, replayable
-    # event ordering), so the quiescence fast-forward is disabled.
-    network.allow_fast_forward = False
+    # event ordering), so they run on the dense stepping engine.
+    network.allow_soa = False
 
     for router in network.routers:
         rid = router.router_id

@@ -42,7 +42,7 @@ class TrafficGenerator:
         scan-horizon cap is fine) — the caller simply simulates ``t``
         and asks again.  ``math.inf`` means the generator will never
         inject again.  The base class returns ``None``: *unsupported* —
-        the network then steps every cycle (fast-forward disabled).
+        the SoA engine then calls :meth:`inject` every cycle.
         Generators that implement this must also implement
         :meth:`advance`.
         """
@@ -51,12 +51,12 @@ class TrafficGenerator:
     def advance(self, cycles: int) -> None:
         """Consume the RNG draws of ``cycles`` injection-free cycles.
 
-        Called by the fast-forward engine instead of ``cycles``
-        individual :meth:`inject` calls, so the stream position stays
+        Called by the SoA engine instead of ``cycles`` individual
+        :meth:`inject` calls, so the stream position stays
         byte-identical to per-cycle stepping.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} does not support fast-forward"
+            f"{type(self).__name__} does not support injection scouting"
         )
 
     def describe(self) -> str:

@@ -83,7 +83,7 @@ class SyntheticTraffic(TrafficGenerator):
         self._dest_fn = _build_destination_fn(pattern, num_nodes)
         # Reusable scout generator (see next_injection_cycle): seeding a
         # fresh bit generator pulls OS entropy on every construction,
-        # which would dominate the scout's cost in fast-forwarded runs.
+        # which would dominate the scout's cost in SoA runs.
         self._scout_rng: Optional[np.random.Generator] = None
 
     def inject(self, cycle: int) -> List[Injection]:
@@ -102,7 +102,7 @@ class SyntheticTraffic(TrafficGenerator):
         """First upcoming cycle with a packet draw (scout, non-consuming).
 
         A *shadow* copy of the bit generator replays the stream, so the
-        real RNG position is untouched — the fast-forward engine may
+        real RNG position is untouched — the SoA engine may
         jump to an earlier pinned event (sensor sample, policy epoch)
         and must then draw the scouted cycles itself, in order.  The
         Bernoulli draws (``rng.random(num_nodes)`` per cycle) are

@@ -56,6 +56,11 @@ def _hang_worker(unit):
     return _FakeResult()
 
 
+def _sleep_worker(unit):
+    time.sleep(0.3)
+    return _FakeResult()
+
+
 def _selective_worker(unit):
     if unit[0].seed == 666:
         raise ValueError("cursed seed")
@@ -223,6 +228,22 @@ class TestMixedCampaign:
         executor = Executor(max_workers=1, worker=_ok_worker)
         executor.map_robust([_tiny_unit()])
         assert "failed" not in executor.summary()
+
+
+class TestSchedulerWaits:
+    def test_parent_blocks_while_units_queue(self):
+        """With every slot busy, queued units must not make the parent
+        poll the result pipes in a busy loop."""
+        executor = Executor(max_workers=1, timeout=60, worker=_sleep_worker)
+        units = [_tiny_unit(seed=s) for s in range(4)]
+        wall = time.perf_counter()
+        cpu = time.process_time()
+        results = executor.map_robust(units)
+        cpu = time.process_time() - cpu
+        wall = time.perf_counter() - wall
+        assert all(isinstance(r, _FakeResult) for r in results)
+        assert wall >= 1.2
+        assert cpu < 0.25 * wall, f"parent used {cpu:.2f}s CPU in {wall:.2f}s"
 
 
 class TestRobustVsPlainMap:

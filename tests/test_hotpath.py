@@ -1,10 +1,12 @@
-"""Hot-path engine tests: interval NBTI accounting, quiescence
-fast-forward, the unified most-degraded tie-break, and the reconciled
-``validate_every`` code path.
+"""Hot-path engine tests: interval NBTI accounting, engine selection
+between the SoA engine and the dense stepping oracle, the unified
+most-degraded tie-break, and the engine-agnostic ``validate_every``
+code path.
 
 The load-bearing property throughout is **byte-identity**: the interval
-accounting and the fast-forward must produce exactly the results of the
-legacy per-cycle stepping loop, not merely statistically similar ones.
+accounting and the SoA engine's skipped cycles must produce exactly the
+results of the per-cycle stepping loop, not merely statistically
+similar ones.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ def harvest(net: Network):
 
 def run_pair(policy: str, flit_rate: float, cycles: int, warmup: int = 0,
              **kwargs):
-    """Run identical networks with and without fast-forward."""
+    """Run identical networks on the auto engine and the stepped oracle."""
     nets = []
-    for allow in (True, False):
+    for engine in (None, "stepped"):
         net = build_small_network(policy=policy, flit_rate=flit_rate, **kwargs)
-        net.allow_fast_forward = allow
+        net.force_engine = engine
         if warmup:
             net.run(warmup)
             net.reset_nbti()
@@ -141,8 +143,22 @@ class TestIntervalAccounting:
         assert buf.device.counter.snapshot() == (5, 0)
 
 
+def count_steps(net: Network) -> list:
+    """Instrument ``net.step``; the returned one-item list counts calls."""
+    calls = [0]
+    original = net.step
+
+    def counting_step():
+        calls[0] += 1
+        original()
+
+    net.step = counting_step
+    return calls
+
+
 class TestFastForwardEquivalence:
-    """Network.run with fast-forward vs the dense stepping loop."""
+    """Network.run on the auto-selected SoA engine, which skips idle
+    cycles, vs the dense stepping loop."""
 
     @pytest.mark.parametrize("policy", [
         "sensor-wise", "rr-no-sensor", "rr-no-sensor-no-traffic",
@@ -167,23 +183,16 @@ class TestFastForwardEquivalence:
         assert harvest(fast) == harvest(slow)
 
     def test_fast_forward_actually_skips_cycles(self):
+        """An eligible run never falls back to dense stepping."""
         net = build_small_network(policy="sensor-wise", flit_rate=0.01)
-        stepped = 0
-        original = net.step
-
-        def counting_step():
-            nonlocal stepped
-            stepped += 1
-            original()
-
-        net.step = counting_step
+        steps = count_steps(net)
         net.run(4000)
         assert net.cycle == 4000
-        assert stepped < 4000, "no quiescent window was fast-forwarded"
+        assert steps[0] == 0, "an eligible run stepped densely"
 
     def test_traffic_rng_position_matches_stepping(self):
-        """After a fast-forwarded run the traffic RNG must sit exactly
-        where per-cycle stepping would have left it."""
+        """After an SoA run the traffic RNG must sit exactly where
+        per-cycle stepping would have left it."""
         fast, slow = run_pair("sensor-wise", flit_rate=0.01, cycles=3000)
         assert fast.traffic._rng.bit_generator.state == \
             slow.traffic._rng.bit_generator.state
@@ -195,7 +204,7 @@ class TestFastForwardEquivalence:
     def test_per_cycle_reference_engine_identical(self, policy, rate):
         """The in-engine reference mode (per-cycle ticks, dense loop)
         must reproduce the interval engine bit for bit — it is the
-        baseline arm of benchmarks/hotpath_speedup.py."""
+        baseline arm of benchmarks/soa_speedup.py."""
         fast = build_small_network(policy=policy, flit_rate=rate)
         reference = build_small_network(policy=policy, flit_rate=rate)
         reference.use_per_cycle_nbti()
@@ -207,27 +216,33 @@ class TestFastForwardEquivalence:
         assert harvest(fast) == harvest(reference)
 
     def test_cycle_free_policy_needs_no_epoch_pin(self):
-        """Sensor-wise declares a cycle-free healthy decision, so the
-        planner pins no epoch periods for it (jumps may cross rotation
-        boundaries of the — never engaged — degraded fallback)."""
+        """Sensor-wise declares a cycle-free healthy decision, so the SoA
+        engine schedules no epoch re-runs for it (jumps may cross
+        rotation boundaries of the — never engaged — degraded fallback),
+        and eligibility does not even need a declared period."""
+        from repro.noc.soa import SoAEngine
+
         net = build_small_network(policy="sensor-wise", flit_rate=0.01)
-        plan = net._fast_forward_plan()
-        assert plan is not None
-        periods, _banks = plan
-        assert periods == []
+        assert SoAEngine(net)._periods == []
+        for port in net.upstream_ports():
+            for engine in port.engines:
+                engine.policy.epoch_period = None
+        assert net._soa_eligible()
 
 
 class TestFastForwardGates:
-    """Conditions that must force the dense stepping loop."""
+    """SoA eligibility: conditions that must force the dense stepping
+    loop, and ones that must not."""
 
     def test_telemetry_instrumentation_disables_fast_forward(self):
         from repro.telemetry.config import TelemetryConfig
         from repro.telemetry.runtime import Telemetry
 
         net = build_small_network()
-        assert net.allow_fast_forward
+        assert net._soa_eligible()
         Telemetry(TelemetryConfig()).attach(net)
-        assert not net.allow_fast_forward
+        assert not net.allow_soa
+        assert not net._soa_eligible()
 
     def test_fault_injection_disables_fast_forward(self):
         from repro.faults import FaultInjector, FaultSpec
@@ -236,10 +251,12 @@ class TestFastForwardGates:
         spec = FaultSpec("sensor-dropout", router=0, port="east",
                          onset=100, duration=300)
         FaultInjector([spec], master_seed=3).apply(net)
-        assert not net.allow_fast_forward
-        assert net._fast_forward_plan() is None
+        assert not net.allow_soa
+        assert not net._soa_eligible()
 
-    def test_unsupported_traffic_disables_plan(self):
+    def test_opaque_traffic_stays_eligible(self):
+        """A generator without ``next_injection_cycle`` is simply
+        consulted every cycle by the SoA engine."""
         net = build_small_network()
 
         class Opaque:
@@ -247,23 +264,24 @@ class TestFastForwardGates:
                 return []
 
         net.traffic = Opaque()
-        assert net._fast_forward_plan() is None
-        net.run(100)  # dense loop still works
+        assert net._soa_eligible()
+        net.run(100)
         assert net.cycle == 100
 
     def test_undeclared_time_varying_epoch_disables_plan(self):
         net = build_small_network(policy="rr-no-sensor")
         policy = net.upstream_ports()[0].engines[0].policy
         policy.epoch_period = None  # varying epoch, period withdrawn
-        assert net._fast_forward_plan() is None
+        assert not net._soa_eligible()
 
     def test_plan_collects_declared_epoch_periods(self):
+        """The SoA engine re-runs policies at their declared epoch
+        boundaries."""
+        from repro.noc.soa import SoAEngine
+
         net = build_small_network(policy="rr-no-sensor")
-        plan = net._fast_forward_plan()
-        assert plan is not None
-        periods, banks = plan
-        assert periods == [64]
-        assert len(banks) == len(net._sensor_banks)
+        assert net._soa_eligible()
+        assert SoAEngine(net)._periods == [64]
 
 
 class TestTrafficScout:
@@ -363,7 +381,7 @@ class TestTieBreak:
 
 
 class TestValidateEveryReconciled:
-    """Network.run is the single validation code path."""
+    """Network.run is the single validation code path, on either engine."""
 
     def test_healthy_run_counts_zero(self):
         net = build_small_network(flit_rate=0.1)
@@ -389,19 +407,51 @@ class TestValidateEveryReconciled:
         # 64 cycles / sweep every 16 = 4 sweeps, one finding each.
         assert net.run(64, validate_every=16, raise_on_violation=False) == 4
 
-    def test_validation_path_never_fast_forwards(self):
+    def test_validation_runs_on_soa(self, monkeypatch):
+        """Validation does not gate the engine: an eligible network
+        validates between SoA spans, sweeping after every full chunk."""
+        import repro.noc.validation as validation
+
+        sweeps = []
+        real = validation.validate_network
+
+        def counting_validate(net):
+            sweeps.append(net.cycle)
+            return real(net)
+
+        monkeypatch.setattr(validation, "validate_network", counting_validate)
         net = build_small_network(flit_rate=0.01)
-        stepped = 0
-        original = net.step
+        steps = count_steps(net)
+        assert net.run(500, validate_every=100) == 0
+        assert steps[0] == 0
+        assert sweeps == [100, 200, 300, 400, 500]
 
-        def counting_step():
-            nonlocal stepped
-            stepped += 1
-            original()
-
-        net.step = counting_step
+    def test_forced_stepping_holds_under_validation(self):
+        net = build_small_network(flit_rate=0.01)
+        net.force_engine = "stepped"
+        steps = count_steps(net)
         net.run(500, validate_every=100)
-        assert stepped == 500
+        assert steps[0] == 500
+
+    @pytest.mark.parametrize("engine", [None, "stepped"])
+    def test_no_sweep_after_partial_chunk(self, monkeypatch, engine):
+        """Sweeps count full chunks from the start of each call."""
+        import repro.noc.validation as validation
+
+        monkeypatch.setattr(
+            validation, "validate_network", lambda n: ["synthetic violation"]
+        )
+        net = build_small_network(flit_rate=0.1)
+        net.force_engine = engine
+        net.run(10)
+        assert net.run(70, validate_every=16, raise_on_violation=False) == 4
+        assert net.cycle == 80
+
+    def test_unknown_engine_rejected(self):
+        net = build_small_network()
+        net.force_engine = "fast"
+        with pytest.raises(ValueError, match="unknown force_engine"):
+            net.run(10)
 
     def test_rejects_negative_arguments(self):
         net = build_small_network()

@@ -324,26 +324,22 @@ class TestRejuvenationPolicy:
 
 
 # ----------------------------------------------------------------------
-# Engine equivalence: stepped / fast-forward / SoA
+# Engine equivalence: stepped / SoA
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy", ["rejuvenation", "rejuvenation-sensor"])
-def test_three_engines_agree_on_rejuvenation(policy):
+def test_engines_agree_on_loaded_rejuvenation(policy):
     from tests.test_soa_equivalence import assert_engines_agree
 
-    assert_engines_agree(
-        policy, 0.05, 2600, 3, engines=("stepped", "fast", "soa")
-    )
+    assert_engines_agree(policy, 0.05, 2600, 3)
 
 
 @pytest.mark.parametrize("policy", ["rejuvenation", "rejuvenation-sensor"])
 def test_engines_agree_on_idle_rejuvenation(policy):
-    """Quiescent network: the fast-forward planner must pin jumps at the
+    """Quiescent network: the SoA engine must stop its jumps at the
     gcd(period, duration) epoch boundaries to replay window edges."""
     from tests.test_soa_equivalence import assert_engines_agree
 
-    assert_engines_agree(
-        policy, 0.0, 2400, 5, engines=("stepped", "fast", "soa")
-    )
+    assert_engines_agree(policy, 0.0, 2400, 5)
 
 
 # ----------------------------------------------------------------------

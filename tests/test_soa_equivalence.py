@@ -9,8 +9,10 @@ bug by definition.  These tests enforce that contract four ways:
   (same-cycle channel-event ordering with 4 VCs, the cycle-0
   injection-scout sentinel at zero rate, non-unit wake/link latency,
   multi-vnet scheduling, short sensor sample periods).
-* **Three-way engine equality** — stepped vs fast-forward vs SoA must
-  agree on the full state fingerprint.
+* **Invariants on the SoA arm** — every SoA run must also pass a full
+  ``validate_network`` sweep and book every elapsed cycle on every
+  device, and validated runs (``validate_every``) must match the
+  stepped oracle chunk for chunk.
 * **Scenario-level identity** — ``run_scenario`` must serialize to
   byte-identical JSON under the SoA and stepped engines for every
   policy.
@@ -38,6 +40,7 @@ from repro.core import ALL_POLICIES
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.noc.network import Network
+from repro.noc.validation import validate_network
 from repro.traffic.synthetic import HotspotTraffic, SyntheticTraffic
 
 from tests.conftest import build_small_network
@@ -131,14 +134,16 @@ def diff(a: dict, b: dict) -> list:
     return out
 
 
-def run_with_engine(mode, policy, rate, cycles, seed,
-                    segments=4, traffic=None, **config_kwargs) -> Network:
+def run_with_engine(mode, policy, rate, cycles, seed, segments=4,
+                    traffic=None, validate_every=0,
+                    **config_kwargs) -> Network:
     """Build and run one network with the engine pinned.
 
     The run is split into segments so the engines are also exercised
     mid-stream: resuming from an arbitrary cycle must not change the
     outcome (the SoA engine re-attaches its work sets from live object
-    state on every ``run`` call).
+    state on every ``run`` call).  With ``validate_every`` each segment
+    sweeps the invariants every N cycles and raises on any violation.
     """
     with forced_engine(mode):
         net = build_small_network(
@@ -147,20 +152,30 @@ def run_with_engine(mode, policy, rate, cycles, seed,
         )
         seg = cycles // segments
         for _ in range(segments):
-            net.run(seg)
-        net.run(cycles - seg * segments)
+            net.run(seg, validate_every=validate_every)
+        net.run(cycles - seg * segments, validate_every=validate_every)
         net.flush_nbti()
     return net
 
 
+def assert_invariants(net: Network, since: int = 0) -> None:
+    """Flit conservation and friends (``validate_network``), and stress +
+    recovery == elapsed cycles since the last ``reset_nbti`` at ``since``
+    on every device (call after a flush)."""
+    assert validate_network(net) == []
+    elapsed = net.cycle - since
+    booked = {d.counter.total_cycles for d in net.devices.values()}
+    assert booked == {elapsed}, f"devices booked {booked}, expected {elapsed}"
+
+
 def assert_engines_agree(policy, rate, cycles, seed,
                          engines=("stepped", "soa"), **kw):
-    prints = {
-        mode: fingerprint(
-            run_with_engine(mode, policy, rate, cycles, seed, **kw)
-        )
-        for mode in engines
-    }
+    prints = {}
+    for mode in engines:
+        net = run_with_engine(mode, policy, rate, cycles, seed, **kw)
+        if mode == "soa":
+            assert_invariants(net)
+        prints[mode] = fingerprint(net)
     reference = engines[0]
     for mode in engines[1:]:
         divergences = diff(prints[reference], prints[mode])
@@ -236,10 +251,19 @@ def test_hotspot_traffic_matches():
     assert not diff(prints["stepped"], prints["soa"])
 
 
-def test_three_engines_agree():
-    """stepped, fast-forward and SoA all produce the same fingerprint."""
-    assert_engines_agree("sensor-wise", 0.02, 2400, 7,
-                         engines=("stepped", "fast", "soa"))
+def test_stepped_and_soa_agree():
+    """The stepped oracle and SoA produce the same fingerprint."""
+    assert_engines_agree("sensor-wise", 0.02, 2400, 7)
+
+
+@pytest.mark.parametrize("validate_every", [1, 16, 100])
+@pytest.mark.parametrize("policy, rate", [
+    ("sensor-wise", 0.1), ("rr-no-sensor", 0.02), ("static-reserve", 0.3),
+])
+def test_validated_soa_matches_stepped(policy, rate, validate_every):
+    """Validated runs advance the SoA engine chunk by chunk (segments end
+    mid-chunk) and must match the validated stepped oracle."""
+    assert_engines_agree(policy, rate, 1077, 5, validate_every=validate_every)
 
 
 def test_force_soa_rejects_ineligible_network():
@@ -330,10 +354,10 @@ def test_table3_golden_bytes_under_soa(tmp_path):
 
 
 def test_fault_campaign_golden_bytes_with_auto_selection():
-    """Fault campaigns inject sensor faults and validate invariants
-    mid-run, which makes their networks SoA-ineligible — the automatic
-    engine selection must fall back to dense stepping and leave the
-    campaign report byte-identical to the seed golden."""
+    """Fault campaigns validate invariants mid-run: faulted cells are
+    SoA-ineligible and step densely, fault-free cells validate between
+    SoA spans.  The automatic engine selection must leave the campaign
+    report byte-identical to the seed golden."""
     from repro.faults.campaign import FaultCampaignConfig, run_fault_campaign
 
     config = FaultCampaignConfig(
@@ -402,6 +426,8 @@ def test_fuzz_soa_vs_stepped():
                 mode, policy, rate, cycles, seed, segments=segments,
                 num_nodes=nodes, traffic=mk_traffic(), **cfg,
             )
+            if mode == "soa":
+                assert_invariants(net)
             prints[mode] = fingerprint(net)
         divergences = diff(prints["stepped"], prints["soa"])
         if divergences:
