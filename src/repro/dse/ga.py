@@ -253,7 +253,7 @@ class DSEEngine:
         """Fill the archive for every genome not already in it.
 
         Runs through the executor when one is attached (cache, journal,
-        pool, retries); failures are logged, counted, and leave the
+        worker processes, retries); failures are logged, counted, and leave the
         genome unevaluated (it simply never enters the archive).
         """
         fresh: List[Genome] = []

@@ -8,7 +8,7 @@ module is that discipline for the execution layer:
 * :class:`ResourceBudget` — wall/CPU/RSS limits for one scenario
   attempt.  CPU and address-space limits are installed with
   ``resource.setrlimit`` inside the killable worker process (see
-  ``_robust_child`` in :mod:`repro.experiments.parallel`) so a runaway
+  ``_attempt_child`` in :mod:`repro.experiments.parallel`) so a runaway
   scenario is killed by the kernel, not trusted to police itself; the
   wall limit is enforced by the parent's per-attempt deadline.
 * :func:`estimate_cost` — a deterministic cost model over

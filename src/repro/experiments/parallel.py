@@ -1,4 +1,4 @@
-"""Parallel scenario execution: executors, result cache, progress.
+"""Parallel scenario execution: executor, result cache, progress.
 
 Every paper artifact is a pile of independent ``run_scenario`` calls —
 the comparison protocol (identical traffic/PV per policy) is enforced
@@ -7,10 +7,11 @@ never by shared state, which makes the sweep embarrassingly parallel.
 This module exploits that:
 
 * :class:`Executor` maps ``(ScenarioConfig, iteration)`` work units to
-  :class:`~repro.experiments.runner.ScenarioResult` objects either
-  serially or on a ``concurrent.futures`` process pool, with results
-  bit-identical to a serial run (determinism is a property of the
-  work units, not of scheduling; verified by ``tests/test_parallel.py``).
+  :class:`~repro.experiments.runner.ScenarioResult` objects through one
+  dispatch loop that runs each attempt either in a killable child
+  process (at most ``max_workers`` live) or in-process, with results
+  bit-identical either way (determinism is a property of the work
+  units, not of scheduling; verified by ``tests/test_parallel.py``).
 * :class:`ResultCache` is an on-disk cache keyed by a stable hash of
   the scenario parameters, the iteration and a schema/code version, so
   repeated campaigns and benchmarks skip already-computed scenarios.
@@ -18,15 +19,13 @@ This module exploits that:
   completed, wall seconds, serial-time estimate and the implied
   speedup) so long campaign runs are observable.
 
-Pool failures (spawn errors, broken pools, unpicklable payloads) fall
-back to in-process serial execution instead of aborting the campaign.
-
-For hostile workloads (fault campaigns can hang or crash a scenario),
-:meth:`Executor.map_robust` adds per-unit timeouts, bounded retries with
-exponential backoff and structured :class:`ScenarioFailure` records: a
-broken scenario costs one slot in the result list, never the campaign.
-It schedules one killable ``multiprocessing.Process`` per attempt
-(``ProcessPoolExecutor`` cannot terminate an individual hung worker).
+The loop enforces per-attempt timeouts, bounded retries with seeded
+exponential backoff and structured :class:`ScenarioFailure` records:
+:meth:`Executor.map_robust` returns a failure in a broken unit's slot,
+:meth:`Executor.map` is the same call followed by a raise once every
+unit has settled and been journaled.  When child processes cannot be
+started (sandboxed spawn, unpicklable units) the loop falls back to
+running attempts in-process instead of aborting the campaign.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ import tempfile
 import threading
 import time
 import traceback as traceback_module
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -80,10 +77,13 @@ WorkUnit = Tuple[ScenarioConfig, int]
 #: quiescence fast-forward); results for tied-Vth scenarios changed.
 CACHE_SCHEMA_VERSION = 4
 
-#: Pool-infrastructure failures that trigger the serial fallback.  An
-#: exception raised by the scenario itself (bad config, simulator bug)
-#: is *not* in this set and propagates to the caller unchanged.
-_POOL_FAILURES = (OSError, BrokenProcessPool, pickle.PicklingError, ImportError)
+#: Failures to start a child process (sandboxed spawn, unpicklable unit
+#: or worker) that switch the dispatch loop to in-process attempts.  An
+#: exception raised by the scenario itself is *not* in this set: it
+#: becomes a :class:`ScenarioFailure` like any other crash.
+_SPAWN_FAILURES = (
+    OSError, ImportError, pickle.PicklingError, AttributeError, TypeError
+)
 
 
 def _execute_unit(unit: WorkUnit) -> ScenarioResult:
@@ -122,34 +122,24 @@ class RetryBackoff:
         return value
 
 
-def _ignore_sigint() -> None:
-    """Workers leave SIGINT to the parent: a Ctrl-C hits the whole
-    process group, and graceful drain needs in-flight units to finish
-    rather than die mid-scenario."""
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):
-        pass
-
-
-def _pool_worker_init(log_level: Optional[int]) -> None:
-    """Pool-worker initializer: mirror the parent's CLI verbosity.
-
-    Module-level so the spawn start method can pickle it by name.
-    """
-    _ignore_sigint()
-    setup_worker_logging(log_level)
-
-
-def _robust_child(
+def _attempt_child(
     worker: Callable,
     unit: WorkUnit,
     conn,
     log_level: Optional[int] = None,
     budget: Optional[ResourceBudget] = None,
 ) -> None:
-    """Entry point of one killable per-attempt worker process."""
-    _ignore_sigint()
+    """Entry point of one killable per-attempt worker process.
+
+    A failure ships the pickled exception too (``None`` when it does
+    not pickle), so :meth:`Executor.map` can re-raise the original.
+    """
+    # SIGINT is the parent's: a Ctrl-C hits the whole process group, and
+    # graceful drain needs in-flight units to finish, not die mid-scenario.
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    except (ValueError, OSError):
+        pass
     setup_worker_logging(log_level)
     try:
         if budget is not None:
@@ -161,9 +151,14 @@ def _robust_child(
         conn.send(("ok", result))
     except BaseException as exc:  # noqa: BLE001 - reported, not swallowed
         try:
-            conn.send(
-                ("error", type(exc).__name__, str(exc), traceback_module.format_exc())
-            )
+            blob: Optional[bytes] = pickle.dumps(exc)
+        except Exception:  # noqa: BLE001 - the name and message still travel
+            blob = None
+        try:
+            conn.send((
+                "error", type(exc).__name__, str(exc),
+                traceback_module.format_exc(), blob,
+            ))
         except BaseException:
             pass
     finally:
@@ -206,14 +201,21 @@ class ScenarioFailure:
 
     def __str__(self) -> str:
         kind = self.error_type if self.kind == "crash" else self.kind
+        # Tolerates a malformed unit (e.g. a ``None`` scenario), whose
+        # crash is exactly what this record has to report.
+        label = getattr(self.scenario, "label", self.scenario)
         line = (
-            f"{self.scenario.label} policy={self.scenario.policy} "
+            f"{label} policy={getattr(self.scenario, 'policy', None)} "
             f"iter={self.iteration}: {kind} after {self.attempts} attempt(s): "
             f"{self.message}"
         )
         if self.quarantined:
             line += " [quarantined]"
         return line
+
+
+#: One settled slot of a map: a result, or the failure in its place.
+Outcome = Union[ScenarioResult, ScenarioFailure]
 
 
 def cache_key(scenario: ScenarioConfig, iteration: int) -> str:
@@ -356,7 +358,7 @@ class ExecutorStats:
     wall_seconds: float = 0.0
     #: Sum of per-unit build+sim time — what a serial run would cost.
     serial_seconds: float = 0.0
-    #: map_robust accounting: units that exhausted their attempts,
+    #: Failure accounting: units that exhausted their attempts,
     #: individual retry launches, per-attempt timeouts fired.
     failures: int = 0
     retries: int = 0
@@ -394,13 +396,13 @@ class ExecutorStats:
 
 
 class Executor:
-    """Maps work units to scenario results, serially or on a process pool.
+    """Maps work units to scenario results through one dispatch loop.
 
     Parameters
     ----------
     max_workers:
-        Worker processes.  ``None``/``0`` auto-detects (``os.cpu_count``);
-        ``1`` selects the in-process serial backend.
+        Attempts allowed to run at once, each in its own child process.
+        ``None``/``0`` auto-detects (``os.cpu_count``).
     cache:
         Optional :class:`ResultCache` (or a path, which constructs one).
         Hits skip simulation entirely; fresh results are stored back.
@@ -408,16 +410,16 @@ class Executor:
         Optional callable receiving one human-readable line per
         completed scenario (``[3/12] 4core-inj0.10 policy=... 0.42s``).
     timeout:
-        ``map_robust`` only: per-attempt wall-clock limit in seconds.
-        A hung attempt is terminated (its process killed) and counted;
-        ``None`` disables the limit.
+        Per-attempt wall-clock limit in seconds.  A hung attempt is
+        terminated (its process killed) and counted; ``None`` disables
+        the limit.
     retries:
-        ``map_robust`` only: extra attempts after a crash or timeout
-        (total attempts = ``retries + 1``).
+        Extra attempts after a crash or timeout (total attempts =
+        ``retries + 1``).
     retry_backoff:
-        ``map_robust`` only: base delay before retry ``k`` is
-        ``retry_backoff * 2**(k-1)`` seconds (exponential backoff),
-        stretched by up to ``retry_jitter`` (see :class:`RetryBackoff`).
+        Base delay before retry ``k`` is ``retry_backoff * 2**(k-1)``
+        seconds (exponential backoff), stretched by up to
+        ``retry_jitter`` (see :class:`RetryBackoff`).
     retry_jitter:
         Jitter fraction applied to every retry delay (``0`` disables;
         default ``0.5`` — delays spread over [d, 1.5d]) so simultaneous
@@ -426,8 +428,8 @@ class Executor:
         Seed of the jitter stream.  ``None`` (default) randomizes per
         executor; a fixed seed makes the delay sequence reproducible.
     worker:
-        ``map_robust`` only: the unit-executing callable (picklable by
-        name); tests substitute hanging/crashing workers.
+        The unit-executing callable (picklable by name); tests
+        substitute hanging/crashing workers.
     profile:
         Collect per-scenario timing distributions (build / sim / wall
         seconds) into :attr:`metrics`; the summary line then reports
@@ -435,7 +437,7 @@ class Executor:
     log_level:
         Logging level to install in worker processes (defaults to the
         effective level of the ``repro`` logger at construction, so
-        ``-v``/``-q`` verbosity propagates through pools).
+        ``-v``/``-q`` verbosity propagates to workers).
     checkpoint:
         Optional :class:`~repro.experiments.checkpoint.CheckpointManager`.
         Every completed unit is journaled (write-ahead, fsync'd) the
@@ -455,19 +457,21 @@ class Executor:
     governor:
         Optional :class:`~repro.experiments.governor.ScenarioGovernor`
         (or a :class:`~repro.experiments.governor.GovernorSpec`, which
-        constructs one).  Every robust attempt then runs under a
-        per-scenario :class:`~repro.experiments.governor.ResourceBudget`
-        (wall deadline in the parent, ``RLIMIT_CPU``/``RLIMIT_AS`` in
-        the child); budget breaches become typed failures and repeat
-        offenders are quarantined instead of retried.  :meth:`map`
-        routes through the robust backend and raises
-        :class:`~repro.experiments.governor.BudgetExceeded` *after* all
-        other units completed (and were journaled), so ``--resume``
-        re-runs only the offenders.
+        constructs one).  Every attempt then runs under a per-scenario
+        :class:`~repro.experiments.governor.ResourceBudget` (wall
+        deadline in the parent, ``RLIMIT_CPU``/``RLIMIT_AS`` in the
+        child); budget breaches become typed failures and repeat
+        offenders are quarantined instead of retried.
+
+    An attempt runs in a killable child process when isolation is
+    asked for (:meth:`map_robust`, ``timeout`` or ``governor``) or there
+    is parallelism to exploit (``max_workers > 1`` and several pending
+    units), otherwise in-process.  A child that cannot be started
+    switches the rest of the run to in-process (``stats.fallbacks``).
 
     Results are returned in work-unit order regardless of completion
-    order, and are bit-identical between backends: a unit's outcome is a
-    pure function of ``(ScenarioConfig, iteration)``.
+    order, and are bit-identical whichever way an attempt ran: a unit's
+    outcome is a pure function of ``(ScenarioConfig, iteration)``.
 
     Graceful shutdown: :meth:`request_drain` (typically wired to
     SIGINT/SIGTERM by
@@ -529,7 +533,7 @@ class Executor:
         self._server = None
         self._distributed_summary: Optional[str] = None
         self._commit_lock = threading.Lock()
-        #: Every ScenarioFailure produced by map_robust, campaign-wide
+        #: Every ScenarioFailure this executor produced, campaign-wide
         #: (what campaign.state.json surfaces as the failed-unit list).
         self.failure_records: List[ScenarioFailure] = []
         self._drain = threading.Event()
@@ -543,101 +547,46 @@ class Executor:
         journaled, then the running map raises ``CampaignInterrupted``."""
         self._drain.set()
 
-    @property
-    def draining(self) -> bool:
-        return self._drain.is_set()
-
     # -- public API ----------------------------------------------------
     def map(self, units: Sequence[WorkUnit]) -> List[ScenarioResult]:
         """Execute every unit and return results in input order.
 
-        With a :attr:`governor`, units run through the robust backend
-        (budgets need killable per-attempt processes); if any unit
-        busts its budget the call raises
-        :class:`~repro.experiments.governor.BudgetExceeded` *after*
-        every other unit completed and was journaled.
+        :meth:`map_robust` followed by a raise once every unit has
+        settled and been journaled.  A governed run whose failures are
+        all budget breaches raises
+        :class:`~repro.experiments.governor.BudgetExceeded` (``--resume``
+        then re-runs only the offenders).  Otherwise the first failed
+        unit's original exception is re-raised, or a ``RuntimeError``
+        naming the failure when no exception object survived (worker
+        death, timeout, coordinator poison).
         """
-        if self.governor is not None:
-            outcome = self.map_robust(units)
-            failures = [r for r in outcome if isinstance(r, ScenarioFailure)]
-            if failures:
-                raise BudgetExceeded(failures)
-            return outcome  # type: ignore[return-value]  # no failures
-        units = list(units)
-        started = time.perf_counter()
-        self.stats.units_total += len(units)
-        results: List[Optional[ScenarioResult]] = [None] * len(units)
+        results, errors = self._run(units, isolate=False)
+        failures = [r for r in results if isinstance(r, ScenarioFailure)]
+        if not failures:
+            return results  # type: ignore[return-value]  # no failures
+        if self.governor is not None and all(
+            f.kind in BUDGET_KINDS for f in failures
+        ):
+            raise BudgetExceeded(failures)
+        index = next(i for i, r in enumerate(results) if r is failures[0])
+        exc = errors.get(index)
+        if exc is None:
+            raise RuntimeError(str(failures[0]))
+        if exc.__traceback__ is None and failures[0].traceback:
+            # Unpickled from a child: chain the worker-side traceback.
+            exc.__cause__ = RuntimeError(f"in the worker:\n{failures[0].traceback}")
+        raise exc
 
-        pending: List[int] = []
-        for index in range(len(units)):
-            known = self._lookup(units[index])
-            if known is not None:
-                results[index] = known
-                self._report(index, units[index], known, cached=True)
-            else:
-                pending.append(index)
-        self._sync_cache_corruption()
-
-        if pending:
-            if self.distributed is not None:
-                self._map_distributed(units, pending, results, robust=False)
-            elif self.max_workers > 1 and len(pending) > 1:
-                self._map_pool(units, pending, results)
-            else:
-                self._map_serial(units, pending, results)
-
-        self.stats.units_completed += len(units)
-        self.stats.wall_seconds += time.perf_counter() - started
-        return results  # type: ignore[return-value]  # every slot is filled
-
-    def map_robust(
-        self, units: Sequence[WorkUnit]
-    ) -> List[Union[ScenarioResult, ScenarioFailure]]:
+    def map_robust(self, units: Sequence[WorkUnit]) -> List[Outcome]:
         """Execute every unit, surviving crashes and hangs.
 
-        Like :meth:`map`, but each unit runs in its own killable
-        process with the executor's ``timeout``/``retries`` budget; a
-        unit that exhausts its attempts yields a :class:`ScenarioFailure`
-        in its slot instead of aborting the campaign.  Successful
-        results are bit-identical to :meth:`map` (same pure worker).
+        Each attempt runs in its own killable process under the
+        executor's ``timeout``/``retries``/``governor`` budget; a unit
+        that exhausts its attempts yields a :class:`ScenarioFailure` in
+        its slot instead of aborting the campaign.  Successful results
+        are bit-identical to :meth:`map` (same pure worker).
         """
-        units = list(units)
-        started = time.perf_counter()
-        self.stats.units_total += len(units)
-        results: List[Optional[Union[ScenarioResult, ScenarioFailure]]] = [None] * len(units)
-
-        pending: List[int] = []
-        for index in range(len(units)):
-            known = self._lookup(units[index])
-            if known is not None:
-                results[index] = known
-                self._report(index, units[index], known, cached=True)
-            else:
-                pending.append(index)
-        self._sync_cache_corruption()
-
-        if pending:
-            if self.distributed is not None:
-                self._map_distributed(units, pending, results, robust=True)
-                self.stats.units_completed += len(units)
-                self.stats.wall_seconds += time.perf_counter() - started
-                return results  # type: ignore[return-value]
-            try:
-                self._map_robust_processes(units, pending, results)
-            except _POOL_FAILURES:
-                # No subprocesses available at all (sandbox): degrade to
-                # in-process execution — crashes still become failure
-                # records, but hangs cannot be interrupted.
-                self.stats.fallbacks += 1
-                self._report_line(
-                    "process spawning unavailable; running robust map in-process "
-                    "(timeouts not enforceable)"
-                )
-                self._map_robust_serial(units, pending, results)
-
-        self.stats.units_completed += len(units)
-        self.stats.wall_seconds += time.perf_counter() - started
-        return results  # type: ignore[return-value]  # every slot is filled
+        return self._run(units, isolate=True)[0]
 
     def summary(self) -> str:
         """One-line accounting over everything this executor ran."""
@@ -661,7 +610,46 @@ class Executor:
                 )
         return line
 
-    # -- lookups -------------------------------------------------------
+    # -- dispatch ------------------------------------------------------
+    def _run(
+        self, units: Sequence[WorkUnit], isolate: bool
+    ) -> Tuple[List[Outcome], Dict[int, BaseException]]:
+        """Serve what the journal/cache know, dispatch the rest.
+
+        Returns the results in unit order plus, for failed slots whose
+        exception object survived, that exception.
+        """
+        units = list(units)
+        started = time.perf_counter()
+        self.stats.units_total += len(units)
+        results: List[Optional[Outcome]] = [None] * len(units)
+        errors: Dict[int, BaseException] = {}
+
+        pending: List[int] = []
+        for index, unit in enumerate(units):
+            known = self._lookup(unit)
+            if known is not None:
+                results[index] = known
+                self._report(index, unit, known, cached=True)
+            else:
+                pending.append(index)
+        self._sync_cache_corruption()
+
+        if pending and self.distributed is not None:
+            self._map_distributed(units, pending, results)
+        elif pending:
+            in_process = not (
+                isolate
+                or self.timeout is not None
+                or self.governor is not None
+                or (self.max_workers > 1 and len(pending) > 1)
+            )
+            self._dispatch(units, pending, results, errors, in_process)
+
+        self.stats.units_completed += len(units)
+        self.stats.wall_seconds += time.perf_counter() - started
+        return results, errors  # type: ignore[return-value]  # every slot is filled
+
     def _lookup(self, unit: WorkUnit) -> Optional[ScenarioResult]:
         """Serve a unit from the journal (resume) or the result cache."""
         scenario, iteration = unit
@@ -677,142 +665,22 @@ class Executor:
                 return hit
         return None
 
-    def _check_drain(self, pending: Sequence[int], results: Sequence[object]) -> None:
-        """Raise ``CampaignInterrupted`` when draining with work left."""
-        if not self._drain.is_set():
-            return
-        remaining = sum(1 for index in pending if results[index] is None)
-        if remaining:
-            raise CampaignInterrupted(remaining)
-
-    # -- backends ------------------------------------------------------
-    def _map_serial(
+    def _dispatch(
         self,
         units: Sequence[WorkUnit],
         pending: Sequence[int],
-        results: List[Optional[ScenarioResult]],
+        results: List[Optional[Outcome]],
+        errors: Dict[int, BaseException],
+        in_process: bool,
     ) -> None:
-        for index in pending:
-            if results[index] is not None:
-                continue
-            self._check_drain(pending, results)
-            result = _execute_unit(units[index])
-            self._finish(index, units[index], result, results)
-
-    def _map_pool(
-        self,
-        units: Sequence[WorkUnit],
-        pending: Sequence[int],
-        results: List[Optional[ScenarioResult]],
-    ) -> None:
-        try:
-            # Unpicklable payloads (e.g. ad-hoc ScenarioConfig subclasses)
-            # would otherwise poison the pool's feeder thread.
-            pickle.dumps(tuple(units[i] for i in pending))
-        except (pickle.PicklingError, AttributeError, TypeError):
-            self.stats.fallbacks += 1
-            self._report_line("work units not picklable; falling back to serial execution")
-            self._map_serial(units, pending, results)
-            return
-        try:
-            workers = min(self.max_workers, len(pending))
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pool_worker_init,
-                initargs=(self.log_level,),
-            ) as pool:
-                # Sliding-window dispatch: at most ``workers`` units are
-                # outstanding, so a drain request only has to wait for
-                # genuinely in-flight scenarios, not a deep submit queue.
-                todo = [i for i in pending if results[i] is None]
-                cursor = 0
-                futures: dict = {}
-                while futures or cursor < len(todo):
-                    while (
-                        cursor < len(todo)
-                        and len(futures) < workers
-                        and not self._drain.is_set()
-                    ):
-                        index = todo[cursor]
-                        cursor += 1
-                        futures[pool.submit(_execute_unit, units[index])] = index
-                    if not futures:
-                        break  # draining with nothing in flight
-                    done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = futures.pop(future)
-                        self._finish(index, units[index], future.result(), results)
-                self._check_drain(pending, results)
-        except _POOL_FAILURES:
-            # Pool infrastructure failed (sandboxed spawn, dead worker,
-            # unpicklable payload): finish the remaining units in-process.
-            self.stats.fallbacks += 1
-            self._report_line("process pool unavailable; falling back to serial execution")
-            self._map_serial(units, pending, results)
-
-    # -- robust backend ------------------------------------------------
-    def _map_robust_serial(
-        self,
-        units: Sequence[WorkUnit],
-        pending: Sequence[int],
-        results: List[Optional[Union[ScenarioResult, ScenarioFailure]]],
-    ) -> None:
-        """In-process robust execution: retries yes, timeouts no."""
-        for index in pending:
-            if results[index] is not None:
-                continue
-            self._check_drain(pending, results)
-            unit = units[index]
-            unit_started = time.perf_counter()
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    result = self.worker(unit)
-                except Exception as exc:  # noqa: BLE001 - becomes a record
-                    kind = classify_failure_kind(type(exc).__name__)
-                    quarantined, budget_info = self._note_breach(
-                        unit, kind, time.perf_counter() - unit_started
-                    )
-                    if not quarantined and attempt <= self.retries:
-                        self.stats.retries += 1
-                        backoff = self._backoff.delay(attempt)
-                        if backoff > 0:
-                            time.sleep(backoff)
-                        continue
-                    self._fail(
-                        index,
-                        ScenarioFailure(
-                            scenario=unit[0],
-                            iteration=unit[1],
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            attempts=attempt,
-                            timed_out=False,
-                            wall_seconds=time.perf_counter() - unit_started,
-                            traceback=traceback_module.format_exc(),
-                            kind=kind,
-                            quarantined=quarantined,
-                            budget=budget_info,
-                        ),
-                        results,
-                    )
-                    break
-                else:
-                    self._finish(index, unit, result, results)
-                    break
-
-    def _map_robust_processes(
-        self,
-        units: Sequence[WorkUnit],
-        pending: Sequence[int],
-        results: List[Optional[Union[ScenarioResult, ScenarioFailure]]],
-    ) -> None:
-        """One killable process per attempt, at most ``max_workers`` live.
+        """The dispatch loop: at most ``max_workers`` live attempts.
 
         The scheduler multiplexes three event sources: result pipes
         becoming readable, per-attempt deadlines expiring, and backoff
-        delays elapsing for queued retries.
+        delays elapsing for queued retries.  Attempts run in killable
+        child processes, or inline when ``in_process`` (no deadline is
+        enforceable there); the first child that cannot be started
+        switches the rest of the loop to inline attempts.
         """
         ctx = multiprocessing.get_context()
         # (unit index, attempt number, earliest monotonic start time)
@@ -821,45 +689,51 @@ class Executor:
         unit_started = {i: time.perf_counter() for i in pending}
         # Per-unit resource budget and effective wall limit (the tighter
         # of the budget's wall cap and the executor timeout).  Without a
-        # governor these degrade to (None, self.timeout) — the
-        # historical behaviour, byte for byte.
-        budgets: Dict[int, Optional[ResourceBudget]] = {}
-        wall_limits: Dict[int, Optional[float]] = {}
-        for i in pending:
-            if self.governor is not None:
-                budget = self.governor.budget_for(units[i][0])
-                budgets[i] = budget
-                wall_limits[i] = budget.deadline(self.timeout)
-            else:
-                budgets[i] = None
-                wall_limits[i] = self.timeout
+        # governor these degrade to (None, self.timeout).
+        budgets: Dict[int, Optional[ResourceBudget]] = {
+            i: None if self.governor is None else self.governor.budget_for(units[i][0])
+            for i in pending
+        }
+        wall_limits: Dict[int, Optional[float]] = {
+            i: self.timeout if budget is None else budget.deadline(self.timeout)
+            for i, budget in budgets.items()
+        }
 
-        def launch(index: int, attempt: int) -> None:
+        def spawn(index: int, attempt: int) -> None:
+            # The result carries the unit back up the pipe, so an
+            # unpicklable unit can only ever run in-process.
+            pickle.dumps(units[index])
             recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_robust_child,
-                args=(
-                    self.worker, units[index], send_end, self.log_level,
-                    budgets[index],
-                ),
-                daemon=True,
-            )
-            proc.start()
-            send_end.close()
+            proc = ctx.Process(target=_attempt_child, daemon=True, args=(
+                self.worker, units[index], send_end, self.log_level, budgets[index],
+            ))
+            try:
+                proc.start()
+            finally:
+                send_end.close()
+            limit = wall_limits[index]
             running[recv_end] = {
-                "index": index,
-                "attempt": attempt,
-                "proc": proc,
-                "deadline": (
-                    None if wall_limits[index] is None
-                    else time.monotonic() + wall_limits[index]
-                ),
+                "index": index, "attempt": attempt, "proc": proc,
+                "deadline": None if limit is None else time.monotonic() + limit,
             }
+
+        def run_inline(index: int, attempt: int) -> None:
+            try:
+                result = self.worker(units[index])
+            except Exception as exc:  # noqa: BLE001 - becomes a record
+                retry_or_fail(
+                    index, attempt, type(exc).__name__, str(exc),
+                    timed_out=False, traceback=traceback_module.format_exc(),
+                    exc=exc,
+                )
+            else:
+                self._finish(index, units[index], result, results)
 
         def retry_or_fail(index: int, attempt: int, error_type: str,
                           message: str, timed_out: bool,
                           traceback: Optional[str] = None,
-                          kind: Optional[str] = None) -> None:
+                          kind: Optional[str] = None,
+                          exc: Optional[BaseException] = None) -> None:
             if kind is None:
                 kind = classify_failure_kind(error_type, timed_out=timed_out)
             quarantined, budget_info = self._note_breach(
@@ -873,6 +747,8 @@ class Executor:
                 backoff = self._backoff.delay(attempt)
                 queue.append((index, attempt + 1, time.monotonic() + backoff))
                 return
+            if exc is not None:
+                errors[index] = exc
             self._fail(
                 index,
                 ScenarioFailure(
@@ -914,9 +790,13 @@ class Executor:
             elif message is not None and message[0] == "ok":
                 self._finish(index, units[index], message[1], results)
             elif message is not None and message[0] == "error":
+                try:
+                    exc = pickle.loads(message[4]) if message[4] else None
+                except Exception:  # noqa: BLE001 - e.g. a custom __init__
+                    exc = None
                 retry_or_fail(
                     index, attempt, message[1], message[2], timed_out=False,
-                    traceback=message[3] if len(message) > 3 else None,
+                    traceback=message[3], exc=exc,
                 )
             else:
                 # No result made it up the pipe: the kernel killed the
@@ -926,9 +806,7 @@ class Executor:
                 retry_or_fail(
                     index, attempt, "WorkerDied",
                     f"worker exited with code {proc.exitcode}", timed_out=False,
-                    kind=classify_failure_kind(
-                        "WorkerDied", exitcode=proc.exitcode
-                    ),
+                    kind=classify_failure_kind("WorkerDied", exitcode=proc.exitcode),
                 )
 
         try:
@@ -945,7 +823,18 @@ class Executor:
                     if due is None:
                         break
                     index, attempt, _ = queue.pop(due)
-                    launch(index, attempt)
+                    if not in_process:
+                        try:
+                            spawn(index, attempt)
+                            continue
+                        except _SPAWN_FAILURES as exc:
+                            in_process = True
+                            self.stats.fallbacks += 1
+                            self._report_line(
+                                f"cannot start worker processes ({exc}); running "
+                                "the rest in-process (timeouts not enforceable)"
+                            )
+                    run_inline(index, attempt)
 
                 # Sleep until the next event could possibly happen.  A
                 # queued attempt is such an event only while a slot is
@@ -1012,17 +901,13 @@ class Executor:
         worker's completion is acked only once it is fsync'd here).
         """
         with self._commit_lock:
-            if self.checkpoint is not None:
-                self.checkpoint.record(key, result)
-                if self.metrics is not None:
-                    self.metrics.inc("checkpoint.journal_appends")
+            self._journal(key, result)
 
     def _map_distributed(
         self,
         units: Sequence[WorkUnit],
         pending: Sequence[int],
-        results: List[Optional[Union[ScenarioResult, ScenarioFailure]]],
-        robust: bool,
+        results: List[Optional[Outcome]],
     ) -> None:
         """Serve pending units to remote workers via the lease coordinator.
 
@@ -1081,18 +966,10 @@ class Executor:
                         timed_out=False,
                         wall_seconds=time.perf_counter() - submitted,
                         traceback=payload.get("traceback"),
-                        kind=(
-                            payload.get("kind")
-                            or classify_failure_kind(error_type)
-                        ),
+                        kind=payload.get("kind") or classify_failure_kind(error_type),
                         quarantined=kind == "poisoned",
                     )
-                    if robust:
-                        self._fail(index, failure, results)
-                    else:
-                        raise RuntimeError(
-                            f"scenario quarantined by the coordinator: {failure}"
-                        )
+                    self._fail(index, failure, results)
         if outstanding:
             raise CampaignInterrupted(len(outstanding))
 
@@ -1129,7 +1006,7 @@ class Executor:
         self,
         index: int,
         failure: ScenarioFailure,
-        results: List[Optional[Union[ScenarioResult, ScenarioFailure]]],
+        results: List[Optional[Outcome]],
     ) -> None:
         results[index] = failure
         self.stats.failures += 1
@@ -1163,13 +1040,16 @@ class Executor:
             self.metrics.observe("scenario.wall_seconds", result.wall_seconds)
         if self.cache is not None:
             self.cache.put(unit[0], unit[1], result)
+        # Write-ahead: the result is durable (fsync'd journal record)
+        # before the campaign consumes it.
+        self._journal(cache_key(unit[0], unit[1]), result)
+        self._report(index, unit, result, cached=False)
+
+    def _journal(self, key: str, result: ScenarioResult) -> None:
         if self.checkpoint is not None:
-            # Write-ahead: the result is durable (fsync'd journal
-            # record) before the campaign consumes it.
-            self.checkpoint.record(cache_key(unit[0], unit[1]), result)
+            self.checkpoint.record(key, result)
             if self.metrics is not None:
                 self.metrics.inc("checkpoint.journal_appends")
-        self._report(index, unit, result, cached=False)
 
     def _report(self, index: int, unit: WorkUnit, result: ScenarioResult, cached: bool) -> None:
         if self.progress is None:

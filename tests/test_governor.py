@@ -102,6 +102,13 @@ def _hang_worker(unit):
     time.sleep(30)
 
 
+def _crash_or_burn_worker(unit):
+    """A plain crash for seed 666, a CPU burner for every other seed."""
+    if unit[0].seed == 666:
+        raise ValueError("cursed seed")
+    _burn_worker(unit)
+
+
 # ----------------------------------------------------------------------
 # Failure-kind classification
 # ----------------------------------------------------------------------
@@ -544,6 +551,19 @@ class TestGovernedExecutor:
 
 
 class TestGovernedCampaignContract:
+    def test_crash_is_not_reported_as_a_budget_breach(self):
+        """A governed map re-raises a plain crash as itself; only a run
+        whose failures are all budget breaches raises BudgetExceeded."""
+        executor = Executor(
+            max_workers=1, worker=_crash_or_burn_worker,
+            governor=GovernorSpec(cpu_seconds=1.0, wall_seconds=30.0,
+                                  quarantine_threshold=1),
+        )
+        with pytest.raises(ValueError, match="cursed seed"):
+            executor.map([_tiny_unit(seed=666)])
+        with pytest.raises(BudgetExceeded):
+            executor.map([_tiny_unit(seed=1)])
+
     def test_budget_exceeded_after_others_complete_then_resume(self, tmp_path):
         """The ISSUE's acceptance scenario, serially: one scenario busts
         its CPU budget and is quarantined, every other unit completes

@@ -1,24 +1,26 @@
 """Tests for the parallel execution layer (executors, cache, fallback).
 
 The load-bearing property is bit-identical results: a scenario's
-outcome is a pure function of ``(ScenarioConfig, iteration)``, so the
-process-pool backend, the serial backend and the on-disk cache must all
-return exactly the same measurements.
+outcome is a pure function of ``(ScenarioConfig, iteration)``, so
+attempts run in worker processes, attempts run in-process and the
+on-disk cache must all return exactly the same measurements.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing.process
 import pickle
 
 import pytest
 
-import repro.experiments.parallel as parallel
 from repro.experiments.campaign import CampaignConfig, run_campaign
+from repro.experiments.checkpoint import CheckpointManager
 from repro.experiments.config import REAL_TRAFFIC, ScenarioConfig
 from repro.experiments.parallel import (
     Executor,
     ResultCache,
+    ScenarioFailure,
     cache_key,
     execute_units,
     make_executor,
@@ -100,6 +102,20 @@ class TestExecutorDeterminism:
         with pytest.raises(AttributeError):
             Executor(max_workers=2).map([(good, 0), (None, 0)])
 
+    def test_map_raises_only_after_every_unit_is_journaled(self, tmp_path):
+        # map is map_robust plus a raise: the healthy unit completes and
+        # is journaled before the crash's original exception surfaces.
+        # (The crashing unit must still hash to a journal key, so it is a
+        # real ScenarioConfig with a malformed fault list, not None.)
+        good = ScenarioConfig(num_nodes=4, num_vcs=2, **FAST)
+        broken = good.replace(faults=("not-a-fault-spec",))
+        checkpoint = CheckpointManager(tmp_path / "ckpt")
+        executor = Executor(max_workers=2, checkpoint=checkpoint)
+        with pytest.raises(AttributeError):
+            executor.map([(good, 0), (broken, 0)])
+        assert len(checkpoint.journal) == 1
+        checkpoint.close()
+
 
 class TestExecuteUnits:
     def test_none_executor_is_plain_serial(self):
@@ -156,12 +172,16 @@ class TestResultCache:
         assert result_fingerprint(cache.get(scenario, 0)) == result_fingerprint(result)
 
 
+def _break_process_spawn(monkeypatch):
+    def blocked(self):
+        raise OSError("spawn blocked")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", blocked)
+
+
 class TestFallback:
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
-        def broken_pool(*args, **kwargs):
-            raise OSError("spawn blocked")
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", broken_pool)
+        _break_process_spawn(monkeypatch)
         units = small_units()
         ex = Executor(max_workers=4)
         results = ex.map(units)
@@ -182,6 +202,17 @@ class TestFallback:
         results = ex.map([(scenario, 0), (scenario.with_policy("baseline"), 0)])
         assert ex.stats.fallbacks == 1
         assert len(results) == 2
+
+    def test_robust_map_runs_in_process_when_spawn_fails(self, monkeypatch):
+        _break_process_spawn(monkeypatch)
+        good = small_units()[0]
+        ex = Executor(max_workers=2)
+        result, failure = ex.map_robust([good, (None, 0)])
+        assert ex.stats.fallbacks == 1
+        assert result_fingerprint(result) == result_fingerprint(run_scenario(*good))
+        assert isinstance(failure, ScenarioFailure)
+        assert failure.error_type == "AttributeError"
+        assert failure.traceback is not None
 
 
 class TestProgressAndStats:
