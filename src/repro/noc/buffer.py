@@ -13,21 +13,15 @@ Gating is only legal when the buffer is empty (the upstream router only
 gates VCs whose ``out_vc_state`` is IDLE, so this holds by construction;
 the buffer still enforces it defensively).
 
-NBTI accounting modes
----------------------
-Two equivalent accounting modes are supported:
-
-* **Per-cycle** (legacy, unit tests): call :meth:`nbti_tick` once per
-  cycle; the device ages one cycle in the current power state.
-* **Interval** (the simulator's hot path): pass the current ``cycle`` to
-  every power transition (:meth:`gate`/:meth:`wake`/:meth:`push`) and
-  call :meth:`nbti_flush` before any counter read.  The buffer keeps an
-  *anchor* — the first cycle not yet accounted — and books whole
-  ``[anchor, cycle)`` intervals in bulk, turning O(cycles) work into
-  O(transitions).  Only GATED<->powered transitions flush (WAKING->ON
-  stays on the stress side of the boundary).
-
-The two modes must not be mixed on one buffer.
+NBTI accounting
+---------------
+Aging uses interval accounting: pass the current ``cycle`` to every
+power transition (:meth:`gate`/:meth:`wake`/:meth:`push`) and call
+:meth:`nbti_flush` before any counter read.  The buffer keeps an
+*anchor* — the first cycle not yet accounted — and books whole
+``[anchor, cycle)`` intervals in bulk, so the cost is O(transitions)
+rather than O(cycles).  Only GATED<->powered transitions flush
+(WAKING->ON stays on the stress side of the boundary).
 """
 
 from __future__ import annotations
@@ -62,7 +56,7 @@ class VCBuffer:
         Buffer depth in flits (paper: 4).
     device:
         Optional :class:`PMOSDevice` representing the buffer's worst PMOS;
-        when present, :meth:`nbti_tick` ages it each cycle.
+        when present, :meth:`nbti_flush` ages it by whole intervals.
     track_nbti:
         Whether this buffer participates in NBTI statistics (ejection
         buffers at the NIs are excluded by default).
@@ -71,7 +65,7 @@ class VCBuffer:
     __slots__ = (
         "capacity", "device", "track_nbti", "wake_fault", "on_push_unpowered",
         "trace", "trace_id", "_flits", "_state", "_wake_remaining",
-        "_nbti_anchor", "per_cycle_nbti",
+        "_nbti_anchor",
     )
 
     def __init__(
@@ -100,15 +94,8 @@ class VCBuffer:
         self._flits: Deque[Flit] = deque()
         self._state = PowerState.ON
         self._wake_remaining = 0
-        #: First cycle not yet booked into the duty-cycle counter
-        #: (interval accounting mode only).
+        #: First cycle not yet booked into the duty-cycle counter.
         self._nbti_anchor = 0
-        #: When True the buffer is aged by per-cycle :meth:`nbti_tick`
-        #: calls (the reference engine, see
-        #: :meth:`~repro.noc.network.Network.use_per_cycle_nbti`) and
-        #: every interval flush becomes a no-op so the two bookkeeping
-        #: schemes can never double-count.
-        self.per_cycle_nbti = False
 
     # ------------------------------------------------------------------
     # FIFO behaviour
@@ -140,9 +127,8 @@ class VCBuffer:
     def push(self, flit: Flit, cycle: Optional[int] = None) -> None:
         """Append a flit; the buffer must be powered and not full.
 
-        ``cycle`` is required in interval accounting mode so an
-        emergency wake-on-arrival books the preceding recovery interval
-        before the state flips.
+        Pass the current ``cycle`` so an emergency wake-on-arrival
+        books the preceding recovery interval before the state flips.
         """
         if self._state is not PowerState.ON:
             if self.on_push_unpowered is not None and self.on_push_unpowered(self, flit):
@@ -188,10 +174,10 @@ class VCBuffer:
     def gate(self, cycle: Optional[int] = None) -> None:
         """Cut the supply.  Only legal on an empty buffer; idempotent.
 
-        In interval accounting mode pass the current ``cycle``: the
-        stress interval up to (excluding) this cycle is booked before
-        the state flips, so cycle ``cycle`` itself counts as recovery —
-        exactly what per-cycle ticking after deliveries produced.
+        Pass the current ``cycle``: the stress interval up to
+        (excluding) this cycle is booked before the state flips, so
+        cycle ``cycle`` itself counts as recovery — exactly what
+        per-cycle ticking after deliveries produces.
         """
         if self._flits:
             raise BufferError("cannot gate a buffer that is storing flits")
@@ -208,9 +194,9 @@ class VCBuffer:
         """Begin restoring the supply; ready after ``latency`` cycles.
 
         Waking an already-ON buffer is a no-op; re-waking a WAKING buffer
-        does not extend its countdown.  In interval accounting mode pass
-        the current ``cycle``: the recovery interval up to (excluding)
-        this cycle is booked before the rail re-energizes.
+        does not extend its countdown.  Pass the current ``cycle``: the
+        recovery interval up to (excluding) this cycle is booked before
+        the rail re-energizes.
         """
         if latency < 0:
             raise ValueError(f"wake latency must be non-negative, got {latency}")
@@ -249,19 +235,12 @@ class VCBuffer:
     # ------------------------------------------------------------------
     # NBTI hooks
     # ------------------------------------------------------------------
-    def nbti_tick(self) -> None:
-        """Age the guarding PMOS by one cycle of stress or recovery."""
-        if self.device is not None and self.track_nbti:
-            self.device.tick(stressed=self.powered)
-
     def nbti_flush(self, cycle: int) -> None:
         """Book the interval ``[anchor, cycle)`` in the current state.
 
-        Interval accounting mode: called before every GATED<->powered
-        transition and before any counter read (sensor sample, harvest).
+        Called before every GATED<->powered transition and before any
+        counter read (sensor sample, harvest).
         """
-        if self.per_cycle_nbti:
-            return
         delta = cycle - self._nbti_anchor
         if delta <= 0:
             return

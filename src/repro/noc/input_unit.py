@@ -172,11 +172,12 @@ class InputUnit:
         self._any_waking = still_waking
 
     def nbti_tick(self) -> None:
-        """Age every buffer's PMOS by one cycle (per-cycle mode).
+        """Age every buffer's PMOS by one cycle in its power state.
 
-        The simulator itself now uses interval accounting
-        (:meth:`nbti_flush`); this per-cycle path remains for unit tests
-        and as the reference the intervals must reproduce.
+        The simulator itself uses interval accounting
+        (:meth:`nbti_flush`); this per-cycle tick is the reference the
+        intervals must reproduce (``per_cycle_reference`` in
+        ``tests/conftest.py`` drives a whole network with it).
         """
         gated = PowerState.GATED
         for ivc in self.vcs:

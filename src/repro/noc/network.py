@@ -100,10 +100,10 @@ class Network:
 
     #: Engine override for :meth:`run` (class attribute so tests and
     #: benchmarks can force an arm globally or per instance without
-    #: widening ``ScenarioConfig``):  ``None``/"auto" picks the SoA
-    #: engine when eligible, else dense stepping; "soa" requires
-    #: eligibility (raises otherwise); "stepped" forces the dense
-    #: per-cycle loop, the oracle.
+    #: widening ``ScenarioConfig``):  ``None`` picks the SoA engine
+    #: when eligible, else dense stepping; "soa" requires eligibility
+    #: (raises otherwise); "stepped" forces the dense per-cycle loop,
+    #: the oracle.
     force_engine: Optional[str] = None
 
     def __init__(
@@ -137,9 +137,9 @@ class Network:
         #: reset_stats re-bases it so mid-run counter resets (warm-up
         #: discard) don't fake conservation violations.
         self.conservation_baseline = 0
-        #: Master switch for the SoA engine in :meth:`run`.  Telemetry
-        #: instrumentation and fault injection clear it so traced and
-        #: faulted runs take the dense per-cycle stepping loop.
+        #: Master switch for the SoA engine in :meth:`run`.  Only fault
+        #: injection clears it, so faulted runs take the dense
+        #: per-cycle stepping loop; traced runs stay eligible.
         self.allow_soa = True
 
         self.routers: List[Router] = []
@@ -412,7 +412,7 @@ class Network:
         if validate_every < 0:
             raise ValueError(f"validate_every must be >= 0, got {validate_every}")
         force = self.force_engine
-        if force not in (None, "auto", "soa", "stepped"):
+        if force not in (None, "soa", "stepped"):
             raise ValueError(f"unknown force_engine {force!r}")
         if force != "stepped" and self._soa_eligible():
             from repro.noc.soa import SoAEngine
@@ -421,7 +421,7 @@ class Network:
         elif force == "soa":
             raise RuntimeError(
                 "force_engine='soa' but the network is not SoA-eligible "
-                "(telemetry/faults/per-cycle NBTI or unstable policies)"
+                "(faults or unstable policies)"
             )
         else:
             advance = self._step_until
@@ -454,12 +454,12 @@ class Network:
 
         Ineligible networks step densely.  Eligibility requires:
 
-        * :attr:`allow_soa` (cleared by telemetry and fault injection),
-        * no per-cycle reference NBTI accounting,
+        * :attr:`allow_soa` (cleared by fault injection),
         * fault-free sensor banks and healthy policy engines, and
-        * every recovery policy *stable*, with a cycle-free healthy
-          decision, a declared ``epoch_period`` (whose boundaries the
-          engine re-runs the policy at), or a constant epoch.
+        * every recovery policy *stable*, with an untraced cycle-free
+          healthy decision, a declared ``epoch_period`` (whose
+          boundaries the engine re-runs the policy at), or a constant
+          epoch.
 
         The watchdog-safety bound is made explicit too: Down_Up
         heartbeats arrive one per sensor sample, so as long as every
@@ -470,8 +470,6 @@ class Network:
         not disqualify a run; the engine then consults it every cycle.
         """
         if not self.allow_soa:
-            return False
-        if any(router.per_cycle_nbti for router in self.routers):
             return False
         banks = self._sensor_banks
         if any(bank.fault is not None for bank in banks):
@@ -489,7 +487,7 @@ class Network:
                 policy = engine.policy
                 if not policy.stable:
                     return False
-                if policy.cycle_free_decide:
+                if policy.cycle_free_decide and policy.trace is None:
                     continue
                 period = getattr(policy, "epoch_period", None)
                 if period is None and policy.epoch(0) != policy.epoch(1 << 30):
@@ -528,24 +526,6 @@ class Network:
         cycle = self.cycle
         for unit in self._nbti_units:
             unit.nbti_flush(cycle)
-
-    def use_per_cycle_nbti(self) -> None:
-        """Switch to the per-cycle reference aging engine.
-
-        Every tracked device is aged by one counter increment per
-        simulated cycle (the seed engine's O(cycles x devices)
-        schedule) instead of by interval flushes, and the SoA engine is
-        ineligible since skipped cycles would skip ticks.  Results are
-        bit-identical to the default engine; only the cost model
-        changes.  This is the baseline arm of
-        ``benchmarks/soa_speedup.py`` and the oracle the
-        interval-accounting tests compare against.
-        """
-        for router in self.routers:
-            router.per_cycle_nbti = True
-        for unit in self._nbti_units:
-            for ivc in unit.vcs:
-                ivc.buffer.per_cycle_nbti = True
 
     def duty_cycles(self, router: int, port) -> List[float]:
         """Per-VC NBTI-duty-cycles (%) at a router input port.

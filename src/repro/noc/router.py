@@ -111,10 +111,6 @@ class Router:
         self.down_up_channels: Dict[int, Channel] = {}
         #: Last most-degraded id sent upstream per (input port, vnet).
         self._last_md_sent: Dict[Tuple[int, int], int] = {}
-        #: Reference engine switch: age buffers with per-cycle ticks
-        #: instead of interval accounting (see
-        #: :meth:`~repro.noc.network.Network.use_per_cycle_nbti`).
-        self.per_cycle_nbti = False
 
     # ------------------------------------------------------------------
     # Phase 0: deliveries (links, credits, control, Down_Up)
@@ -300,33 +296,11 @@ class Router:
         samples a fault-free bank's readings — and hence the per-vnet
         most-degraded reduction — cannot change, so the whole phase is
         skipped.  A fault hook may distort the reduction on any cycle,
-        so faulted banks take the dense path every cycle.
-
-        With :attr:`per_cycle_nbti` set, the phase instead runs the
-        reference engine: every device aged by one cycle, every bank
-        probed and every vnet reduced, each and every cycle — the
-        O(cycles x devices) schedule the interval engine replaces and
-        the baseline arm of ``benchmarks/soa_speedup.py``.  The
-        protocol (heartbeat + change resends) is identical, only the
-        bookkeeping schedule differs.
+        so faulted banks take the dense path every cycle.  The per-cycle
+        tick schedule this replaces survives only as a test oracle
+        (``per_cycle_reference`` in ``tests/conftest.py``).
         """
         n_vcs = self.num_vcs
-        if self.per_cycle_nbti:
-            for port in self.input_ports:
-                unit = self.inputs[port].unit
-                unit.nbti_tick()
-                bank = unit.sensor_bank
-                if bank is None:
-                    continue
-                bank.sample(cycle)
-                refreshed = bank.last_sample_cycle == cycle
-                for vnet in range(self.num_vnets):
-                    current = bank.most_degraded_in(vnet * n_vcs, n_vcs)
-                    key = (port, vnet)
-                    if refreshed or self._last_md_sent.get(key) != current:
-                        self._last_md_sent[key] = current
-                        self._down_up_send(port, current, cycle)
-            return
         for port in self.input_ports:
             unit = self.inputs[port].unit
             bank = unit.sensor_bank

@@ -46,18 +46,23 @@ epoch boundary.
 
 Correctness contract
 --------------------
-Eligibility is checked by :meth:`Network._soa_eligible` (no telemetry,
-no faults, stable policies with declared or constant epochs, healthy
-watchdogs); ineligible runs fall back to the dense loop.  Validated runs
+Eligibility is checked by :meth:`Network._soa_eligible` (no faults,
+stable policies with declared or constant epochs, healthy watchdogs);
+ineligible runs fall back to the dense loop.  Validated runs
 (``validate_every``) drive one engine through consecutive spans and
 sweep the invariants in between.  For eligible runs every skipped
 component is a proven no-op of the corresponding dense phase, so
 results — duty cycles, statistics, arbiter states, RNG position — are
-byte-identical to stepping.  The per-object engines remain intact
-(:meth:`Network.use_per_cycle_nbti` for the per-cycle oracle, dense
-stepping via ``force_engine="stepped"``) and the differential fuzz
-harness in ``tests/test_soa_equivalence.py`` enforces the equivalence
-across randomized scenarios, policies and traffic patterns.
+byte-identical to stepping.  Traced runs are eligible too: probes fire
+from the same component methods on both engines with timestamps from
+the network clock, and a traced cycle-free policy is pinned at its
+epoch boundaries so its re-decisions (which emit events) happen on
+the same cycles as on the dense engine.  Each track's event sequence
+is therefore identical; only the interleaving of same-cycle events
+across tracks may differ.  Dense stepping (``force_engine="stepped"``)
+is the single oracle, and the differential fuzz harness in
+``tests/test_soa_equivalence.py`` enforces the equivalence across
+randomized scenarios, policies and traffic patterns.
 """
 
 from __future__ import annotations
@@ -251,14 +256,16 @@ class SoAEngine:
             self._ports.append((True, ni, -1, ni.injection_port))
 
         # --- epoch schedule: period -> port indexes -------------------
-        # Only non-cycle-free stable policies with a declared period need
-        # boundary re-runs; cycle-free policies re-deciding on an
-        # unchanged context is a no-op.
+        # Stable policies with a declared period need boundary re-runs.
+        # An untraced cycle-free policy re-deciding on an unchanged
+        # context is a no-op and is skipped; a traced one is pinned,
+        # since its decide emits events (policy.keep_awake) the dense
+        # engine's epoch re-runs record.
         by_period: Dict[int, List[int]] = {}
         for idx, (_, _, _, upstream) in enumerate(self._ports):
             for engine in upstream.engines:
                 policy = engine.policy
-                if policy.cycle_free_decide:
+                if policy.cycle_free_decide and policy.trace is None:
                     continue
                 period = getattr(policy, "epoch_period", None)
                 if period is not None:

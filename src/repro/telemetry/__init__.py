@@ -46,7 +46,7 @@ from repro.telemetry.sinks import (
     TraceSink,
     event_to_dict,
 )
-from repro.telemetry.trace import PID_HOST, PID_SIM, NullTracer, Tracer
+from repro.telemetry.trace import PID_HOST, PID_SIM, Tracer
 
 __all__ = [
     "probes",
@@ -74,6 +74,5 @@ __all__ = [
     "event_to_dict",
     "PID_HOST",
     "PID_SIM",
-    "NullTracer",
     "Tracer",
 ]

@@ -16,7 +16,9 @@ creates when ``ScenarioConfig.telemetry`` is set:
 Instrumentation is handle-based: each component gets ``trace`` (the
 tracer) and ``trace_id`` (its track) attributes that default to
 ``None``/0, so the telemetry-off cost is one attribute test on the few
-event-driven paths — per-cycle hot loops are never touched.
+event-driven paths — per-cycle hot loops are never touched.  It does
+not change the engine choice: a traced fault-free run takes the
+struct-of-arrays engine like an untraced one (see :mod:`repro.noc.soa`).
 """
 
 from __future__ import annotations
@@ -211,9 +213,6 @@ def instrument_network(network, tracer: Tracer, config: TelemetryConfig) -> None
     from repro.noc.topology import port_name
 
     tracer.clock = lambda: network.cycle
-    # Traced runs must observe every cycle (per-cycle spans, replayable
-    # event ordering), so they run on the dense stepping engine.
-    network.allow_soa = False
 
     for router in network.routers:
         rid = router.router_id

@@ -12,9 +12,12 @@ Three on-disk formats plus an in-memory one:
   event count, first/last timestamp); a cheap overview for spreadsheets.
 * :class:`ListSink` — accumulates event dicts in memory (tests).
 
-Sinks receive *event tuples* (see :data:`EVENT_FIELDS`) in timestamp
+Sinks receive *event tuples* (see :data:`EVENT_FIELDS`) in emission
 order per flush and own their file handles; ``close`` finalizes the
 file (the Chrome array needs a closing bracket to be valid JSON).
+Simulated timestamps never decrease, and each track's sequence is the
+same on both cycle engines; same-cycle events of different tracks may
+interleave in an engine-dependent order.
 """
 
 from __future__ import annotations

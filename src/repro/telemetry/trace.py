@@ -178,35 +178,3 @@ class Tracer:
         self.flush()
         for sink in self.sinks:
             sink.close()
-
-
-class NullTracer:
-    """API-compatible no-op tracer.
-
-    Components use ``trace is not None`` guards rather than a null
-    object (one pointer test beats a no-op method call in the per-event
-    paths), but external integrations that want an unconditional tracer
-    handle can use this.
-    """
-
-    counts: Dict[str, int] = {}
-    total_events = 0
-
-    def register_track(self, label: str, pid: int = PID_SIM) -> int:
-        return 0
-
-    def instant(self, name, cat, tid=0, args=None, ts=None) -> None:
-        pass
-
-    def complete(self, name, cat, ts, dur, tid=0, args=None, pid=PID_HOST) -> None:
-        pass
-
-    @contextmanager
-    def span(self, name, cat="run", tid=0, args=None):
-        yield
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass

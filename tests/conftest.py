@@ -36,6 +36,33 @@ def build_small_network(
     return Network(config, make_policy_factory(policy), traffic, pv_model=pv)
 
 
+def per_cycle_reference(net: Network) -> Network:
+    """Turn ``net`` into the per-cycle NBTI reference and return it.
+
+    The oracle the interval accounting must reproduce: the network is
+    pinned to dense stepping, and every cycle each router's NBTI phase
+    first ages every input unit's devices by one cycle in their current
+    power state (``InputUnit.nbti_tick``), then rebases the buffers'
+    interval anchors past that cycle so no later interval flush books
+    it twice, and only then runs the original phase.
+    """
+    net.force_engine = "stepped"
+    for router in net.routers:
+        units = [router.inputs[port].unit for port in router.input_ports]
+        buffers = [ivc.buffer for unit in units for ivc in unit.vcs]
+
+        def phase_nbti(cycle, units=units, buffers=buffers,
+                       original=router.phase_nbti):
+            for unit in units:
+                unit.nbti_tick()
+            for buffer in buffers:
+                buffer.nbti_rebase(cycle + 1)
+            original(cycle)
+
+        router.phase_nbti = phase_nbti
+    return net
+
+
 @pytest.fixture
 def small_network():
     """Factory fixture: ``small_network(policy=..., ...) -> Network``."""

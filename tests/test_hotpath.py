@@ -22,7 +22,7 @@ from repro.noc.buffer import PowerState, VCBuffer
 from repro.noc.network import Network
 from repro.traffic.synthetic import SyntheticTraffic
 
-from tests.conftest import build_small_network
+from tests.conftest import build_small_network, per_cycle_reference
 
 
 def make_tracked_buffer() -> VCBuffer:
@@ -80,7 +80,7 @@ class TestIntervalAccounting:
                 reference.wake(0)
             interval.tick_power()
             reference.tick_power()
-            reference.nbti_tick()
+            reference.device.tick(stressed=reference.powered)
         interval.nbti_flush(12)
         assert interval.device.counter.snapshot() == \
             reference.device.counter.snapshot()
@@ -202,12 +202,12 @@ class TestFastForwardEquivalence:
         ("sensor-wise", 0.2),
     ])
     def test_per_cycle_reference_engine_identical(self, policy, rate):
-        """The in-engine reference mode (per-cycle ticks, dense loop)
-        must reproduce the interval engine bit for bit — it is the
-        baseline arm of benchmarks/soa_speedup.py."""
+        """The per-cycle reference (one tick per device per cycle,
+        dense loop) must reproduce the interval engine bit for bit."""
         fast = build_small_network(policy=policy, flit_rate=rate)
-        reference = build_small_network(policy=policy, flit_rate=rate)
-        reference.use_per_cycle_nbti()
+        reference = per_cycle_reference(
+            build_small_network(policy=policy, flit_rate=rate)
+        )
         for net in (fast, reference):
             net.run(400)
             net.reset_nbti()
@@ -234,14 +234,52 @@ class TestFastForwardGates:
     """SoA eligibility: conditions that must force the dense stepping
     loop, and ones that must not."""
 
-    def test_telemetry_instrumentation_disables_fast_forward(self):
+    def test_telemetry_keeps_soa_eligible(self):
         from repro.telemetry.config import TelemetryConfig
         from repro.telemetry.runtime import Telemetry
 
         net = build_small_network()
         assert net._soa_eligible()
         Telemetry(TelemetryConfig()).attach(net)
-        assert not net.allow_soa
+        assert net.allow_soa
+        assert net._soa_eligible()
+
+    def test_traced_scenario_never_steps(self, monkeypatch):
+        """A traced default-config scenario runs entirely on SoA."""
+        from repro.experiments.config import ScenarioConfig
+        from repro.experiments.runner import run_scenario
+
+        calls = [0]
+        original = Network.step
+
+        def counting_step(net):
+            calls[0] += 1
+            original(net)
+
+        monkeypatch.setattr(Network, "step", counting_step)
+        scenario = ScenarioConfig(
+            num_nodes=4, cycles=600, warmup=150, seed=1
+        ).traced(trace_dir=None, formats=())
+        assert run_scenario(scenario).telemetry.total_events > 0
+        assert calls[0] == 0
+
+    def test_traced_cycle_free_policy_is_epoch_pinned(self):
+        """A traced sensor-wise policy emits events from ``decide``, so
+        unlike the untraced case (no pin, see
+        ``test_cycle_free_policy_needs_no_epoch_pin``) the SoA engine
+        re-runs it at every fallback-rotation boundary."""
+        from repro.noc.soa import SoAEngine
+        from repro.telemetry.config import TelemetryConfig
+        from repro.telemetry.runtime import Telemetry
+
+        net = build_small_network(policy="sensor-wise", flit_rate=0.01)
+        Telemetry(TelemetryConfig()).attach(net)
+        assert SoAEngine(net)._periods == [64]
+        # Without a declared period there is nothing to pin the traced
+        # re-decisions to, so the run must step densely.
+        for port in net.upstream_ports():
+            for engine in port.engines:
+                engine.policy.epoch_period = None
         assert not net._soa_eligible()
 
     def test_fault_injection_disables_fast_forward(self):
@@ -448,10 +486,12 @@ class TestValidateEveryReconciled:
         assert net.cycle == 80
 
     def test_unknown_engine_rejected(self):
-        net = build_small_network()
-        net.force_engine = "fast"
-        with pytest.raises(ValueError, match="unknown force_engine"):
-            net.run(10)
+        # "auto" is not a synonym of None: only None/"soa"/"stepped".
+        for engine in ("fast", "auto"):
+            net = build_small_network()
+            net.force_engine = engine
+            with pytest.raises(ValueError, match="unknown force_engine"):
+                net.run(10)
 
     def test_rejects_negative_arguments(self):
         net = build_small_network()

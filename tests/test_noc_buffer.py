@@ -155,35 +155,38 @@ class TestPowerGating:
 
 
 class TestNBTIHooks:
+    """Interval accounting over a single cycle: one flush books that
+    cycle in the buffer's current power state."""
+
     def test_tick_records_stress_when_powered(self):
         dev = PMOSDevice(0.18, NBTIModel.calibrated())
         buf = VCBuffer(2, device=dev)
-        buf.nbti_tick()
+        buf.nbti_flush(1)
         assert dev.counter.snapshot() == (1, 0)
 
     def test_tick_records_recovery_when_gated(self):
         dev = PMOSDevice(0.18, NBTIModel.calibrated())
         buf = VCBuffer(2, device=dev)
-        buf.gate()
-        buf.nbti_tick()
+        buf.gate(cycle=0)
+        buf.nbti_flush(1)
         assert dev.counter.snapshot() == (0, 1)
 
     def test_waking_counts_as_stress(self):
         dev = PMOSDevice(0.18, NBTIModel.calibrated())
         buf = VCBuffer(2, device=dev)
-        buf.gate()
-        buf.wake(latency=3)
-        buf.nbti_tick()
+        buf.gate(cycle=0)
+        buf.wake(latency=3, cycle=0)
+        buf.nbti_flush(1)
         assert dev.counter.snapshot() == (1, 0)
 
     def test_untracked_buffer_records_nothing(self):
         dev = PMOSDevice(0.18, NBTIModel.calibrated())
         buf = VCBuffer(2, device=dev, track_nbti=False)
-        buf.nbti_tick()
+        buf.nbti_flush(1)
         assert dev.counter.snapshot() == (0, 0)
 
     def test_deviceless_buffer_tick_is_safe(self):
-        VCBuffer(2).nbti_tick()  # must not raise
+        VCBuffer(2).nbti_flush(1)  # must not raise
 
 
 class TestFlitsView:

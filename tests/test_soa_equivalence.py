@@ -15,7 +15,7 @@ bug by definition.  These tests enforce that contract four ways:
   stepped oracle chunk for chunk.
 * **Scenario-level identity** — ``run_scenario`` must serialize to
   byte-identical JSON under the SoA and stepped engines for every
-  policy.
+  policy, and a traced run must emit the same events on every track.
 * **Randomized fuzz** (``-m slow``) — a seeded cross-engine sweep over
   policies x traffic patterns x topologies x micro-architecture knobs.
 
@@ -269,9 +269,13 @@ def test_validated_soa_matches_stepped(policy, rate, validate_every):
 def test_force_soa_rejects_ineligible_network():
     """force_engine='soa' must fail loudly when the network cannot use
     the SoA engine rather than silently falling back."""
+    from repro.faults import FaultInjector, FaultSpec
+
     with forced_engine("soa"):
         net = build_small_network()
-        net.use_per_cycle_nbti()
+        spec = FaultSpec("sensor-dropout", router=0, port="east",
+                         onset=100, duration=300)
+        FaultInjector([spec], master_seed=3).apply(net)
         with pytest.raises(RuntimeError, match="not SoA-eligible"):
             net.run(10)
 
@@ -326,6 +330,67 @@ def test_scenario_result_identity(policy):
     assert payloads["soa"] == payloads["stepped"]
 
 
+def traced_run(scenario, trace_dir):
+    """Run ``scenario`` traced to JSONL; return (summary, tracks).
+
+    ``tracks`` maps each simulated-time track label to its event
+    sequence as ``(ts, name, args)`` tuples.  Host-time events (runner
+    phase spans) carry wall-clock timestamps and are left out.
+    """
+    from repro.telemetry import PID_SIM
+
+    result = run_scenario(scenario.traced(
+        trace_dir=str(trace_dir), formats=("jsonl",)
+    ))
+    (path,) = result.telemetry.trace_files
+    events = [json.loads(line) for line in pathlib.Path(path).read_text().splitlines()]
+    labels = {
+        e["tid"]: e["args"]["name"]
+        for e in events
+        if e["ph"] == "M" and e["name"] == "thread_name" and e["pid"] == PID_SIM
+    }
+    tracks = {label: [] for label in labels.values()}
+    for e in events:
+        if e["ph"] != "M" and e["pid"] == PID_SIM:
+            tracks[labels[e["tid"]]].append((e["ts"], e["name"], e.get("args")))
+    return result.telemetry, tracks
+
+
+def stable_metrics(metrics):
+    """Metrics minus the host-time ``phase.*`` gauges."""
+    return {
+        kind: {k: v for k, v in entries.items() if not k.startswith("phase.")}
+        for kind, entries in metrics.items()
+    }
+
+
+@pytest.mark.parametrize("rate", [0.02, 0.1, 0.3])
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_traced_soa_matches_stepped(policy, rate, tmp_path):
+    """Traced runs take the SoA engine too: every track's event sequence,
+    the event counts, the deterministic metrics and the measured port's
+    counters must match the stepped oracle.  Same-cycle events on
+    different tracks may interleave differently, so tracks compare one
+    by one."""
+    scenario = ScenarioConfig(
+        num_nodes=4, num_vcs=2, injection_rate=rate, policy=policy,
+        traffic="uniform", cycles=800, warmup=200, seed=1,
+        sensor_sample_period=64,
+    )
+    runs = {}
+    for mode in ("soa", "stepped"):
+        with forced_engine(mode):
+            runs[mode] = traced_run(scenario, tmp_path / mode)
+    (soa, soa_tracks), (stepped, stepped_tracks) = runs["soa"], runs["stepped"]
+    assert soa.event_counts == stepped.event_counts
+    assert stable_metrics(soa.metrics) == stable_metrics(stepped.metrics)
+    assert list(soa_tracks) == list(stepped_tracks)
+    for label, sequence in stepped_tracks.items():
+        assert soa_tracks[label] == sequence, label
+    assert soa.measured_stress_cycles == stepped.measured_stress_cycles
+    assert soa.measured_recovery_cycles == stepped.measured_recovery_cycles
+
+
 # ----------------------------------------------------------------------
 # Golden bytes under the SoA engine (default tier)
 # ----------------------------------------------------------------------
@@ -368,7 +433,7 @@ def test_fault_campaign_golden_bytes_with_auto_selection():
         policies=("rr-no-sensor", "sensor-wise"),
         validate_every=16,
     )
-    with forced_engine("auto"):
+    with forced_engine(None):
         report = run_fault_campaign(config)
     golden = (GOLDEN / "fault_campaign_small_golden.json").read_text()
     assert report.to_json() == golden

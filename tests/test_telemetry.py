@@ -8,9 +8,9 @@ The binding guarantees under test:
 * telemetry **on** produces a Chrome/JSONL trace whose gate/wake events
   replay to *exactly* the NBTI stress/recovery counters the simulator
   reports (cycle-accurate reconciliation);
-* traced runs are deterministic: serial and process-pool execution
-  emit identical events and metrics (host-time ``phase.*`` gauges are
-  the one documented exception).
+* traced runs are deterministic: in-process and child-process
+  execution emit identical events and metrics (host-time ``phase.*``
+  gauges are the one documented exception).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.telemetry import (
     EVENT_FIELDS,
     ListSink,
     MetricsRegistry,
-    NullTracer,
     TelemetryConfig,
     Tracer,
     emit,
@@ -88,6 +87,22 @@ class TestTraceArtifacts:
         result = run_scenario(scenario)
         return scenario, result
 
+    @pytest.fixture(scope="class")
+    def traced_stepped(self, tmp_path_factory):
+        """The same traced run pinned to the dense stepping oracle."""
+        from repro.noc.network import Network
+
+        trace_dir = tmp_path_factory.mktemp("traces-stepped")
+        scenario = small_scenario().traced(
+            trace_dir=str(trace_dir), formats=("jsonl",)
+        )
+        Network.force_engine = "stepped"
+        try:
+            result = run_scenario(scenario)
+        finally:
+            Network.force_engine = None
+        return scenario, result
+
     def test_summary_counts_match_files(self, traced):
         _, result = traced
         summary = result.telemetry
@@ -133,8 +148,15 @@ class TestTraceArtifacts:
     def test_gate_wake_events_reconcile_with_nbti_counters(self, traced):
         """The acceptance criterion: replaying the trace's power-state
         transitions reproduces the simulator's stress/recovery counters
-        exactly, for every VC of the measured port."""
-        scenario, result = traced
+        exactly, for every VC of the measured port (default engine
+        selection, i.e. SoA)."""
+        self._assert_reconciles(*traced)
+
+    def test_gate_wake_events_reconcile_on_stepped_engine(self, traced_stepped):
+        self._assert_reconciles(*traced_stepped)
+
+    @classmethod
+    def _assert_reconciles(cls, scenario, result):
         summary = result.telemetry
         jsonl = next(p for p in summary.trace_files if p.endswith(".events.jsonl"))
         events = [
@@ -160,7 +182,7 @@ class TestTraceArtifacts:
 
         window = (summary.window_start, summary.end_cycle)
         for vc, tid in sorted(vc_tids.items()):
-            recovery = self._replay_recovery(events, tid, *window)
+            recovery = cls._replay_recovery(events, tid, *window)
             span = summary.end_cycle - summary.window_start
             assert recovery == summary.measured_recovery_cycles[vc]
             assert span - recovery == summary.measured_stress_cycles[vc]
@@ -199,18 +221,20 @@ class TestTraceArtifacts:
 
 
 class TestDeterminism:
-    def test_serial_and_pool_runs_agree(self):
+    def test_in_process_and_child_runs_agree(self):
         from repro.experiments.parallel import Executor
 
         scenario = small_scenario().traced(trace_dir=None, formats=())
-        serial = run_scenario(scenario)
+        local = run_scenario(scenario)
+        # map_robust always runs the attempt in a child process.
         executor = Executor(max_workers=4)
-        (pooled,) = executor.map([(scenario, 0)])
+        (child,) = executor.map_robust([(scenario, 0)])
+        assert executor.stats.fallbacks == 0
 
-        assert pooled.duty_cycles == serial.duty_cycles
-        assert pooled.telemetry.event_counts == serial.telemetry.event_counts
-        assert self._stable(pooled.telemetry.metrics) == self._stable(
-            serial.telemetry.metrics
+        assert child.duty_cycles == local.duty_cycles
+        assert child.telemetry.event_counts == local.telemetry.event_counts
+        assert self._stable(child.telemetry.metrics) == self._stable(
+            local.telemetry.metrics
         )
 
     @staticmethod
@@ -276,12 +300,6 @@ class TestTracer:
         assert gate["ts"] == 10  # ts from the injected clock
         assert tracer.counts[probes.BUFFER_GATE] == 1
         assert sink.closed
-
-    def test_null_tracer_is_inert(self):
-        tracer = NullTracer()
-        tid = tracer.register_track("anything")
-        tracer.instant("x", cat="y", tid=tid)
-        assert tracer.total_events == 0
 
     def test_event_tuple_shape(self):
         assert EVENT_FIELDS == ("ph", "name", "cat", "ts", "dur", "pid", "tid", "args")
