@@ -197,6 +197,22 @@ def run_scenario(
             scenario.telemetry,
             run_name=f"{scenario.label}-{scenario.policy}-i{iteration}",
         )
+    try:
+        return _run_scenario(scenario, iteration, nbti_model, telemetry)
+    except BaseException:
+        # Finalize the trace files (the Chrome array needs its closing
+        # bracket) before the failure propagates.
+        if telemetry is not None:
+            telemetry.tracer.close()
+        raise
+
+
+def _run_scenario(
+    scenario: ScenarioConfig,
+    iteration: int,
+    nbti_model: Optional[NBTIModel],
+    telemetry: Optional[Telemetry],
+) -> ScenarioResult:
     started = time.perf_counter()
     with _phase(telemetry, "build"):
         network = build_network(scenario, iteration, nbti_model)

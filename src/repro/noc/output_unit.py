@@ -116,7 +116,8 @@ class VnetEngine:
         self._ctx_version = 0
         self._policy_key: Optional[Tuple[int, int]] = None
         #: Value-level decision memo for *stable* policies: context
-        #: values -> the (frozen, shareable) decision they produced.  A
+        #: values -> the (frozen, shareable) decision they produced or,
+        #: for a traced policy, (decision, events ``decide`` emitted).  A
         #: stable policy's decision is a deterministic function of the
         #: observable context plus its epoch (that is what `stable` +
         #: `epoch` promise; `cycle_free_decide` additionally drops the
@@ -352,8 +353,10 @@ class UpstreamPort:
         situation was seen before (sound because a stable policy's
         decision is a pure function of those values and its epoch); the
         cached decision is still re-applied, since the port's power
-        state may have drifted.  Traced policies bypass the value cache
-        so per-decide telemetry stays complete.
+        state may have drifted.  A traced policy's events are captured
+        with its cached decision and replayed at this cycle on the miss
+        and on every hit, so the trace is the same as if it re-decided
+        (its events depend only on the cache key, save their ``ts``).
         """
         decisions: List[PolicyDecision] = []
         for engine in self.engines:
@@ -366,7 +369,7 @@ class UpstreamPort:
                     continue
                 engine._policy_key = key
                 cache = engine._decision_cache
-                if cache is not None and policy.trace is None:
+                if cache is not None:
                     # Inlined vc_policy_state: this runs on every memo
                     # miss and the method-call overhead is measurable.
                     entries = self.entries
@@ -399,17 +402,30 @@ class UpstreamPort:
                         0 if policy.cycle_free_decide and not faulted
                         else key[1],
                     )
-                    decision = cache.get(ckey)
-                    if decision is None:
-                        decision = policy.decide(PolicyContext(
+                    cached = cache.get(ckey)
+                    if cached is None:
+                        ctx = PolicyContext(
                             cycle=cycle,
                             vc_states=states,
                             new_traffic=engine.new_traffic,
                             most_degraded_vc=engine.most_degraded_vc,
                             sensor_faulted=faulted,
-                        ))
+                        )
+                        if policy.trace is None:
+                            decision = cached = policy.decide(ctx)
+                        else:
+                            # A traced entry also holds the events
+                            # decide emitted, replayed on every hit.
+                            with policy.trace.capture() as captured:
+                                decision = policy.decide(ctx)
+                            cached = (decision, tuple(captured))
                         decision.validate(engine.count)
-                        cache[ckey] = decision
+                        cache[ckey] = cached
+                    if policy.trace is None:
+                        decision = cached
+                    else:
+                        decision, events = cached
+                        policy.trace.replay(events, cycle)
                     self.apply_decision(decision, cycle, engine.vnet)
                     decisions.append(decision)
                     continue

@@ -6,8 +6,14 @@ to.  Design constraints, in order:
 1. **Null-object-cheap when off** — components hold ``trace = None``
    and guard with one ``is not None`` check; the tracer itself is only
    constructed for opted-in runs.
-2. **Cheap when on** — an event append is one tuple + one dict bump;
-   serialization happens at flush time in the sinks.
+2. **Cheap when on** — an event append is one tuple + one dict bump.
+   Serialization happens at flush time, in chunks of
+   :data:`FLUSH_CHUNK` events: each chunk is encoded once
+   (:func:`~repro.telemetry.sinks.encode_events`) and the same lines go
+   to every JSON sink.  A policy's events are captured with its cached
+   decision and replayed on every cache hit (:meth:`Tracer.capture`,
+   :meth:`Tracer.replay`), so a traced run re-decides no more often
+   than an untraced one.
 3. **Two time domains** — simulated cycles (``pid`` :data:`PID_SIM`,
    1 cycle = 1 µs in the trace timebase) and host wall-clock profiling
    spans (``pid`` :data:`PID_HOST`).  Perfetto renders them as two
@@ -26,12 +32,19 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.sinks import Event, TraceSink
+from repro.telemetry.sinks import Event, JsonTextSink, TraceSink, encode_events
 
 #: Trace process id of the simulated-time domain (ts = cycle number).
 PID_SIM = 0
 #: Trace process id of the host-time domain (ts = µs since tracer start).
 PID_HOST = 1
+
+#: Events encoded and handed to the sinks at a time by :meth:`Tracer.flush`;
+#: bounds the memory the encoded text of one flush holds.
+FLUSH_CHUNK = 2048
+
+#: One captured instant: (name, cat, tid, args), replayed at a given ts.
+Captured = Tuple[str, str, int, Optional[dict]]
 
 
 class Tracer:
@@ -67,6 +80,8 @@ class Tracer:
         #: flushes, feeds the run summary.
         self.counts: Dict[str, int] = {}
         self._events: List[Event] = []
+        #: Receives instants instead of the buffer while capturing.
+        self._captured: Optional[List[Captured]] = None
         self._tracks: Dict[Tuple[int, str], int] = {}
         self._next_tid = 1
         self._host_epoch = time.perf_counter()
@@ -108,6 +123,9 @@ class Tracer:
         ts: Optional[int] = None,
     ) -> None:
         """Record an instant event in the simulated-cycle domain."""
+        if self._captured is not None:
+            self._captured.append((name, cat, tid, args))
+            return
         if ts is None:
             ts = self.clock()
         self.counts[name] = self.counts.get(name, 0) + 1
@@ -130,6 +148,26 @@ class Tracer:
         self._events.append(("X", name, cat, ts, dur, pid, tid, args))
         if len(self._events) >= self.max_buffered_events:
             self.flush()
+
+    @contextmanager
+    def capture(self):
+        """Divert instants into a list instead of recording them.
+
+        Yields the list of :data:`Captured` events; nothing is counted
+        or buffered (so no auto-flush runs) until :meth:`replay`.
+        """
+        saved = self._captured
+        captured: List[Captured] = []
+        self._captured = captured
+        try:
+            yield captured
+        finally:
+            self._captured = saved
+
+    def replay(self, events: Sequence[Captured], ts: int) -> None:
+        """Record captured instants at simulated cycle ``ts``."""
+        for name, cat, tid, args in events:
+            self.instant(name, cat, tid, args, ts)
 
     @contextmanager
     def span(
@@ -162,13 +200,26 @@ class Tracer:
         return sum(self.counts.values())
 
     def flush(self) -> None:
-        """Hand buffered events to every sink and clear the buffer."""
+        """Hand buffered events to every sink and clear the buffer.
+
+        Events go out in chunks of :data:`FLUSH_CHUNK`; each chunk is
+        encoded once for all :class:`~repro.telemetry.sinks.JsonTextSink`
+        sinks, while the others read the event tuples.
+        """
         if not self._events:
             return
         events = self._events
         self._events = []
-        for sink in self.sinks:
-            sink.write_events(events)
+        text_sinks = [s for s in self.sinks if isinstance(s, JsonTextSink)]
+        tuple_sinks = [s for s in self.sinks if not isinstance(s, JsonTextSink)]
+        for start in range(0, len(events), FLUSH_CHUNK):
+            chunk = events[start:start + FLUSH_CHUNK]
+            if text_sinks:
+                lines = encode_events(chunk)
+                for sink in text_sinks:
+                    sink.write_lines(lines)
+            for sink in tuple_sinks:
+                sink.write_events(chunk)
 
     def close(self) -> None:
         """Flush and finalize every sink; idempotent."""

@@ -20,6 +20,8 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
@@ -33,6 +35,7 @@ from repro.telemetry import (
     probes,
     verbosity_to_level,
 )
+from repro.telemetry.sinks import encode_events, event_to_dict
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -250,6 +253,76 @@ class TestDeterminism:
         }
 
 
+def _sim_rows(jsonl_path):
+    """JSONL events minus the host-time spans (pid 1 ``X``), which differ
+    between any two runs."""
+    rows = [json.loads(ln) for ln in pathlib.Path(jsonl_path).read_text().splitlines()]
+    return [e for e in rows if not (e["pid"] == 1 and e["ph"] == "X")]
+
+
+class TestTracedRuns:
+    def test_auto_flush_writes_the_same_jsonl(self, tmp_path):
+        traces = []
+        for buffered in (1, TelemetryConfig().max_buffered_events):
+            scenario = small_scenario().traced(
+                trace_dir=str(tmp_path / f"buffered{buffered}"), formats=("jsonl",),
+                max_buffered_events=buffered,
+            )
+            (path,) = run_scenario(scenario).telemetry.trace_files
+            traces.append(_sim_rows(path))
+        assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("policy,engine", [
+        # Epoch-keyed: SoA re-decides on the same cycles traced or not.
+        ("rr-no-sensor", None),
+        # Cycle-free: a traced one is pinned at its epochs on SoA, so
+        # compare where both runs re-decide on the same cycles.
+        ("sensor-wise", "stepped"),
+    ])
+    def test_traced_policy_decides_as_often_as_untraced(
+        self, monkeypatch, policy, engine
+    ):
+        """Tracing replays cached decisions' events instead of bypassing
+        the value-level decision cache."""
+        from repro.core.policies import RoundRobinSensorlessPolicy, SensorWisePolicy
+        from repro.noc.network import Network
+
+        cls = SensorWisePolicy if policy == "sensor-wise" else RoundRobinSensorlessPolicy
+        decide = cls.decide
+        calls = []
+
+        def counting(self, ctx):
+            calls.append(ctx.cycle)
+            return decide(self, ctx)
+
+        monkeypatch.setattr(cls, "decide", counting)
+        monkeypatch.setattr(Network, "force_engine", engine)
+        scenario = small_scenario(policy=policy)
+        run_scenario(scenario)
+        untraced = list(calls)
+        calls.clear()
+        run_scenario(scenario.traced(trace_dir=None, formats=()))
+        assert untraced and calls == untraced
+
+    def test_failed_run_closes_its_trace_files(self, tmp_path, monkeypatch):
+        from repro.noc.network import Network
+
+        def boom(self, *args, **kwargs):
+            raise RuntimeError("simulated failure")
+
+        monkeypatch.setattr(Network, "run", boom)
+        scenario = small_scenario().traced(
+            trace_dir=str(tmp_path), formats=("chrome", "jsonl", "csv")
+        )
+        with pytest.raises(RuntimeError, match="simulated failure"):
+            run_scenario(scenario)
+        (chrome,) = tmp_path.glob("*.trace.json")
+        events = json.loads(chrome.read_text())
+        assert any(e["name"] == "run.phase" for e in events)
+        (csv_path,) = tmp_path.glob("*.rollup.csv")
+        assert csv_path.read_text().startswith("category,name,events")
+
+
 class TestMetricsRegistry:
     def test_counter_gauge_histogram_roundtrip(self):
         registry = MetricsRegistry()
@@ -303,6 +376,90 @@ class TestTracer:
 
     def test_event_tuple_shape(self):
         assert EVENT_FIELDS == ("ph", "name", "cat", "ts", "dur", "pid", "tid", "args")
+
+    def test_capture_survives_auto_flush_and_replays(self):
+        """Captured instants are neither counted nor flushed until replay,
+        which records them at the given cycle like ``instant``."""
+        sink = ListSink()
+        tracer = Tracer(sinks=[sink], max_buffered_events=1)
+        with tracer.capture() as captured:
+            tracer.instant(probes.POLICY_KEEP_AWAKE, "policy", tid=3,
+                           args={"md": 1}, ts=7)
+            tracer.instant(probes.POLICY_FALLBACK, "policy", tid=3, ts=7)
+        assert tracer.counts == {}
+        assert sink.events == []  # no auto-flush while capturing
+        tracer.replay(captured, 42)
+        tracer.replay(captured, 43)
+        tracer.close()
+        replayed = [(e["name"], e["tid"], e["ts"], e.get("args"))
+                    for e in sink.events if e["ph"] == "i"]
+        assert replayed == [
+            (probes.POLICY_KEEP_AWAKE, 3, 42, {"md": 1}),
+            (probes.POLICY_FALLBACK, 3, 42, None),
+            (probes.POLICY_KEEP_AWAKE, 3, 43, {"md": 1}),
+            (probes.POLICY_FALLBACK, 3, 43, None),
+        ]
+        assert tracer.counts == {probes.POLICY_KEEP_AWAKE: 2, probes.POLICY_FALLBACK: 2}
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text()
+)
+_ARG_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# Flat args from few keys and values that compare equal across types,
+# so a batch repeats args and probes the memo key.
+_FLAT_ARGS = st.dictionaries(
+    st.sampled_from(("k", "md")),
+    st.sampled_from((True, False, 0, 1, 1.0, 0.0, -0.0, None, "t")),
+    max_size=2,
+)
+_ARGS = st.none() | _FLAT_ARGS | st.dictionaries(st.text(), _ARG_VALUES, max_size=3)
+
+
+@st.composite
+def _events(draw):
+    ph = draw(st.sampled_from(("i", "X", "M")))
+    return (
+        ph,
+        draw(st.text()),
+        draw(st.text()),
+        draw(st.integers()),
+        draw(st.none() | st.integers()) if ph == "X" else None,
+        draw(st.integers(0, 1)),
+        draw(st.integers()),
+        draw(_ARGS),
+    )
+
+
+class TestEncodeEvents:
+    """``encode_events`` is the sinks' one encoder: its text must be
+    exactly what ``json.dumps(event_to_dict(e), sort_keys=True)`` gives."""
+
+    @staticmethod
+    def _reference(events):
+        return [json.dumps(event_to_dict(e), sort_keys=True) for e in events]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_events(), max_size=16))
+    def test_matches_json_dumps(self, events):
+        assert encode_events(events) == self._reference(events)
+
+    def test_memo_tells_bool_int_float_apart(self):
+        events = [
+            ("i", "policy.keep_awake", "policy", ts, None, 0, 1, {"k": value})
+            for ts, value in enumerate((True, 1, 1.0, 0.0, -0.0, False, 0, None))
+        ] + [("M", "thread_name", "__metadata", 0, None, 0, 1, {"name": "r0.vc\u00e9"}),
+             ("X", "run.phase", "run", 5, None, 1, 0, {"k": [1, True], "n": {"x": 1.5}})]
+        lines = encode_events(events)
+        assert lines == self._reference(events)
+        assert [json.loads(ln)["args"]["k"] for ln in lines[:3]] == [True, 1, 1.0]
+        assert '"k": true' in lines[0] and '"k": 1}' in lines[1] and '"k": 1.0' in lines[2]
 
 
 class TestCli:
