@@ -218,8 +218,8 @@ class SensorWisePolicy(RecoveryPolicy):
     stable = True
     # Algorithm 2 is a pure function of the VC states, the traffic bit
     # and the Down_Up value; only the *degraded* fallback rotates, and
-    # SoA eligibility rules degradation out (healthy banks
-    # heartbeat well inside the watchdog thresholds).
+    # the SoA engine re-runs a degraded port at the fallback's epoch
+    # boundaries (UpstreamPort.next_watchdog_event).
     cycle_free_decide = True
 
     def __init__(self, use_traffic: bool = True, fallback_rotation_period: int = 64) -> None:

@@ -216,7 +216,7 @@ def estimate_cost(scenario) -> CostEstimate:
     lanes = max(1, scenario.num_nodes * scenario.num_vcs * scenario.num_vnets)
     multiplier = 1.0
     if getattr(scenario, "faults", ()):
-        multiplier *= 1.6  # fault hooks force dense stepping
+        multiplier *= 1.6  # worst case: fault events (wire noise) every cycle
     if getattr(scenario, "validate_every", 0):
         multiplier *= 2.0  # invariant sweeps are whole-network scans
     if getattr(scenario, "telemetry", None) is not None:

@@ -14,6 +14,14 @@ Outside the window it behaves exactly like the channel it replaced.
 All randomness comes from a private ``random.Random`` seeded via
 :func:`repro.faults.spec.derive_seed`, so runs are reproducible across
 processes and across serial/parallel execution.
+
+Wire noise is a per-cycle decision, but the channel draws the decision
+sequence ahead, up to the next cycle that fires, in exactly the order a
+per-cycle draw would take.  :meth:`FaultyChannel.next_due` therefore
+names the next noise cycle like any other delivery, and the SoA engine
+visits the channel only then.  Pre-drawing is sound because the noise
+is the only consumer of its RNG: the injector never puts a second fault
+(and so a second draw stream, such as per-item drops) on the same wire.
 """
 
 from __future__ import annotations
@@ -25,6 +33,14 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 from repro.noc.link import Channel
 
 T = TypeVar("T")
+
+#: Most cycles of noise decisions drawn ahead in one go: a window that
+#: never closes, at a tiny rate, must not spin on an unbounded draw.
+_NOISE_HORIZON = 4096
+
+#: ``_noise_item`` marker: nothing fires before ``_noise_next``; the
+#: draw resumes there.
+_RESUME = object()
 
 
 class FaultyChannel(Channel[T]):
@@ -45,7 +61,7 @@ class FaultyChannel(Channel[T]):
         Extra cycles added to each item sent while active.
     noise_probability:
         Per-cycle chance of injecting one spurious item on the receive
-        side while active (consulted at most once per cycle).
+        side while active (one decision per cycle, drawn ahead).
     noise_values:
         Candidate spurious items (e.g. ``range(total_vcs)`` for a
         Down_Up channel); required when ``noise_probability > 0``.
@@ -57,7 +73,7 @@ class FaultyChannel(Channel[T]):
         "onset", "duration", "drop_probability", "drop_filter",
         "extra_delay", "noise_probability", "noise_values",
         "dropped", "delayed", "corrupted",
-        "_seq", "_rng", "_last_noise_cycle",
+        "_seq", "_rng", "_noise_next", "_noise_item",
     )
 
     def __init__(
@@ -99,7 +115,11 @@ class FaultyChannel(Channel[T]):
         # send order, exactly the pre-deque DelayLine behavior.
         self._queue = []
         self._rng = random.Random(seed)
-        self._last_noise_cycle = -1
+        # The next noise event: a spurious item due at _noise_next, or
+        # _RESUME (draw on from there); None once the window is over.
+        # The first draw starts at the first cycle the channel is read.
+        self._noise_next: Optional[int] = 0 if noise_probability > 0.0 else None
+        self._noise_item = _RESUME
 
     def active(self, cycle: int) -> bool:
         if cycle < self.onset:
@@ -110,10 +130,13 @@ class FaultyChannel(Channel[T]):
         """Take over an existing channel's in-flight items (swap helper)."""
         # The donor's FIFO deque is already due-sorted, which is a valid
         # heap; re-tag its items with this channel's sequence numbers.
+        # The items move: the donor is left empty, so nothing inspecting
+        # the replaced channel sees them twice.
         self._queue = [
             (due, seq, item) for seq, (due, item) in enumerate(old._queue)
         ]
         self._seq = len(self._queue)
+        old._queue.clear()
         return self
 
     def send(self, item: T, cycle: int) -> None:
@@ -139,14 +162,42 @@ class FaultyChannel(Channel[T]):
         out: List[T] = []
         while queue and queue[0][0] <= cycle:
             out.append(heapq.heappop(queue)[2])
-        if (
-            self.noise_probability > 0.0
-            and cycle != self._last_noise_cycle
-            and self.active(cycle)
-        ):
-            self._last_noise_cycle = cycle
-            if self._rng.random() < self.noise_probability:
-                spurious = self._rng.choice(self.noise_values)
+        noise = self._noise_next
+        if noise is not None and noise <= cycle:
+            if self._noise_item is _RESUME:
+                self._draw_noise(cycle)
+            if self._noise_next is not None and self._noise_next <= cycle:
                 self.corrupted += 1
-                out.append(spurious)
+                out.append(self._noise_item)
+                self._draw_noise(cycle + 1)
         return out
+
+    def next_due(self, cycle: int) -> Optional[int]:
+        due = self._queue[0][0] if self._queue else None
+        noise = self._noise_next
+        if noise is not None:
+            # A pending resume point in the past resumes at ``cycle``.
+            if noise < cycle and self._noise_item is _RESUME:
+                noise = cycle
+            if due is None or noise < due:
+                due = noise
+        return due
+
+    def _draw_noise(self, cycle: int) -> None:
+        """Draw the per-cycle noise decisions from ``cycle`` on, up to
+        the first one that fires (its item is drawn right away, as a
+        per-cycle draw would) or the horizon."""
+        start = max(cycle, self.onset)
+        stop = start + _NOISE_HORIZON
+        end = None if self.duration is None else self.onset + self.duration
+        if end is not None and end < stop:
+            stop = end
+        rand = self._rng.random
+        probability = self.noise_probability
+        for c in range(start, stop):
+            if rand() < probability:
+                self._noise_next = c
+                self._noise_item = self._rng.choice(self.noise_values)
+                return
+        self._noise_next = None if stop == end else stop
+        self._noise_item = _RESUME

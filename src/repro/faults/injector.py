@@ -18,6 +18,8 @@ physically lives:
 
 The simulator core stays fault-free unless ``apply`` is called; every
 hook's randomness is seeded via :func:`repro.faults.spec.derive_seed`.
+Every hook also declares the cycles it acts on (window edges, noise
+cycles, measurements), so faulted networks run on the SoA engine.
 """
 
 from __future__ import annotations
@@ -41,18 +43,41 @@ class SensorBankFault:
     Down_Up heartbeat (which is exactly what the upstream staleness
     watchdog detects).  ``stuck-sensor`` keeps measuring but distorts
     the outcome: a pinned device reading or a pinned reported VC.
+
+    A faulted bank is visited by ``Router.phase_nbti`` every cycle when
+    stepping, and only at :meth:`next_event` cycles on the SoA engine.
+    In between, a visit would only repeat a counted effect (a dropped
+    sample, a stuck report per vnet), so the hook books the cycles it
+    was not visited on at its next visit and at :meth:`book` calls.
+
+    Parameters
+    ----------
+    spec:
+        The fault.
+    num_vcs:
+        VCs per vnet: ``phase_nbti`` reduces each vnet's slice of the
+        bank separately, and a stuck VC is reported once per slice.
+    cycle:
+        The cycle the hook is installed at (the first it accounts for).
     """
 
-    __slots__ = ("spec", "samples_dropped", "stuck_reports", "trace", "_cycle")
+    __slots__ = (
+        "spec", "num_vcs", "samples_dropped", "stuck_reports", "trace",
+        "_cycle",
+    )
 
-    def __init__(self, spec: FaultSpec) -> None:
+    def __init__(self, spec: FaultSpec, num_vcs: int, cycle: int = 0) -> None:
         self.spec = spec
+        self.num_vcs = num_vcs
         self.samples_dropped = 0
         self.stuck_reports = 0
         self.trace = None
-        self._cycle = -1
+        # Last visited cycle; everything before it is booked.
+        self._cycle = cycle - 1
 
     def sample(self, bank, cycle: int) -> int:
+        if cycle > self._cycle + 1:
+            self.book(bank, cycle)
         self._cycle = cycle
         spec = self.spec
         if not spec.active(cycle):
@@ -96,6 +121,67 @@ class SensorBankFault:
                 )
             return start + (spec.stuck_vc % count)
         return bank._most_degraded_in(start, count)
+
+    def next_event(self, bank, cycle: int, due: int):
+        """The first cycle ``>= cycle`` the bank must be visited on.
+
+        ``due`` is the bank's next regular measurement.  A dropout
+        window suppresses the measurements due inside it (the next one
+        is then the window's end), and both window edges are events: a
+        stuck verdict flips there, which triggers a Down_Up send.
+        Returns ``inf`` when nothing is left to visit for.
+        """
+        spec = self.spec
+        end = None if spec.duration is None else spec.onset + spec.duration
+        if spec.kind == "sensor-dropout" and spec.active(due):
+            due = end if end is not None else float("inf")
+        for edge in (spec.onset, end):
+            if edge is not None and cycle <= edge < due:
+                due = edge
+        return due
+
+    def book(self, bank, cycle: int) -> None:
+        """Book every cycle after the last visit, up to ``cycle``
+        (exclusive), as if the bank had been visited on each.
+
+        Nothing a visit reads can change on an unvisited cycle: the
+        window edges and the measurements are visits (see
+        :meth:`next_event`).  Trace events are emitted cycle by cycle,
+        in the order visits would have emitted them.
+        """
+        first = self._cycle + 1
+        if cycle <= first:
+            return
+        self._cycle = cycle - 1
+        spec = self.spec
+        start = max(first, spec.onset)
+        stop = cycle if spec.duration is None else min(cycle, spec.onset + spec.duration)
+        trace = self.trace
+        if spec.kind == "sensor-dropout":
+            last = bank._last_sample_cycle
+            if last >= 0:
+                start = max(start, last + bank.sample_period)
+            if stop > start:
+                self.samples_dropped += stop - start
+                if trace is not None:
+                    for c in range(start, stop):
+                        trace.instant(
+                            probes.FAULT_SAMPLE_DROPPED, "fault",
+                            tid=bank.trace_id, ts=c,
+                        )
+        elif spec.stuck_vc is not None and stop > start:
+            width = self.num_vcs
+            slices = range(0, len(bank.devices), width)
+            self.stuck_reports += (stop - start) * len(slices)
+            if trace is not None:
+                for c in range(start, stop):
+                    for first_vc in slices:
+                        trace.instant(
+                            probes.FAULT_STUCK_REPORT, "fault",
+                            tid=bank.trace_id,
+                            args={"vc": first_vc + spec.stuck_vc % width},
+                            ts=c,
+                        )
 
 
 class WakeFault:
@@ -186,10 +272,6 @@ class FaultInjector:
         if self._applied:
             raise RuntimeError("FaultInjector.apply may only be called once")
         self._applied = True
-        # Fault hooks (onset windows, per-cycle drops, watchdog
-        # degradation accounting) act on arbitrary cycles, so faulted
-        # runs must step every cycle.
-        network.allow_soa = False
         taken: Dict[Tuple[int, int, str], FaultSpec] = {}
         for spec in self.specs:
             node, pid = self._resolve_site(network, spec)
@@ -241,7 +323,7 @@ class FaultInjector:
             raise ValueError(
                 f"sensor bank at router {node} port {spec.port!r} already faulted"
             )
-        fault = SensorBankFault(spec)
+        fault = SensorBankFault(spec, network.config.num_vcs, network.cycle)
         bank.fault = fault
         self.bank_faults.append(fault)
 
@@ -262,6 +344,7 @@ class FaultInjector:
             ),
             seed=derive_seed(spec, self.master_seed, "down_up"),
         ).adopt(old)
+        self._replace_channel(network, old, faulty)
         router.down_up_channels[pid] = faulty
         if pid == LOCAL:
             network.interfaces[node]._inj_down_up_channel = faulty
@@ -286,6 +369,7 @@ class FaultInjector:
             drop_filter=drop_filter,
             seed=derive_seed(spec, self.master_seed, "up_down"),
         ).adopt(old)
+        self._replace_channel(network, old, faulty)
         wiring.control_channel = faulty
         if pid == LOCAL:
             network.interfaces[node].injection_port.control_channel = faulty
@@ -296,6 +380,12 @@ class FaultInjector:
         # Lost wakes would otherwise hard-crash on the next flit arrival.
         if spec.command != "gate":
             self._arm_emergency_wake(network, spec, node, pid)
+
+    @staticmethod
+    def _replace_channel(network: Network, old, new) -> None:
+        """Swap ``new`` in for ``old`` in the whole-network channel list."""
+        channels = network._all_channels
+        channels[channels.index(old)] = new
 
     def _install_wake_fault(self, network: Network, spec: FaultSpec, node: int, pid: int) -> None:
         unit = network.routers[node].inputs[pid].unit

@@ -18,7 +18,7 @@ generic building block; :class:`Channel` simply names one instance.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, List, Tuple, TypeVar
+from typing import Deque, Generic, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -73,6 +73,18 @@ class DelayLine(Generic[T]):
         while queue and queue[0][0] <= cycle:
             out.append(queue.popleft()[1])
         return out
+
+    def next_due(self, cycle: int) -> Optional[int]:
+        """When :meth:`pop_ready` next returns something: the earliest
+        queued item's due cycle, or ``None`` when the line is empty.
+
+        ``cycle`` is the first cycle the caller will pop at; lines with
+        a schedule of their own (wire noise on a
+        :class:`~repro.faults.channels.FaultyChannel`) report it from
+        there on.  The SoA engine visits each line only at this cycle.
+        """
+        queue = self._queue
+        return queue[0][0] if queue else None
 
     def peek_ready(self, cycle: int) -> bool:
         """Whether at least one item is deliverable at ``cycle``."""

@@ -16,6 +16,7 @@ order so the simulation is fully deterministic:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -137,10 +138,6 @@ class Network:
         #: reset_stats re-bases it so mid-run counter resets (warm-up
         #: discard) don't fake conservation violations.
         self.conservation_baseline = 0
-        #: Master switch for the SoA engine in :meth:`run`.  Only fault
-        #: injection clears it, so faulted runs take the dense
-        #: per-cycle stepping loop; traced runs stay eligible.
-        self.allow_soa = True
 
         self.routers: List[Router] = []
         self.interfaces: List[NetworkInterface] = []
@@ -400,7 +397,9 @@ class Network:
             after every full N-cycle chunk counted from the start of the
             call (never after a final partial chunk).  Full sweeps are
             O(network), so keep N coarse.  Validation does not affect the
-            engine choice: the chosen engine advances chunk by chunk.
+            engine choice: the chosen engine advances chunk by chunk (the
+            SoA engine stays attached across chunks; the sweep is
+            read-only).
         raise_on_violation:
             With ``validate_every > 0``: raise ``RuntimeError`` on the
             first violation (debugging aid, the default) or count every
@@ -417,30 +416,32 @@ class Network:
         if force != "stepped" and self._soa_eligible():
             from repro.noc.soa import SoAEngine
 
-            advance = SoAEngine(self).run_span
+            engine = SoAEngine(self).attached()
         elif force == "soa":
             raise RuntimeError(
                 "force_engine='soa' but the network is not SoA-eligible "
-                "(faults or unstable policies)"
+                "(a policy that is not stable, or whose epochs are not "
+                "declared)"
             )
         else:
-            advance = self._step_until
+            engine = contextlib.nullcontext(self._step_until)
         from repro.noc.validation import validate_network
 
         start = self.cycle
         end = start + cycles
         chunk = validate_every or cycles
         violations = 0
-        while self.cycle < end:
-            advance(min(end, self.cycle + chunk))
-            if validate_every and (self.cycle - start) % validate_every == 0:
-                found = validate_network(self)
-                if found and raise_on_violation:
-                    raise RuntimeError(
-                        f"invariant violations at cycle {self.cycle}: "
-                        + "; ".join(found[:5])
-                    )
-                violations += len(found)
+        with engine as advance:
+            while self.cycle < end:
+                advance(min(end, self.cycle + chunk))
+                if validate_every and (self.cycle - start) % validate_every == 0:
+                    found = validate_network(self)
+                    if found and raise_on_violation:
+                        raise RuntimeError(
+                            f"invariant violations at cycle {self.cycle}: "
+                            + "; ".join(found[:5])
+                        )
+                    violations += len(found)
         self.flush_nbti()
         return violations
 
@@ -452,38 +453,20 @@ class Network:
     def _soa_eligible(self) -> bool:
         """Check struct-of-arrays engine eligibility (see ``noc/soa.py``).
 
-        Ineligible networks step densely.  Eligibility requires:
+        Ineligible networks step densely.  Eligibility requires every
+        recovery policy to be *stable*, with an untraced cycle-free
+        healthy decision, a declared ``epoch_period`` (whose boundaries
+        the engine re-runs the policy at), or a constant epoch.
 
-        * :attr:`allow_soa` (cleared by fault injection),
-        * fault-free sensor banks and healthy policy engines, and
-        * every recovery policy *stable*, with an untraced cycle-free
-          healthy decision, a declared ``epoch_period`` (whose
-          boundaries the engine re-runs the policy at), or a constant
-          epoch.
-
-        The watchdog-safety bound is made explicit too: Down_Up
-        heartbeats arrive one per sensor sample, so as long as every
-        staleness threshold covers the longest sample period and no
-        plausibility interval exceeds the shortest one, ``faulted`` can
-        never flip mid-run and skipped watchdog ticks are no-ops.  A
-        traffic generator without ``next_injection_cycle`` support does
-        not disqualify a run; the engine then consults it every cycle.
+        Faults, degraded watchdogs and the watchdog thresholds do not
+        matter: every fault hook and watchdog declares the cycles it
+        acts on, and the engine visits exactly those (see
+        ``noc/soa.py``).  A traffic generator without
+        ``next_injection_cycle`` support does not disqualify a run
+        either; the engine then consults it every cycle.
         """
-        if not self.allow_soa:
-            return False
-        banks = self._sensor_banks
-        if any(bank.fault is not None for bank in banks):
-            return False
-        max_period = max((b.sample_period for b in banks), default=0)
-        min_period = min((b.sample_period for b in banks), default=0)
         for port in self.upstream_ports():
-            if port.md_stale_after is not None and port.md_stale_after < max_period:
-                return False
-            if port.md_min_change_interval > min_period:
-                return False
             for engine in port.engines:
-                if engine.faulted:
-                    return False
                 policy = engine.policy
                 if not policy.stable:
                     return False

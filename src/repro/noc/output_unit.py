@@ -89,6 +89,7 @@ class VnetEngine:
         "faulted",
         "degrade_events",
         "degraded_cycles",
+        "degraded_from",
         "_ctx_version",
         "_policy_key",
         "_decision_cache",
@@ -113,6 +114,9 @@ class VnetEngine:
         self.faulted = False
         self.degrade_events = 0
         self.degraded_cycles = 0
+        #: First degraded cycle not yet booked into ``degraded_cycles``
+        #: (interval accounting: see ``UpstreamPort.book_degraded``).
+        self.degraded_from = 0
         self._ctx_version = 0
         self._policy_key: Optional[Tuple[int, int]] = None
         #: Value-level decision memo for *stable* policies: context
@@ -316,7 +320,11 @@ class UpstreamPort:
 
         Only sensor-consuming policies on ports that have actually
         received a report participate; transitions bust the memo so the
-        policy re-decides immediately on degrade and on heal.
+        policy re-decides immediately on degrade and on heal.  Degraded
+        cycles are booked as intervals: a tick books every cycle since
+        the last booked one, so ticking every cycle (stepping) and
+        ticking only where ``faulted`` may flip (SoA, see
+        :meth:`next_watchdog_event`) count the same.
         """
         if (
             self.md_stale_after is None
@@ -331,6 +339,9 @@ class UpstreamPort:
             engine.faulted = faulted
             if faulted:
                 engine.degrade_events += 1
+            else:
+                engine.degraded_cycles += cycle - engine.degraded_from
+            engine.degraded_from = cycle
             if self.trace is not None:
                 self.trace.instant(
                     probes.WATCHDOG_DEGRADE if faulted else probes.WATCHDOG_HEAL,
@@ -339,8 +350,69 @@ class UpstreamPort:
                     ts=cycle,
                 )
             engine.invalidate()
-        if engine.faulted:
-            engine.degraded_cycles += 1
+        if faulted:
+            engine.degraded_cycles += cycle + 1 - engine.degraded_from
+            engine.degraded_from = cycle + 1
+
+    def book_degraded(self, cycle: int) -> None:
+        """Book the degraded cycles of still-faulted vnets up to
+        ``cycle`` (exclusive); call before reading ``degraded_cycles``
+        after a run that did not tick the watchdog every cycle."""
+        for engine in self.engines:
+            if engine.faulted:
+                engine.degraded_cycles += cycle - engine.degraded_from
+                engine.degraded_from = cycle
+
+    def next_watchdog_event(self, cycle: int) -> Tuple[bool, Optional[int]]:
+        """When :meth:`run_policy` acts with no input change announced.
+
+        Returns ``(now, later)``: whether it acts at ``cycle``, and the
+        first cycle after it does (``None``: never), both assuming no
+        Down_Up delivery in between.  It acts when a watchdog flips
+        ``faulted`` (the staleness deadline passes, an implausibility
+        hold-off ends) and, while a vnet is degraded, when its policy
+        enters a new epoch: a ``cycle_free_decide`` policy ignores the
+        epoch only while healthy, so its degraded fallback re-decides at
+        every epoch change.  (Other policies' epoch boundaries are
+        declared by ``epoch_period``.)  Call after the cycle's
+        deliveries; the SoA engine visits the port at these cycles.
+        """
+        now = False
+        later = None
+        stale_after = self.md_stale_after
+        for engine in self.engines:
+            policy = engine.policy
+            if (
+                stale_after is None
+                or engine.md_updated_cycle is None
+                or not policy.uses_sensor
+            ):
+                continue
+            stale_at = engine.md_updated_cycle + stale_after + 1
+            until = engine.implausible_until
+            faulted = cycle >= stale_at or cycle < until
+            if faulted:
+                # Stale only heals on a delivery; a hold-off ends.
+                event = until if cycle < stale_at and until < stale_at else None
+                if policy.cycle_free_decide:
+                    if policy.epoch(cycle) != policy.epoch(cycle - 1):
+                        now = True
+                    period = getattr(policy, "epoch_period", None)
+                    if period is not None:
+                        boundary = (cycle // period + 1) * period
+                    elif policy.epoch(0) != policy.epoch(1 << 30):
+                        boundary = cycle + 1
+                    else:
+                        boundary = None
+                    if boundary is not None and (event is None or boundary < event):
+                        event = boundary
+            else:
+                event = stale_at
+            if faulted != engine.faulted:
+                now = True
+            if event is not None and (later is None or event < later):
+                later = event
+        return now, later
 
     def run_policy(self, cycle: int) -> List[PolicyDecision]:
         """Evaluate every vnet's policy and apply the decisions.

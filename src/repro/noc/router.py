@@ -296,7 +296,9 @@ class Router:
         samples a fault-free bank's readings — and hence the per-vnet
         most-degraded reduction — cannot change, so the whole phase is
         skipped.  A fault hook may distort the reduction on any cycle,
-        so faulted banks take the dense path every cycle.  The per-cycle
+        so faulted banks take the dense path on every call (the SoA
+        engine calls only at the hook's declared events; the hook books
+        the cycles in between).  The per-cycle
         tick schedule this replaces survives only as a test oracle
         (``per_cycle_reference`` in ``tests/conftest.py``).
         """

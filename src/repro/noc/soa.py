@@ -37,23 +37,42 @@ it has work, components tell the engine when they will:
   (in between, the dense ``phase_nbti`` provably early-continues), and
   the traffic generator is consulted only at scouted injection cycles,
   with its RNG bulk-advanced over the gaps so the stream position stays
-  byte-identical to per-cycle ``inject()`` calls.
+  byte-identical to per-cycle ``inject()`` calls;
+* each Down_Up record also carries its port's watchdog
+  (:meth:`UpstreamPort.next_watchdog_event`): it is due at the next
+  staleness deadline, the end of an implausibility hold-off and, while
+  a vnet is degraded, its fallback's next epoch, so ``faulted`` flips
+  and the fallback re-decides on the same cycles as when stepping;
+* fault hooks declare their events the same way: a faulty channel's
+  wire noise is pre-drawn and reported by ``next_due``, and a faulted
+  sensor bank is visited at its window edges and at the measurements
+  its fault lets through (``SensorBankFault.next_event``).
+
+Counters that stepping increments on every cycle — degraded cycles, a
+dropout's dropped samples, a stuck bank's reports — are booked as
+intervals, like the NBTI tallies: each hook books the cycles since its
+last visit at its next one, and the engine books the rest when it
+detaches.
 
 Whenever every activity structure is empty the engine jumps the clock
-to the next pinned event: the end of the span, the traffic generator's
-next scouted injection, the next sensor sample, or a declared policy
-epoch boundary.
+to the next pinned event: the end of the span, the next scheduled
+delivery or watchdog event, the traffic generator's next scouted
+injection, the next sensor sample or bank fault event, or a declared
+policy epoch boundary.
 
 Correctness contract
 --------------------
-Eligibility is checked by :meth:`Network._soa_eligible` (no faults,
-stable policies with declared or constant epochs, healthy watchdogs);
-ineligible runs fall back to the dense loop.  Validated runs
-(``validate_every``) drive one engine through consecutive spans and
-sweep the invariants in between.  For eligible runs every skipped
-component is a proven no-op of the corresponding dense phase, so
-results — duty cycles, statistics, arbiter states, RNG position — are
-byte-identical to stepping.  Traced runs are eligible too: probes fire
+Eligibility is checked by :meth:`Network._soa_eligible` (stable
+policies with declared or constant epochs); ineligible runs fall back
+to the dense loop.  Faulted networks are eligible.  One engine serves
+a whole :meth:`Network.run` call: it attaches once
+(:meth:`SoAEngine.attached`), validated runs (``validate_every``)
+advance it chunk by chunk with :meth:`SoAEngine.run_span` and sweep the
+read-only invariants in between, and it detaches on return.  For
+eligible runs every skipped component is a proven no-op of the
+corresponding dense phase, so results — duty cycles, statistics,
+arbiter states, fault counters, RNG positions — are byte-identical to
+stepping.  Traced runs are eligible too: probes fire
 from the same component methods on both engines with timestamps from
 the network clock, and a traced cycle-free policy is pinned at its
 epoch boundaries so its re-decisions (which emit events) happen on
@@ -67,6 +86,7 @@ randomized scenarios, policies and traffic patterns.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 from typing import Dict, List, Optional, Tuple
 
@@ -228,11 +248,10 @@ class NbtiArrays:
 class SoAEngine:
     """Event-directed fused stepping over one :class:`Network`.
 
-    Create one per :meth:`Network.run` call and drive it with one or
-    more consecutive :meth:`run_span` calls; the constructor builds the
-    static routing tables (ports, channels, epoch schedules) and
-    :meth:`run_span` attaches the live hooks for the duration of the
-    span.
+    Create one per :meth:`Network.run` call; the constructor builds the
+    static routing tables (ports, channels, epoch schedules).  Inside
+    :meth:`attached`, which installs the live hooks once, drive it with
+    one or more consecutive :meth:`run_span` calls.
     """
 
     def __init__(self, network) -> None:
@@ -303,12 +322,17 @@ class SoAEngine:
                     router.outputs[pid].upstream)
         for ni in net.interfaces:
             add(_CRED, ni._inj_credit_channel, ni.injection_port)
+        # A Down_Up record also owns its port's watchdog: it is due at
+        # the next report and at the next watchdog event, whichever
+        # comes first.
         for router in net.routers:
             for pid in router.output_ports:
                 add(_DUP, router.outputs[pid].down_up_channel,
-                    router.outputs[pid].upstream)
+                    router.outputs[pid].upstream,
+                    self._rport_idx[(router.router_id, pid)])
         for ni in net.interfaces:
-            add(_DUP, ni._inj_down_up_channel, ni.injection_port)
+            add(_DUP, ni._inj_down_up_channel, ni.injection_port,
+                self._ni_port_idx[ni.node_id])
 
         # --- per-router helper tables ---------------------------------
         self._router_units = {
@@ -330,6 +354,7 @@ class SoAEngine:
         self.arrays = NbtiArrays(
             [ivc.buffer for unit in net._nbti_units for ivc in unit.vcs]
         )
+        self._faulted_banks = [b for b in net._sensor_banks if b.fault is not None]
 
         self._next_sample: float = 0
         self._scout = False
@@ -359,13 +384,31 @@ class SoAEngine:
 
         return on_invalidate
 
+    @contextlib.contextmanager
+    def attached(self):
+        """Attach the live hooks for one :meth:`Network.run` call and
+        yield :meth:`run_span`; the hooks come off, and the skipped
+        cycles' counters are booked, on exit."""
+        self._attach(self.net.cycle)
+        try:
+            yield self.run_span
+        finally:
+            self._detach()
+
     def _attach(self, cycle: int) -> None:
         net = self.net
         for rec in self._chan_records:
-            idx, chan = rec[1], rec[2]
-            chan.on_send = self._make_notify(idx)
-            if chan._queue:
-                chan.on_send(chan._queue[0][0])
+            kind, idx, chan = rec[0], rec[1], rec[2]
+            chan.on_send = notify = self._make_notify(idx)
+            due = chan.next_due(cycle)
+            if kind == _DUP:
+                # The cycle's own watchdog flips are covered below: the
+                # first fused cycle re-runs every policy.
+                _, later = rec[3].next_watchdog_event(cycle)
+                if later is not None and (due is None or later < due):
+                    due = later
+            if due is not None:
+                notify(due)
         for idx, (_, _, _, upstream) in enumerate(self._ports):
             hook = self._make_invalidate(idx)
             for engine in upstream.engines:
@@ -402,9 +445,21 @@ class SoAEngine:
                 self._next_inject = nxt
 
     def _detach(self) -> None:
+        net = self.net
+        end = net.cycle
+        # The traffic RNG must end at the stream position per-cycle
+        # injection would have reached, and counters the hooks book per
+        # visited cycle must cover the skipped ones.
+        traffic = net.traffic
+        if self._scout and traffic is not None and end > self._rng_cycle:
+            traffic.advance(end - self._rng_cycle)
+            self._rng_cycle = end
+        for bank in self._faulted_banks:
+            bank.fault.book(bank, end)
         for rec in self._chan_records:
             rec[2].on_send = None
         for _, _, _, upstream in self._ports:
+            upstream.book_degraded(end)
             for engine in upstream.engines:
                 engine.on_invalidate = None
         self.arrays.detach()
@@ -414,6 +469,8 @@ class SoAEngine:
         for bank in self.net._sensor_banks:
             last = bank.last_sample_cycle
             due = now if last < 0 else max(last + bank.sample_period, now)
+            if bank.fault is not None:
+                due = bank.fault.next_event(bank, now, due)
             if due < nxt:
                 nxt = due
         return nxt
@@ -456,16 +513,11 @@ class SoAEngine:
     # The fused run loop
     # ------------------------------------------------------------------
     def run_span(self, end: int) -> None:
-        """Advance the network to ``end``, byte-identically to stepping."""
-        net = self.net
-        cycle = net.cycle
-        if end <= cycle:
-            return
-        self._attach(cycle)
-        try:
+        """Advance the network to ``end``, byte-identically to stepping
+        (call inside :meth:`attached`)."""
+        cycle = self.net.cycle
+        if end > cycle:
             self._loop(cycle, end)
-        finally:
-            self._detach()
 
     def _loop(self, cycle: int, end: int) -> None:
         net = self.net
@@ -534,10 +586,13 @@ class SoAEngine:
                         ticked = True
                         if waking:
                             tick_waking()
-                    chan_q = rec[2]._queue
                     # Dispatch tests ordered by frequency: router data
                     # and credits dominate (one of each per flit hop).
+                    # Their per-flit pops stay inlined; control and
+                    # Down_Up lines may be fault-injected heaps, and pop
+                    # through the channel.
                     if kind == _DATA_R:
+                        chan_q = rec[2]._queue
                         unit, router = rec[3], rec[4]
                         while chan_q and chan_q[0][0] <= cycle:
                             vc, flit = chan_q.popleft()[1]
@@ -564,18 +619,22 @@ class SoAEngine:
                                 pending[vnet] += 1
                                 va_routers[router] = None
                                 sa_routers[router] = None
+                        nxt = chan_q[0][0] if chan_q else None
                     elif kind == _CRED:
+                        chan_q = rec[2]._queue
                         upstream = rec[3]
                         while chan_q and chan_q[0][0] <= cycle:
                             upstream.on_credit(chan_q.popleft()[1])
+                        nxt = chan_q[0][0] if chan_q else None
                     elif kind == _CTRL:
-                        unit = rec[3]
-                        while chan_q and chan_q[0][0] <= cycle:
-                            command, vc = chan_q.popleft()[1]
+                        chan, unit = rec[2], rec[3]
+                        for command, vc in chan.pop_ready(cycle):
                             unit.apply_command(command, vc, cycle)
                         if unit._any_waking:
                             waking[unit] = None
+                        nxt = chan.next_due(cycle + 1)
                     elif kind == _DATA_E:
+                        chan_q = rec[2]._queue
                         unit = rec[3]
                         while chan_q and chan_q[0][0] <= cycle:
                             vc, flit = chan_q.popleft()[1]
@@ -583,14 +642,18 @@ class SoAEngine:
                         if eject is None:
                             eject = []
                         eject.append(rec[4])
-                    else:  # _DUP
-                        upstream = rec[3]
-                        while chan_q and chan_q[0][0] <= cycle:
-                            upstream.set_most_degraded(
-                                chan_q.popleft()[1], cycle
-                            )
-                    if chan_q:
-                        nxt = chan_q[0][0]
+                        nxt = chan_q[0][0] if chan_q else None
+                    else:  # _DUP: reports, then the port's watchdog
+                        chan, upstream = rec[2], rec[3]
+                        for vc in chan.pop_ready(cycle):
+                            upstream.set_most_degraded(vc, cycle)
+                        act, nxt = upstream.next_watchdog_event(cycle)
+                        if act:
+                            dirty[rec[4]] = None
+                        due = chan.next_due(cycle + 1)
+                        if due is not None and (nxt is None or due < nxt):
+                            nxt = due
+                    if nxt is not None:
                         cur = sched[idx]
                         if cur is None or nxt < cur:
                             sched[idx] = nxt
@@ -699,10 +762,15 @@ class SoAEngine:
             cycle += 1
             net.cycle = cycle
             # --- quiescence jump --------------------------------------
-            if heap or dense_traffic or dirty or va_routers or sa_routers \
+            if dense_traffic or dirty or va_routers or sa_routers \
                     or ni_va or ni_send or waking or cycle >= end:
                 continue
-            target = end
+            # Scheduled deliveries and watchdog events bound the jump.
+            target = heap[0][0] if heap else end
+            if target <= cycle:
+                continue
+            if target > end:
+                target = end
             if next_inject is not None and next_inject < target:
                 target = next_inject
             if next_sample < target:
@@ -714,8 +782,3 @@ class SoAEngine:
             if target > cycle:
                 cycle = target
                 net.cycle = cycle
-        # The RNG must end the span at the same stream position per-cycle
-        # injection would have reached.
-        if self._scout and traffic is not None and end > self._rng_cycle:
-            traffic.advance(end - self._rng_cycle)
-            self._rng_cycle = end

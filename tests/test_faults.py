@@ -4,6 +4,7 @@ campaigns) and the determinism guarantees it advertises."""
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -129,6 +130,38 @@ class TestFaultyChannel:
         # Second poll of the same cycle must not double-inject.
         assert ch.pop_ready(5) == []
         assert ch.corrupted == 1
+
+    @pytest.mark.parametrize("probability", [0.3, 0.0003])
+    def test_noise_is_drawn_ahead_in_per_cycle_order(self, probability):
+        """Pre-drawn noise fires on the cycles, with the items, that one
+        draw per active cycle gives, whether the channel is polled every
+        cycle or only at its ``next_due`` cycles (rare noise crosses the
+        draw-ahead horizon)."""
+        values = [0, 1, 2, 3]
+
+        def make():
+            return FaultyChannel("c", latency=1, onset=20,
+                                 noise_probability=probability,
+                                 noise_values=values, seed=7)
+
+        rng = random.Random(7)
+        expected = [
+            (cycle, rng.choice(values))
+            for cycle in range(20, 20_000)
+            if rng.random() < probability
+        ]
+        assert len(expected) > 2
+        dense = make()
+        got = [(c, item) for c in range(20_000) for item in dense.pop_ready(c)]
+        assert got == expected
+        sparse = make()
+        got = []
+        cycle = sparse.next_due(0)
+        while cycle < 20_000:
+            got += [(cycle, item) for item in sparse.pop_ready(cycle)]
+            cycle = sparse.next_due(cycle + 1)
+        assert got == expected
+        assert sparse._rng.getstate() == dense._rng.getstate()
 
     def test_noise_requires_values(self):
         with pytest.raises(ValueError):

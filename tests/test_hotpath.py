@@ -241,7 +241,6 @@ class TestFastForwardGates:
         net = build_small_network()
         assert net._soa_eligible()
         Telemetry(TelemetryConfig()).attach(net)
-        assert net.allow_soa
         assert net._soa_eligible()
 
     def test_traced_scenario_never_steps(self, monkeypatch):
@@ -282,15 +281,29 @@ class TestFastForwardGates:
                 engine.policy.epoch_period = None
         assert not net._soa_eligible()
 
-    def test_fault_injection_disables_fast_forward(self):
+    def test_fault_injection_keeps_soa_eligible(self, monkeypatch):
+        """Fault hooks declare the cycles they act on, so a faulted
+        network runs on SoA without a single dense step."""
         from repro.faults import FaultInjector, FaultSpec
 
-        net = build_small_network()
+        calls = [0]
+        original = Network.step
+
+        def counting_step(net):
+            calls[0] += 1
+            original(net)
+
+        monkeypatch.setattr(Network, "step", counting_step)
+        net = build_small_network(sensor_sample_period=64)
         spec = FaultSpec("sensor-dropout", router=0, port="east",
                          onset=100, duration=300)
-        FaultInjector([spec], master_seed=3).apply(net)
-        assert not net.allow_soa
-        assert not net._soa_eligible()
+        injector = FaultInjector([spec], master_seed=3).apply(net)
+        assert net._soa_eligible()
+        net.run(600)
+        assert calls[0] == 0
+        # Samples due at 128, 192, ... are dropped until the window
+        # closes at 400: one drop per cycle, booked in bulk.
+        assert injector.counters()["sensor_samples_dropped"] == 400 - 128
 
     def test_opaque_traffic_stays_eligible(self):
         """A generator without ``next_injection_cycle`` is simply

@@ -2,7 +2,7 @@
 
 The SoA engine (``repro.noc.soa``) promises *bit-identical* simulation:
 any observable difference from the seed's per-object stepped engine is a
-bug by definition.  These tests enforce that contract four ways:
+bug by definition.  These tests enforce that contract five ways:
 
 * **Directed cases** — one case per recovery policy, plus regression
   pins for the configurations that diverged during engine bring-up
@@ -16,8 +16,12 @@ bug by definition.  These tests enforce that contract four ways:
 * **Scenario-level identity** — ``run_scenario`` must serialize to
   byte-identical JSON under the SoA and stepped engines for every
   policy, and a traced run must emit the same events on every track.
+* **Faulted networks** — every fault kind at three loads, with
+  full-run and mid-run windows, validated in segments; the fingerprint
+  then also holds every fault hook's counters and RNG position.
 * **Randomized fuzz** (``-m slow``) — a seeded cross-engine sweep over
-  policies x traffic patterns x topologies x micro-architecture knobs.
+  policies x traffic patterns x topologies x micro-architecture knobs,
+  with zero or one random fault per trial.
 
 The fingerprint intentionally reaches into private state: it must
 capture *everything* that can influence future behavior (arbiter
@@ -39,11 +43,14 @@ import pytest
 from repro.core import ALL_POLICIES
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
+from repro.faults import FAULT_KINDS, FaultInjector, FaultSpec, FaultyChannel
 from repro.noc.network import Network
+from repro.noc.topology import LOCAL, port_id
 from repro.noc.validation import validate_network
 from repro.traffic.synthetic import HotspotTraffic, SyntheticTraffic
 
 from tests.conftest import build_small_network
+from tests.test_fuzz_faults import SAFE_KINDS, WAKE_LOSING_KINDS
 
 
 # ----------------------------------------------------------------------
@@ -59,8 +66,38 @@ def forced_engine(mode):
         Network.force_engine = None
 
 
-def fingerprint(net: Network) -> dict:
-    """Every piece of state that can influence future behavior."""
+def _engine_state(e) -> tuple:
+    return (
+        e.new_traffic, e.most_degraded_vc, e.md_updated_cycle,
+        e.faulted, e._ctx_version, e._alloc_arbiter.pointer,
+        e.degrade_events, e.degraded_cycles, e.degraded_from,
+        e.implausible_until, e.md_changed_cycle,
+    )
+
+
+def _fault_state(hook) -> tuple:
+    """Counters and RNG position of a fault hook on a buffer or bank."""
+    if hook is None:
+        return None
+    rng = getattr(hook, "_rng", None)
+    return (
+        type(hook).__name__,
+        tuple(getattr(hook, name) for name in (
+            "samples_dropped", "stuck_reports", "_cycle",
+            "blocked", "delayed", "count",
+        ) if hasattr(hook, name)),
+        rng.getstate() if rng is not None else None,
+    )
+
+
+def fingerprint(net: Network, injector=None) -> dict:
+    """Every piece of state that can influence future behavior.
+
+    Fault hooks are found through the network itself (banks, buffers
+    and ``_all_channels``), so a fault swap that left a stale channel in
+    the whole-network list shows up here; ``injector`` adds its
+    aggregate counters.
+    """
     fp = {"cycle": net.cycle}
     for r in net.routers:
         rid = r.router_id
@@ -82,11 +119,14 @@ def fingerprint(net: Network) -> dict:
                     ivc.busy, ivc.outport, ivc.out_vc, ivc.sa_ready_at,
                     len(b), b.state.name, b._nbti_anchor,
                     b.device.counter.snapshot() if b.device else None,
+                    _fault_state(b.wake_fault),
+                    _fault_state(b.on_push_unpowered),
                 )
             bank = u.sensor_bank
             if bank is not None:
                 fp[f"r{rid}.in{p}.bank"] = (
-                    bank.last_sample_cycle, tuple(bank.readings)
+                    bank.last_sample_cycle, tuple(bank.readings),
+                    bank._last_md, _fault_state(bank.fault),
                 )
         for p in r.output_ports:
             up = r.outputs[p].upstream
@@ -96,10 +136,7 @@ def fingerprint(net: Network) -> dict:
                     e.packet_id,
                 )
             for e in up.engines:
-                fp[f"r{rid}.out{p}.eng{e.vnet}"] = (
-                    e.new_traffic, e.most_degraded_vc, e.md_updated_cycle,
-                    e.faulted, e._ctx_version, e._alloc_arbiter.pointer,
-                )
+                fp[f"r{rid}.out{p}.eng{e.vnet}"] = _engine_state(e)
     for ni in net.interfaces:
         fp[f"ni{ni.node_id}.src"] = [len(q) for q in ni.source_queues]
         fp[f"ni{ni.node_id}.send"] = [len(q) for q in ni._send_queues]
@@ -113,13 +150,20 @@ def fingerprint(net: Network) -> dict:
                 e.state.name, e.credits, e.gated, e.available_at, e.packet_id
             )
         for e in up.engines:
-            fp[f"ni{ni.node_id}.eng{e.vnet}"] = (
-                e.new_traffic, e.most_degraded_vc, e.md_updated_cycle,
-                e.faulted, e._ctx_version, e._alloc_arbiter.pointer,
-            )
-    # Flit has identity equality only, so in-flight items compare by repr.
+            fp[f"ni{ni.node_id}.eng{e.vnet}"] = _engine_state(e)
+    # Flit has identity equality only, so in-flight items compare by
+    # repr.  A FaultyChannel queue is a heap of (due, seq, item).
     for i, ch in enumerate(net._all_channels):
-        fp[f"chan{i}"] = [(due, repr(item)) for due, item in ch._queue]
+        fp[f"chan{i}"] = [
+            (entry[:-1], repr(entry[-1])) for entry in ch._queue
+        ]
+        if isinstance(ch, FaultyChannel):
+            fp[f"chan{i}.fault"] = (
+                ch.dropped, ch.delayed, ch.corrupted, ch._seq,
+                ch._noise_next, repr(ch._noise_item), ch._rng.getstate(),
+            )
+    if injector is not None:
+        fp["injector"] = injector.counters()
     if net.traffic is not None and hasattr(net.traffic, "_rng"):
         fp["rng"] = str(net.traffic._rng.bit_generator.state)
     return fp
@@ -135,7 +179,7 @@ def diff(a: dict, b: dict) -> list:
 
 
 def run_with_engine(mode, policy, rate, cycles, seed, segments=4,
-                    traffic=None, validate_every=0,
+                    traffic=None, validate_every=0, faults=(),
                     **config_kwargs) -> Network:
     """Build and run one network with the engine pinned.
 
@@ -144,12 +188,15 @@ def run_with_engine(mode, policy, rate, cycles, seed, segments=4,
     outcome (the SoA engine re-attaches its work sets from live object
     state on every ``run`` call).  With ``validate_every`` each segment
     sweeps the invariants every N cycles and raises on any violation.
+    ``faults`` are applied before the first cycle.
     """
     with forced_engine(mode):
         net = build_small_network(
             policy=policy, flit_rate=rate, seed=seed, traffic=traffic,
             **config_kwargs,
         )
+        if faults:
+            FaultInjector(faults, master_seed=seed).apply(net)
         seg = cycles // segments
         for _ in range(segments):
             net.run(seg, validate_every=validate_every)
@@ -158,11 +205,13 @@ def run_with_engine(mode, policy, rate, cycles, seed, segments=4,
     return net
 
 
-def assert_invariants(net: Network, since: int = 0) -> None:
-    """Flit conservation and friends (``validate_network``), and stress +
-    recovery == elapsed cycles since the last ``reset_nbti`` at ``since``
-    on every device (call after a flush)."""
-    assert validate_network(net) == []
+def assert_invariants(net: Network, since: int = 0, validate=True) -> None:
+    """Flit conservation and friends (``validate_network``, unless
+    ``validate`` is false), and stress + recovery == elapsed cycles since
+    the last ``reset_nbti`` at ``since`` on every device (call after a
+    flush)."""
+    if validate:
+        assert validate_network(net) == []
     elapsed = net.cycle - since
     booked = {d.counter.total_cycles for d in net.devices.values()}
     assert booked == {elapsed}, f"devices booked {booked}, expected {elapsed}"
@@ -269,15 +318,130 @@ def test_validated_soa_matches_stepped(policy, rate, validate_every):
 def test_force_soa_rejects_ineligible_network():
     """force_engine='soa' must fail loudly when the network cannot use
     the SoA engine rather than silently falling back."""
-    from repro.faults import FaultInjector, FaultSpec
-
     with forced_engine("soa"):
         net = build_small_network()
-        spec = FaultSpec("sensor-dropout", router=0, port="east",
-                         onset=100, duration=300)
-        FaultInjector([spec], master_seed=3).apply(net)
+        net.upstream_ports()[0].engines[0].policy.stable = False
         with pytest.raises(RuntimeError, match="not SoA-eligible"):
             net.run(10)
+
+
+# ----------------------------------------------------------------------
+# Faulted networks (default tier)
+# ----------------------------------------------------------------------
+#: (id, kind, extra FaultSpec fields): every kind, plus stuck-sensor
+#: with a pinned device reading instead of a pinned report.
+FAULT_CASES = [
+    ("stuck-sensor", "stuck-sensor", {"stuck_vc": 1}),
+    ("stuck-reading", "stuck-sensor", {"stuck_reading": 0.6, "vc": 1}),
+    ("sensor-dropout", "sensor-dropout", {}),
+    ("down-up-drop", "down-up-drop", {"rate": 0.5}),
+    ("down-up-delay", "down-up-delay", {"delay": 5}),
+    ("down-up-corrupt", "down-up-corrupt", {"rate": 0.3}),
+    ("up-down-drop", "up-down-drop", {"rate": 0.5}),
+    ("stuck-gated", "stuck-gated", {"rate": 0.5}),
+]
+assert {case[1] for case in FAULT_CASES} == set(FAULT_KINDS)
+
+FAULT_WINDOWS = {"full": (0, None), "mid": (310, 500)}
+
+
+def run_faulted(mode, spec, rate, cycles=1300, seed=5, segments=4,
+                **config_kwargs):
+    """A validated faulted run in segments: (net, injector, violations)."""
+    with forced_engine(mode):
+        net = build_small_network(
+            policy="sensor-wise", flit_rate=rate, seed=seed,
+            sensor_sample_period=32, **config_kwargs,
+        )
+        injector = FaultInjector([spec], master_seed=seed).apply(net)
+        seg = cycles // segments
+        violations = 0
+        for length in [seg] * segments + [cycles - seg * segments]:
+            violations += net.run(length, validate_every=16,
+                                  raise_on_violation=False)
+    return net, injector, violations
+
+
+@pytest.mark.parametrize("rate", [0.02, 0.1, 0.3])
+@pytest.mark.parametrize("window", sorted(FAULT_WINDOWS))
+@pytest.mark.parametrize(
+    "kind, fields", [case[1:] for case in FAULT_CASES],
+    ids=[case[0] for case in FAULT_CASES],
+)
+def test_faulted_soa_matches_stepped(kind, fields, window, rate):
+    """Faulted networks run on SoA: fault windows, watchdog deadlines,
+    degraded epochs and wire noise are events, and the per-cycle fault
+    counters are booked in bulk.  The whole state, the hooks' counters
+    and RNG positions, and the violations must match stepping."""
+    onset, duration = FAULT_WINDOWS[window]
+    spec = FaultSpec(kind, router=0, port="east", onset=onset,
+                     duration=duration, seed=3, **fields)
+    runs = {mode: run_faulted(mode, spec, rate) for mode in ("stepped", "soa")}
+    (net, injector, violations), (ref, ref_injector, ref_violations) = (
+        runs["soa"], runs["stepped"]
+    )
+    divergences = diff(fingerprint(ref, ref_injector),
+                       fingerprint(net, injector))
+    assert not divergences, divergences[:5]
+    assert violations == ref_violations
+    found = validate_network(net)
+    assert found == validate_network(ref)
+    assert_invariants(net, validate=kind in SAFE_KINDS)
+    if kind in SAFE_KINDS:
+        assert violations == 0
+
+
+@pytest.mark.parametrize("kind", ["sensor-dropout", "down-up-corrupt"])
+def test_degraded_fallback_epochs_match_stepped(kind):
+    """A degraded sensor-wise port runs the rotating round-robin
+    fallback, whose candidate changes at every epoch boundary.  With
+    slow wakes a boundary can fall inside a wake and change the
+    decision, so SoA must visit the port at each boundary while it is
+    degraded."""
+    spec = FaultSpec(kind, router=0, port="east", seed=3)
+    runs = {
+        mode: run_faulted(mode, spec, 0.1, cycles=1600, num_vcs=4,
+                          wake_latency=3)
+        for mode in ("stepped", "soa")
+    }
+    (net, injector, _), (ref, ref_injector, _) = runs["soa"], runs["stepped"]
+    assert net.stats().sensor_degraded_cycles > 1000
+    assert not diff(fingerprint(ref, ref_injector), fingerprint(net, injector))
+
+
+def test_fault_swap_replaces_the_listed_channel():
+    """A swapped-in FaultyChannel replaces the old channel in the
+    whole-network list and takes its in-flight items over: the donor
+    is left empty, so no item is seen twice or missed."""
+    net = build_small_network(flit_rate=0.3, seed=2)
+    net.run(1)  # cycle 0's heartbeats and gate commands are in flight
+    east = port_id("east")
+    donors = [net.routers[0].down_up_channels[east],
+              net.routers[0].inputs[east].control_channel]
+    assert all(ch.in_flight for ch in donors)
+    in_flight = sum(ch.in_flight for ch in net._all_channels)
+    specs = [
+        FaultSpec("down-up-delay", router=0, port="east", delay=4),
+        FaultSpec("up-down-drop", router=0, port="east", rate=0.5),
+    ]
+    injector = FaultInjector(specs, master_seed=1).apply(net)
+    wired = []
+    for router in net.routers:
+        for port in router.input_ports:
+            wiring = router.inputs[port]
+            wired += [wiring.data_channel, wiring.control_channel,
+                      router.down_up_channels[port],
+                      wiring.unit.credit_channel]
+    for ni in net.interfaces:
+        wired += [ni._eject_data_channel, ni._eject_control_channel,
+                  net.routers[ni.node_id].outputs[LOCAL].down_up_channel,
+                  ni.ejection_unit.credit_channel]
+    assert len(net._all_channels) == len(wired)
+    assert {id(ch) for ch in net._all_channels} == {id(ch) for ch in wired}
+    assert [ch.in_flight for ch in donors] == [0, 0]
+    faulty = injector.down_up_channels + injector.up_down_channels
+    assert all(ch.in_flight for ch in faulty)
+    assert sum(ch.in_flight for ch in net._all_channels) == in_flight
 
 
 def test_auto_selection_prefers_soa_when_eligible():
@@ -352,7 +516,11 @@ def traced_run(scenario, trace_dir):
     tracks = {label: [] for label in labels.values()}
     for e in events:
         if e["ph"] != "M" and e["pid"] == PID_SIM:
-            tracks[labels[e["tid"]]].append((e["ts"], e["name"], e.get("args")))
+            # Wake-fault events carry no track of their own (tid 0).
+            label = labels.get(e["tid"], f"tid {e['tid']}")
+            tracks.setdefault(label, []).append(
+                (e["ts"], e["name"], e.get("args"))
+            )
     return result.telemetry, tracks
 
 
@@ -391,6 +559,32 @@ def test_traced_soa_matches_stepped(policy, rate, tmp_path):
     assert soa.measured_recovery_cycles == stepped.measured_recovery_cycles
 
 
+@pytest.mark.parametrize(
+    "kind, fields", [case[1:] for case in FAULT_CASES],
+    ids=[case[0] for case in FAULT_CASES],
+)
+def test_traced_faulted_soa_matches_stepped(kind, fields, tmp_path):
+    """Fault events booked in bulk (dropped samples, stuck reports) are
+    emitted cycle by cycle, so a traced faulted run matches stepping
+    track by track too."""
+    onset, duration = FAULT_WINDOWS["mid"]
+    spec = FaultSpec(kind, router=0, port="east", onset=onset,
+                     duration=duration, seed=3, **fields)
+    scenario = ScenarioConfig(
+        num_nodes=4, num_vcs=2, injection_rate=0.1, policy="sensor-wise",
+        traffic="uniform", cycles=800, warmup=200, seed=1,
+        sensor_sample_period=32, faults=(spec,), validate_every=16,
+    )
+    runs = {}
+    for mode in ("soa", "stepped"):
+        with forced_engine(mode):
+            runs[mode] = traced_run(scenario, tmp_path / mode)
+    (soa, soa_tracks), (stepped, stepped_tracks) = runs["soa"], runs["stepped"]
+    assert soa.event_counts == stepped.event_counts
+    assert stable_metrics(soa.metrics) == stable_metrics(stepped.metrics)
+    assert soa_tracks == stepped_tracks
+
+
 # ----------------------------------------------------------------------
 # Golden bytes under the SoA engine (default tier)
 # ----------------------------------------------------------------------
@@ -419,10 +613,10 @@ def test_table3_golden_bytes_under_soa(tmp_path):
 
 
 def test_fault_campaign_golden_bytes_with_auto_selection():
-    """Fault campaigns validate invariants mid-run: faulted cells are
-    SoA-ineligible and step densely, fault-free cells validate between
-    SoA spans.  The automatic engine selection must leave the campaign
-    report byte-identical to the seed golden."""
+    """Fault campaigns validate invariants mid-run: every cell, faulted
+    or not, runs on SoA with the sweeps between chunks.  The automatic
+    engine selection must leave the campaign report byte-identical to
+    the seed golden."""
     from repro.faults.campaign import FaultCampaignConfig, run_fault_campaign
 
     config = FaultCampaignConfig(
@@ -442,11 +636,37 @@ def test_fault_campaign_golden_bytes_with_auto_selection():
 # ----------------------------------------------------------------------
 # Randomized cross-engine fuzz (slow tier: pytest -m slow)
 # ----------------------------------------------------------------------
+def draw_fault(rng: random.Random, cycles: int):
+    """Zero or one random FaultSpec on router 0: any kind, window and
+    rate."""
+    if rng.random() < 0.25:
+        return ()
+    kind = rng.choice(FAULT_KINDS)
+    fields = {}
+    if kind == "stuck-sensor":
+        if rng.random() < 0.5:
+            fields["stuck_vc"] = rng.randrange(4)
+        else:
+            fields.update(stuck_reading=0.6, vc=rng.randrange(4))
+    elif kind == "down-up-delay":
+        fields["delay"] = rng.randint(1, 20)
+    elif kind == "stuck-gated":
+        fields["extra_wake_cycles"] = rng.choice([None, 3])
+    duration = rng.choice([None, rng.randint(1, cycles)])
+    return (FaultSpec(
+        kind, router=0, port=rng.choice(["local", "east"]),
+        onset=rng.randrange(cycles // 2), duration=duration,
+        rate=rng.choice([0.1, 0.5, 1.0]), seed=rng.randrange(100),
+        **fields,
+    ),)
+
+
 @pytest.mark.slow
 def test_fuzz_soa_vs_stepped():
     """Seeded sweep over policies, patterns, topologies and
-    micro-architecture knobs.  Any divergence prints the drawn
-    configuration so it can be minimized into a directed pin above."""
+    micro-architecture knobs, with zero or one fault per trial.  Any
+    divergence prints the drawn configuration so it can be minimized
+    into a directed pin above."""
     rng = random.Random(20130318)  # the paper's conference date
     patterns = ["uniform", "transpose", "neighbor", "bit_complement",
                 "hotspot"]
@@ -469,6 +689,8 @@ def test_fuzz_soa_vs_stepped():
             wake_latency=rng.choice([0, 1, 3]),
             sensor_sample_period=rng.choice([64, 256, 1024]),
         )
+        # A separate stream, so adding faults kept the drawn scenarios.
+        faults = draw_fault(random.Random(trial), cycles)
 
         def mk_traffic():
             if rate == 0.0:
@@ -484,17 +706,25 @@ def test_fuzz_soa_vs_stepped():
             )
 
         tag = (f"[{trial}] {policy}/{pattern} n={nodes} r={rate} "
-               f"c={cycles} seg={segments} seed={seed} {cfg}")
+               f"c={cycles} seg={segments} seed={seed} {cfg} {faults}")
         prints = {}
+        found = {}
         for mode in ("stepped", "soa"):
             net = run_with_engine(
                 mode, policy, rate, cycles, seed, segments=segments,
-                num_nodes=nodes, traffic=mk_traffic(), **cfg,
+                num_nodes=nodes, traffic=mk_traffic(), faults=faults, **cfg,
             )
+            found[mode] = validate_network(net)
             if mode == "soa":
-                assert_invariants(net)
+                # Lost wakes may legally break power agreement; both
+                # engines must then report the same violations.
+                assert_invariants(net, validate=not (
+                    faults and faults[0].kind in WAKE_LOSING_KINDS
+                ))
             prints[mode] = fingerprint(net)
         divergences = diff(prints["stepped"], prints["soa"])
+        if found["stepped"] != found["soa"]:
+            divergences.append(("violations", found["stepped"], found["soa"]))
         if divergences:
             failures.append(
                 f"{tag}: {len(divergences)} keys, first "
