@@ -97,6 +97,10 @@ class RoundRobinSensorlessPolicy(RecoveryPolicy):
         """Memoization epoch: re-evaluate whenever the candidate rotates."""
         return cycle // self.rotation_period
 
+    def decision_phase(self, epoch: int, num_vcs: int, faulted: bool) -> int:
+        """The candidate: epochs ``num_vcs`` apart decide alike."""
+        return epoch % num_vcs
+
     def candidate(self, ctx: PolicyContext) -> int:
         """The ``active_candidate`` VC for this cycle (line 2 of Alg. 1)."""
         return (ctx.cycle // self.rotation_period) % ctx.num_vcs
@@ -236,6 +240,10 @@ class SensorWisePolicy(RecoveryPolicy):
         """Re-evaluate whenever the fallback's candidate rotates."""
         return cycle // self.fallback.rotation_period
 
+    def decision_phase(self, epoch: int, num_vcs: int, faulted: bool) -> int:
+        """Algorithm 2 reads no cycle; the fallback reads its candidate."""
+        return epoch % num_vcs if faulted else 0
+
     def decide(self, ctx: PolicyContext) -> PolicyDecision:
         if ctx.sensor_faulted:
             return self._decide_fallback(ctx)
@@ -355,6 +363,13 @@ class RejuvenationPolicy(RecoveryPolicy):
         """
         k, offset = divmod(cycle, self.period)
         return 2 * k + (0 if offset < self.duration else 1)
+
+    def decision_phase(self, epoch: int, num_vcs: int, faulted: bool) -> int:
+        """The in-window survivor candidate, or -1 outside the window
+        (where every VC stays awake whatever the window index)."""
+        if epoch & 1:
+            return -1
+        return (epoch >> 1) % num_vcs
 
     def in_window(self, cycle: int) -> bool:
         """Whether ``cycle`` falls inside a deep-recovery window."""

@@ -147,6 +147,8 @@ class Network:
         # devices, units with power/occupancy state, every delay line
         # (whole-network state inspection), and every sensor bank.
         self._nbti_units: List[InputUnit] = []
+        #: Cycle of the last network-wide flush (see flush_nbti).
+        self._nbti_flushed_at: Optional[int] = None
         self._power_units: List[InputUnit] = []
         self._all_channels: List[Channel] = []
         self._sensor_banks: List[SensorBank] = []
@@ -505,8 +507,17 @@ class Network:
     # ------------------------------------------------------------------
     def flush_nbti(self) -> None:
         """Book every device's unaccounted interval up to the current
-        cycle (call before reading counters outside :meth:`run`)."""
+        cycle (call before reading counters outside :meth:`run`).
+
+        A second flush at the same cycle returns at once: the first
+        moved every interval anchor up to the cycle, anchors never move
+        back, and a power transition books its own interval, so there
+        is nothing left to book.
+        """
         cycle = self.cycle
+        if cycle == self._nbti_flushed_at:
+            return
+        self._nbti_flushed_at = cycle
         for unit in self._nbti_units:
             unit.nbti_flush(cycle)
 

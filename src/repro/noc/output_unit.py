@@ -49,6 +49,12 @@ from repro.telemetry import probes
 #: Power-gating command carried by the Up_Down control channel.
 GateCommand = Tuple[str, int]  # ("gate" | "wake", vc)
 
+#: Small-int codes of the policy-facing VC states in decision-cache
+#: keys, and the states they stand for (indexed by code).
+_ACTIVE, _IDLE, _RECOVERY = 0, 1, 2
+_STATE_OF_CODE = (OutVCState.ACTIVE, OutVCState.IDLE, OutVCState.RECOVERY)
+_ACTIVE_STATE = OutVCState.ACTIVE
+
 
 class OutVCEntry:
     """Book-keeping for one downstream VC as seen from upstream."""
@@ -119,18 +125,20 @@ class VnetEngine:
         self.degraded_from = 0
         self._ctx_version = 0
         self._policy_key: Optional[Tuple[int, int]] = None
-        #: Value-level decision memo for *stable* policies: context
-        #: values -> the (frozen, shareable) decision they produced or,
-        #: for a traced policy, (decision, events ``decide`` emitted).  A
-        #: stable policy's decision is a deterministic function of the
-        #: observable context plus its epoch (that is what `stable` +
-        #: `epoch` promise; `cycle_free_decide` additionally drops the
-        #: epoch while healthy), so re-seeing the same values lets the
-        #: port skip context construction and `decide` entirely — only
-        #: the (idempotent, diff-based) application re-runs.  The key
-        #: space is tiny (a few dozen VC-state combinations), so the
-        #: dict stays small for the lifetime of the port.
-        self._decision_cache: Optional[dict] = {} if policy.stable else None
+        #: Value-level decision memo, used while the policy is *stable*:
+        #: (VC-state codes, traffic bit, most-degraded id, faulted,
+        #: decision phase) -> (the frozen, shareable decision they
+        #: produced, whether applying it to those VC states is a no-op,
+        #: the events a traced ``decide`` emitted or ``None``).  A stable
+        #: policy's decision is a deterministic function of the
+        #: observable context plus the phase of its epoch (see
+        #: ``RecoveryPolicy.decision_phase``), so re-seeing the same
+        #: values lets the port skip context construction and `decide`
+        #: entirely — only the (diff-based) application re-runs, and not
+        #: even that when it would command nothing.  The key space is
+        #: tiny (a few dozen VC-state combinations times a few phases),
+        #: so the dict stays small for the lifetime of the port.
+        self._decision_cache: dict = {}
         self._alloc_arbiter = RoundRobinArbiter(count)
         #: Optional observer fired on every memo bust.  The SoA engine
         #: installs one so it re-runs a port's policy exactly when the
@@ -414,6 +422,21 @@ class UpstreamPort:
                 later = event
         return now, later
 
+    def memo_stale(self, cycle: int) -> bool:
+        """Whether :meth:`run_policy` at ``cycle`` would re-evaluate some
+        vnet with the inputs as they stand: its policy is not stable,
+        has never run, or its memo key (input version, epoch) moved.
+        Traffic-bit updates and watchdog flips are not foreseen here;
+        the SoA engine learns of those through ``on_invalidate`` and
+        :meth:`next_watchdog_event`."""
+        for engine in self.engines:
+            policy = engine.policy
+            if not policy.stable or engine.last_decision is None:
+                return True
+            if engine._policy_key != (engine._ctx_version, policy.epoch(cycle)):
+                return True
+        return False
+
     def run_policy(self, cycle: int) -> List[PolicyDecision]:
         """Evaluate every vnet's policy and apply the decisions.
 
@@ -421,89 +444,96 @@ class UpstreamPort:
         per vnet on (input version, policy epoch): when nothing they can
         observe changed, the previous — already applied — decision
         stands.  On a memo miss, a second value-level cache keyed by the
-        *observable context values* skips :meth:`decide` when the same
-        situation was seen before (sound because a stable policy's
-        decision is a pure function of those values and its epoch); the
-        cached decision is still re-applied, since the port's power
-        state may have drifted.  A traced policy's events are captured
-        with its cached decision and replayed at this cycle on the miss
-        and on every hit, so the trace is the same as if it re-decided
-        (its events depend only on the cache key, save their ``ts``).
+        *observable context values* and the policy's
+        :meth:`~RecoveryPolicy.decision_phase` skips :meth:`decide` when
+        the same situation was seen before (sound because a stable
+        policy's decision is a pure function of those values and that
+        phase).  Each entry also records whether applying its decision
+        would command any gate or wake — a pure function of the key,
+        whose VC states are the port's current ones — and the
+        application is skipped when it would not.  A traced policy's
+        events are captured with its cached decision and replayed at
+        this cycle on the miss and on every hit, so the trace is the
+        same as if it re-decided (its events depend only on the cache
+        key, save their ``ts``).
         """
         decisions: List[PolicyDecision] = []
+        entries = self.entries
         for engine in self.engines:
             self._tick_watchdog(engine, cycle)
             policy = engine.policy
-            if policy.stable:
-                key = (engine._ctx_version, policy.epoch(cycle))
-                if key == engine._policy_key and engine.last_decision is not None:
-                    decisions.append(engine.last_decision)
-                    continue
-                engine._policy_key = key
-                cache = engine._decision_cache
-                if cache is not None:
-                    # Inlined vc_policy_state: this runs on every memo
-                    # miss and the method-call overhead is measurable.
-                    entries = self.entries
-                    active = OutVCState.ACTIVE
-                    recovery = OutVCState.RECOVERY
-                    idle = OutVCState.IDLE
-                    start = engine.start
-                    if engine.count == 2:
-                        # Unrolled for the dominant 2-VC-per-vnet shape:
-                        # a genexpr frame per memo miss is measurable.
-                        e = entries[start]
-                        s0 = (active if e.state is active
-                              else recovery if e.gated else idle)
-                        e = entries[start + 1]
-                        states = (s0, active if e.state is active
-                                  else recovery if e.gated else idle)
-                    else:
-                        states = tuple(
-                            active if (e := entries[i]).state is active
-                            else (recovery if e.gated else idle)
-                            for i in range(start, start + engine.count)
-                        )
-                    faulted = engine.faulted
-                    ckey = (
-                        states,
-                        engine.new_traffic,
-                        engine.most_degraded_vc,
-                        faulted,
-                        # key[1] is policy.epoch(cycle), already computed.
-                        0 if policy.cycle_free_decide and not faulted
-                        else key[1],
-                    )
-                    cached = cache.get(ckey)
-                    if cached is None:
-                        ctx = PolicyContext(
-                            cycle=cycle,
-                            vc_states=states,
-                            new_traffic=engine.new_traffic,
-                            most_degraded_vc=engine.most_degraded_vc,
-                            sensor_faulted=faulted,
-                        )
-                        if policy.trace is None:
-                            decision = cached = policy.decide(ctx)
-                        else:
-                            # A traced entry also holds the events
-                            # decide emitted, replayed on every hit.
-                            with policy.trace.capture() as captured:
-                                decision = policy.decide(ctx)
-                            cached = (decision, tuple(captured))
-                        decision.validate(engine.count)
-                        cache[ckey] = cached
-                    if policy.trace is None:
-                        decision = cached
-                    else:
-                        decision, events = cached
-                        policy.trace.replay(events, cycle)
-                    self.apply_decision(decision, cycle, engine.vnet)
-                    decisions.append(decision)
-                    continue
-            decision = policy.decide(self.build_context(cycle, engine.vnet))
-            decision.validate(engine.count)
-            self.apply_decision(decision, cycle, engine.vnet)
+            if not policy.stable:
+                decision = policy.decide(self.build_context(cycle, engine.vnet))
+                decision.validate(engine.count)
+                self.apply_decision(decision, cycle, engine.vnet)
+                decisions.append(decision)
+                continue
+            epoch = policy.epoch(cycle)
+            key = (engine._ctx_version, epoch)
+            if key == engine._policy_key and engine.last_decision is not None:
+                decisions.append(engine.last_decision)
+                continue
+            engine._policy_key = key
+            # Inlined vc_policy_state, as small-int codes: this runs on
+            # every memo miss, and an int tuple hashes without calling
+            # Enum.__hash__.
+            start = engine.start
+            if engine.count == 2:
+                # Unrolled for the dominant 2-VC-per-vnet shape: a
+                # genexpr frame per memo miss is measurable.
+                e = entries[start]
+                c0 = _ACTIVE if e.state is _ACTIVE_STATE else _RECOVERY if e.gated else _IDLE
+                e = entries[start + 1]
+                codes = (
+                    c0,
+                    _ACTIVE if e.state is _ACTIVE_STATE else _RECOVERY if e.gated else _IDLE,
+                )
+            else:
+                codes = tuple(
+                    _ACTIVE if (e := entries[i]).state is _ACTIVE_STATE
+                    else _RECOVERY if e.gated else _IDLE
+                    for i in range(start, start + engine.count)
+                )
+            faulted = engine.faulted
+            ckey = (
+                codes,
+                engine.new_traffic,
+                engine.most_degraded_vc,
+                faulted,
+                policy.decision_phase(epoch, engine.count, faulted),
+            )
+            cached = engine._decision_cache.get(ckey)
+            if cached is None:
+                ctx = PolicyContext(
+                    cycle=cycle,
+                    vc_states=tuple(_STATE_OF_CODE[c] for c in codes),
+                    new_traffic=engine.new_traffic,
+                    most_degraded_vc=engine.most_degraded_vc,
+                    sensor_faulted=faulted,
+                )
+                if policy.trace is None:
+                    decision = policy.decide(ctx)
+                    events = None
+                else:
+                    # A traced entry also holds the events decide
+                    # emitted, replayed on every hit.
+                    with policy.trace.capture() as captured:
+                        decision = policy.decide(ctx)
+                    events = tuple(captured)
+                decision.validate(engine.count)
+                awake = decision.awake
+                noop = all(
+                    code == _ACTIVE or (local in awake) == (code == _IDLE)
+                    for local, code in enumerate(codes)
+                )
+                cached = engine._decision_cache[ckey] = (decision, noop, events)
+            decision, noop, events = cached
+            if events is not None:
+                policy.trace.replay(events, cycle)
+            if noop:
+                engine.last_decision = decision
+            else:
+                self.apply_decision(decision, cycle, engine.vnet)
             decisions.append(decision)
         return decisions
 

@@ -174,9 +174,10 @@ class RecoveryPolicy:
     #: whose candidate rotates with the cycle (round-robin) must leave
     #: this False.  Only consulted while the engine is healthy; a policy
     #: with a cycle-dependent *degraded* fallback may still declare it,
-    #: because SoA eligibility requires fault-free sensors,
-    #: whose heartbeats provably keep the watchdog below both the
-    #: staleness and plausibility thresholds.
+    #: because a degraded vnet's epochs are pinned by its port instead:
+    #: :meth:`UpstreamPort.next_watchdog_event` reports every epoch
+    #: change while the watchdog holds the vnet ``faulted``, and the SoA
+    #: engine re-runs the port there (faulted networks run on SoA too).
     cycle_free_decide: bool = False
     #: Telemetry handle + track id (see repro.telemetry.runtime);
     #: class-level ``None``/0 keeps untraced runs zero-cost.
@@ -195,6 +196,20 @@ class RecoveryPolicy:
         rotation).  Time-independent policies return a constant.
         """
         return 0
+
+    def decision_phase(self, epoch: int, num_vcs: int, faulted: bool) -> int:
+        """The part of ``epoch`` that :meth:`decide` actually reads.
+
+        A stable policy's decision (and every event it emits, save its
+        ``ts``) must be the same for any two cycles of equal phase and
+        equal context; the upstream port's value-level decision cache
+        keys on the phase, so a rotating policy shares one entry across
+        all epochs that rotate to the same candidate.  The default is
+        the epoch itself, or 0 for a healthy ``cycle_free_decide``
+        policy; policies whose rotation wraps override it (e.g.
+        ``epoch % num_vcs`` for a round-robin candidate).
+        """
+        return 0 if self.cycle_free_decide and not faulted else epoch
 
     def reset(self) -> None:
         """Clear per-port state (default: nothing to clear)."""

@@ -29,14 +29,16 @@ it has work, components tell the engine when they will:
 * every policy engine notifies on memo busts
   (:attr:`VnetEngine.on_invalidate`), so ``run_policy`` runs exactly
   when the dense engine's memoization would miss — plus at declared
-  epoch boundaries;
+  epoch boundaries that move the epoch.  A port's own traffic-bit
+  update and watchdog tick bust its memo before the key is taken, so
+  they schedule nothing;
 * VA / SA / NI phases run only for routers and interfaces whose
   occupancy counters show resident work, which is precisely the
   condition under which the dense phases do anything but iterate;
 * sensor sampling runs only at the banks' synchronized sample cycles
   (in between, the dense ``phase_nbti`` provably early-continues), and
   the traffic generator is consulted only at scouted injection cycles,
-  with its RNG bulk-advanced over the gaps so the stream position stays
+  with its RNG moved over the gaps so the stream position stays
   byte-identical to per-cycle ``inject()`` calls;
 * each Down_Up record also carries its port's watchdog
   (:meth:`UpstreamPort.next_watchdog_event`): it is due at the next
@@ -402,21 +404,34 @@ class SoAEngine:
             chan.on_send = notify = self._make_notify(idx)
             due = chan.next_due(cycle)
             if kind == _DUP:
-                # The cycle's own watchdog flips are covered below: the
-                # first fused cycle re-runs every policy.
+                # The cycle's own watchdog flips are covered below, by
+                # the first fused cycle's policy runs.
                 _, later = rec[3].next_watchdog_event(cycle)
                 if later is not None and (due is None or later < due):
                     due = later
             if due is not None:
                 notify(due)
-        for idx, (_, _, _, upstream) in enumerate(self._ports):
+        for idx, (is_ni, owner, pid, upstream) in enumerate(self._ports):
             hook = self._make_invalidate(idx)
             for engine in upstream.engines:
                 engine.on_invalidate = hook
-            # The first fused cycle re-runs every policy, matching the
-            # dense engine's unconditional per-cycle run_policy (a pure
-            # memo hit for unchanged ports).
-            self._dirty[idx] = None
+            # The dense engine runs every policy every cycle; the first
+            # fused cycle runs those whose run would not hit the memo:
+            # the traffic bit is about to change, the memo key moved
+            # since the last run (or there was none), or the watchdog
+            # acts now.
+            if is_ni:
+                traffic = [bool(queue) for queue in owner.source_queues]
+            else:
+                pending = owner.va_pending[pid]
+                traffic = [pending[vnet] > 0 for vnet in range(owner.num_vnets)]
+            if (
+                any(bit != engine.new_traffic
+                    for bit, engine in zip(traffic, upstream.engines))
+                or upstream.memo_stale(cycle)
+                or upstream.next_watchdog_event(cycle)[0]
+            ):
+                self._dirty[idx] = None
         for unit in net._power_units:
             if unit._any_waking:
                 self._waking[unit] = None
@@ -451,7 +466,8 @@ class SoAEngine:
         # injection would have reached, and counters the hooks book per
         # visited cycle must cover the skipped ones.
         traffic = net.traffic
-        if self._scout and traffic is not None and end > self._rng_cycle:
+        if self._scout and traffic is not None:
+            # Also at zero cycles: a scout may have drawn ahead.
             traffic.advance(end - self._rng_cycle)
             self._rng_cycle = end
         for bank in self._faulted_banks:
@@ -670,9 +686,8 @@ class SoAEngine:
                 self._do_inject(cycle)
                 self._rng_cycle = cycle + 1
             elif cycle == next_inject:  # only ever true in scout mode
-                delta = cycle - self._rng_cycle
-                if delta > 0:
-                    traffic.advance(delta)
+                # Injecting at the scouted cycle also consumes the
+                # injection-free cycles since the scout.
                 self._do_inject(cycle)
                 self._rng_cycle = cycle + 1
                 nxt = traffic.next_injection_cycle(cycle + 1)
@@ -687,15 +702,13 @@ class SoAEngine:
             if period_ports:
                 for period, pidxs in period_ports:
                     if cycle % period == 0:
+                        # Not every declared boundary moves every epoch
+                        # (rejuvenation's window edges are a subset).
                         for idx in pidxs:
-                            dirty[idx] = None
+                            if idx not in dirty and ports[idx][3].memo_stale(cycle):
+                                dirty[idx] = None
             if dirty:
-                if len(dirty) > 1:
-                    todo = sorted(dirty)
-                else:
-                    todo = list(dirty)
-                dirty.clear()
-                for idx in todo:
+                for idx in sorted(dirty) if len(dirty) > 1 else list(dirty):
                     is_ni, owner, pid, upstream = ports[idx]
                     if is_ni:
                         owner.phase_policy(cycle)
@@ -704,6 +717,11 @@ class SoAEngine:
                         for vnet in range(owner.num_vnets):
                             upstream.set_new_traffic(pending[vnet] > 0, vnet)
                         upstream.run_policy(cycle)
+                # A port's own traffic-bit update and watchdog tick land
+                # before its memo key is taken, so the invalidations they
+                # fired above ask for nothing: stepping would hit the
+                # memo next cycle.  No other port's state moves here.
+                dirty.clear()
             # --- phase 5: VC allocation -------------------------------
             # The phase calls never mutate their own work set (only
             # _deliver/_do_inject add members), so iterate the dicts

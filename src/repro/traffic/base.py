@@ -36,9 +36,14 @@ class TrafficGenerator:
 
     def next_injection_cycle(self, cycle: int) -> Optional[float]:
         """A cycle ``t >= cycle`` with no injection anywhere in
-        ``[cycle, t)``, *without* consuming the generator's RNG stream.
+        ``[cycle, t)``, where ``cycle`` is the generator's stream
+        position, *without* changing what the generator produces.
 
-        The contract is a lower bound: ``t`` need not itself inject (a
+        The caller then consumes the cycles it skips in one call:
+        :meth:`inject` at a cycle ``c`` with ``cycle <= c <= t`` first
+        consumes the injection-free cycles ``[cycle, c)``, and
+        :meth:`advance` consumes ``k <= t - cycle`` of them.  The
+        contract is a lower bound: ``t`` need not itself inject (a
         scan-horizon cap is fine) — the caller simply simulates ``t``
         and asks again.  ``math.inf`` means the generator will never
         inject again.  The base class returns ``None``: *unsupported* —
@@ -52,8 +57,9 @@ class TrafficGenerator:
         """Consume the RNG draws of ``cycles`` injection-free cycles.
 
         Called by the SoA engine instead of ``cycles`` individual
-        :meth:`inject` calls, so the stream position stays
-        byte-identical to per-cycle stepping.
+        :meth:`inject` calls when a run ends short of the scouted
+        cycle, so the stream position stays byte-identical to
+        per-cycle stepping.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support injection scouting"

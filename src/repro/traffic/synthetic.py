@@ -11,7 +11,7 @@ topology/pattern extension studies.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,14 +81,37 @@ class SyntheticTraffic(TrafficGenerator):
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._dest_fn = _build_destination_fn(pattern, num_nodes)
-        # Reusable scout generator (see next_injection_cycle): seeding a
-        # fresh bit generator pulls OS entropy on every construction,
-        # which would dominate the scout's cost in SoA runs.
-        self._scout_rng: Optional[np.random.Generator] = None
+        #: What the last scout drew ahead of the stream position, as
+        #: ``(start, hit, row, held)``: the scout ran at cycle ``start``
+        #: (the stream position), cycles ``[start, hit)`` inject
+        #: nothing, ``row`` holds the Bernoulli draws of cycle ``hit``
+        #: (``None`` when the scan stopped at its horizon there), and
+        #: ``held`` is the stream's ``(has_uint32, uinteger)`` pair,
+        #: which Bernoulli draws never change.  The generator itself
+        #: already stands past those rows.  ``None`` when it stands at
+        #: the stream position.
+        self._ahead: Optional[
+            Tuple[int, int, Optional[np.ndarray], Tuple[int, int]]
+        ] = None
+        # First scout chunk: the expected injection gap, so a busy
+        # network draws one row, not a block, to find a hit in its
+        # first row (chunking never changes the answer).
+        busy = 1.0 - (1.0 - self.packet_rate) ** num_nodes
+        self._first_chunk = 128 if busy <= 0.0 else max(1, min(128, int(1.0 / busy)))
 
     def inject(self, cycle: int) -> List[Injection]:
+        ahead = self._ahead
+        if ahead is None:
+            draws = self._rng.random(self.num_nodes)
+        else:
+            self._ahead = None
+            _, hit, row, held = ahead
+            if cycle == hit and row is not None:
+                draws = row  # the scouted injection: already drawn
+            else:
+                self._move(cycle - hit - (row is not None), held)
+                draws = self._rng.random(self.num_nodes)
         rng = self._rng
-        draws = rng.random(self.num_nodes)
         out: List[Injection] = []
         for src in np.nonzero(draws < self.packet_rate)[0]:
             src = int(src)
@@ -99,53 +122,81 @@ class SyntheticTraffic(TrafficGenerator):
         return out
 
     def next_injection_cycle(self, cycle: int, horizon: int = 1 << 14):
-        """First upcoming cycle with a packet draw (scout, non-consuming).
+        """First upcoming cycle with a packet draw (scout).
 
-        A *shadow* copy of the bit generator replays the stream, so the
-        real RNG position is untouched — the SoA engine may
-        jump to an earlier pinned event (sensor sample, policy epoch)
-        and must then draw the scouted cycles itself, in order.  The
-        Bernoulli draws (``rng.random(num_nodes)`` per cycle) are
-        scanned in vectorized chunks; destination draws only happen on
-        hits, which by construction do not occur before the returned
-        cycle.  Beyond ``horizon`` scanned cycles the bound is returned
-        as-is (the contract only promises no injection in between).
+        The Bernoulli draws (``num_nodes`` per cycle) are scanned in
+        vectorized chunks on the generator itself, which then stands
+        just past the first row with a hit; that row is kept, so
+        :meth:`inject` at the returned cycle reads it without drawing it
+        again (and consumes the injection-free cycles before it), while
+        :meth:`advance` or an :meth:`inject` at an earlier cycle moves
+        the generator back to where per-cycle stepping would stand.  The
+        stream therefore stays byte-identical to per-cycle
+        :meth:`inject` calls.  Destination draws only happen on hits,
+        which by construction do not occur before the returned cycle.
+        Beyond ``horizon`` scanned cycles the bound is returned as-is
+        (the contract only promises no injection in between).
         """
         if self.packet_rate <= 0.0:
             return math.inf
-        real = self._rng.bit_generator
-        shadow = self._scout_rng
-        if shadow is None or type(shadow.bit_generator) is not type(real):
-            shadow = self._scout_rng = np.random.Generator(type(real)())
-        shadow.bit_generator.state = real.state
+        ahead = self._ahead
+        if ahead is None:
+            ahead = self._ahead = self._scout(cycle, horizon)
+        return cycle + ahead[1] - ahead[0]
+
+    def _scout(self, cycle: int, horizon: int):
+        rng = self._rng
+        state = rng.bit_generator.state
+        held = (state["has_uint32"], state["uinteger"])
         rate = self.packet_rate
         nodes = self.num_nodes
         scanned = 0
-        # Geometric chunks: the expected gap is 1/(1-(1-rate)^nodes)
-        # cycles, usually far below a flat 256, so start small and grow.
-        # Chunking never changes the answer — Generator.random consumes
-        # the stream identically regardless of call boundaries.
-        chunk = 128
+        chunk = self._first_chunk
         while scanned < horizon:
             n = min(chunk, horizon - scanned)
-            hits = np.nonzero((shadow.random((n, nodes)) < rate).any(axis=1))[0]
-            if hits.size:
-                return cycle + scanned + int(hits[0])
+            draws = rng.random(n * nodes)
+            hits = draws < rate
+            first = int(hits.argmax())
+            if hits[first]:
+                row = first // nodes
+                self._move(row + 1 - n, held)  # back over the rows past the hit
+                kept = draws[row * nodes:(row + 1) * nodes].copy()
+                return (cycle, cycle + scanned + row, kept, held)
             scanned += n
             chunk = min(chunk * 4, 4096)
-        return cycle + scanned
+        return (cycle, cycle + scanned, None, held)
 
     def advance(self, cycles: int) -> None:
         """Consume the Bernoulli draws of ``cycles`` injection-free
-        cycles (bulk generation follows the same stream order as
-        per-cycle :meth:`inject` calls)."""
-        rng = self._rng
-        nodes = self.num_nodes
-        remaining = cycles
-        while remaining > 0:
-            n = min(remaining, 1 << 16)
-            rng.random((n, nodes))
-            remaining -= n
+        cycles, leaving the stream where per-cycle :meth:`inject` calls
+        would (scouted rows are not drawn again)."""
+        ahead = self._ahead
+        if ahead is None:
+            if cycles > 0:
+                self._move(cycles)
+            return
+        self._ahead = None
+        start, hit, row, held = ahead
+        self._move(start + cycles - hit - (row is not None), held)
+
+    def _move(self, rows: int, held=None) -> None:
+        """Move the generator ``rows`` Bernoulli rows on (or back, when
+        negative) without drawing them.  ``PCG64.advance`` steps one
+        64-bit output per double, and its LCG has period ``2**128``, so
+        ``2**128 - n`` steps go back ``n``; it clears the buffered 32-bit
+        half (``has_uint32``/``uinteger``) a destination draw may have
+        left, so ``held`` (read now when not given) is put back."""
+        if rows == 0:
+            return
+        bitgen = self._rng.bit_generator
+        if held is None:
+            state = bitgen.state
+            held = (state["has_uint32"], state["uinteger"])
+        bitgen.advance((rows * self.num_nodes) % (1 << 128))
+        if held[0] or held[1]:
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = held
+            bitgen.state = state
 
     def describe(self) -> str:
         return f"{self.pattern}(rate={self.flit_rate} flits/cyc/node)"

@@ -234,6 +234,69 @@ class TestPolicyProperties:
             assert second.enable == first.enable
 
 
+class _Recorder:
+    """Tracer stand-in: keeps every instant but its timestamp."""
+
+    def __init__(self):
+        self.events = []
+
+    def instant(self, name, cat, tid=0, args=None, ts=0):
+        self.events.append((name, cat, tid, args))
+
+
+#: (policy, sensor_faulted): every registered policy healthy, and every
+#: sensor-consuming one degraded (sensor-wise then runs its fallback).
+PHASE_CASES = [(name, False) for name in ALL_POLICIES] + [
+    (name, True)
+    for name in ALL_POLICIES
+    if make_policy_factory(name)().uses_sensor
+]
+
+
+class TestDecisionPhase:
+    """The upstream port's decision cache shares one entry between all
+    cycles whose epochs map to the same ``decision_phase``: that is only
+    sound if such cycles decide, and trace, alike."""
+
+    @pytest.mark.parametrize(
+        "name, faulted", PHASE_CASES,
+        ids=[f"{n}{'-faulted' if f else ''}" for n, f in PHASE_CASES],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        states=STATE_STRATEGY,
+        traffic=st.booleans(),
+        first=st.integers(0, 1 << 16),
+        second=st.integers(0, 1 << 16),
+        data=st.data(),
+    )
+    def test_equal_phase_decides_alike(
+        self, name, faulted, states, traffic, first, second, data
+    ):
+        md = data.draw(st.none() | st.integers(0, len(states) - 1))
+        policy = make_policy_factory(name)()
+        recorder = _Recorder()
+        for p in (policy, getattr(policy, "fallback", None)):
+            if p is not None:
+                p.trace, p.trace_tid = recorder, 1
+
+        def phase(cycle):
+            return policy.decision_phase(policy.epoch(cycle), len(states), faulted)
+
+        target = phase(first)
+        while phase(second) != target:
+            second += 1
+        outcomes = []
+        for cycle in (first, second):
+            recorder.events = []
+            decision = policy.decide(PolicyContext(
+                cycle=cycle, vc_states=states_of(states), new_traffic=traffic,
+                most_degraded_vc=md, sensor_faulted=faulted,
+            ))
+            outcomes.append((decision, recorder.events))
+        assert outcomes[0] == outcomes[1]
+
+
 class TestFactory:
     def test_all_policies_constructible(self):
         for name in ALL_POLICIES:

@@ -12,6 +12,7 @@ similar ones.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -371,6 +372,44 @@ class TestTrafficScout:
         b.advance(gap)
         assert a._rng.bit_generator.state == b._rng.bit_generator.state
 
+    @pytest.mark.parametrize("nodes", [4, 64])
+    @pytest.mark.parametrize("rate", [0.002, 0.05, 0.3])
+    def test_mixed_scout_inject_advance_match_stepping(self, nodes, rate):
+        """Scouts (repeated, with small and large horizons), whole and
+        partial advances over the scouted gap, and injects inside or at
+        the end of it, mixed at random over 2000+ cycles: every inject
+        returns what per-cycle stepping returns, and the RNG state
+        matches stepping's after every operation — starting from a
+        state whose buffered 32-bit half (``has_uint32``) is set."""
+        mixed = SyntheticTraffic("uniform", nodes, flit_rate=rate, seed=21)
+        ref = SyntheticTraffic("uniform", nodes, flit_rate=rate, seed=21)
+        for gen in (mixed, ref):
+            gen._rng.integers(nodes - 1)
+        assert ref._rng.bit_generator.state["has_uint32"] == 1
+        ops = random.Random(nodes * 7 + int(rate * 1000))
+        cycle = 0
+        while cycle < 2400:
+            horizon = ops.choice([3, 1 << 14])
+            target = mixed.next_injection_cycle(cycle, horizon=horizon)
+            assert mixed.next_injection_cycle(cycle) == target
+            while cycle < target:
+                if ops.random() < 0.5:
+                    step = ops.randint(1, target - cycle)
+                    mixed.advance(step)
+                    for c in range(cycle, cycle + step):
+                        assert ref.inject(c) == []
+                    cycle += step
+                else:
+                    assert mixed.inject(cycle) == ref.inject(cycle) == []
+                    cycle += 1
+                assert mixed._rng.bit_generator.state == \
+                    ref._rng.bit_generator.state
+            for _ in range(ops.randint(1, 3)):
+                assert mixed.inject(cycle) == ref.inject(cycle)
+                cycle += 1
+                assert mixed._rng.bit_generator.state == \
+                    ref._rng.bit_generator.state
+
     def test_zero_rate_scouts_to_infinity(self):
         gen = SyntheticTraffic("uniform", 4, flit_rate=0.0, seed=1)
         assert gen.next_injection_cycle(123) == math.inf
@@ -531,3 +570,110 @@ class TestRunEndFlush:
         net.run(1000)
         for device in net.devices.values():
             assert device.counter.total_cycles == 1000
+
+    def test_harvest_flushes_the_network_at_most_once(self, monkeypatch):
+        """run_scenario's harvest reads every port's duty cycles and
+        devices after Network.run has flushed: that is at most one more
+        network-wide flush, not one per read (which grows as N^2)."""
+        from repro.experiments.config import ScenarioConfig
+        from repro.experiments.runner import run_scenario
+        from repro.noc.input_unit import InputUnit
+
+        unit_flushes = [0]
+        flush, run = InputUnit.nbti_flush, Network.run
+
+        def counting_flush(unit, cycle):
+            unit_flushes[0] += 1
+            flush(unit, cycle)
+
+        def run_then_count(net, *args, **kwargs):
+            violations = run(net, *args, **kwargs)
+            unit_flushes[0] = 0  # count only what follows the last run
+            return violations
+
+        monkeypatch.setattr(InputUnit, "nbti_flush", counting_flush)
+        monkeypatch.setattr(Network, "run", run_then_count)
+        result = run_scenario(ScenarioConfig(
+            num_nodes=64, cycles=40, warmup=0, validate_every=0,
+        ))
+        assert unit_flushes[0] <= len(result.port_duty)
+
+
+def run_counting_policy_work(policy, faulted, monkeypatch, cycles=1200):
+    """A 4x4 SoA run at 0.1 load, in three segments, that records every
+    ``run_policy`` call ending in a memo hit and every round-robin
+    ``decide`` as (policy, context values, candidate phase)."""
+    from repro.core.policies import RoundRobinSensorlessPolicy
+    from repro.faults import FaultInjector, FaultSpec
+    from repro.noc.output_unit import UpstreamPort
+
+    work = {"calls": 0, "hits": [], "decides": []}
+    run_policy = UpstreamPort.run_policy
+    decide = RoundRobinSensorlessPolicy.decide
+
+    def spy_run_policy(port, cycle):
+        before = [(e._policy_key, e.last_decision) for e in port.engines]
+        decisions = run_policy(port, cycle)
+        work["calls"] += 1
+        if all(e._policy_key == key and last is not None
+               for e, (key, last) in zip(port.engines, before)):
+            work["hits"].append((cycle, port))
+        return decisions
+
+    def spy_decide(policy, ctx):
+        phase = (ctx.cycle // policy.rotation_period) % ctx.num_vcs
+        work["decides"].append((
+            id(policy), ctx.vc_states, ctx.new_traffic,
+            ctx.most_degraded_vc, ctx.sensor_faulted, phase,
+        ))
+        return decide(policy, ctx)
+
+    monkeypatch.setattr(UpstreamPort, "run_policy", spy_run_policy)
+    monkeypatch.setattr(RoundRobinSensorlessPolicy, "decide", spy_decide)
+    net = build_small_network(
+        policy=policy, num_nodes=16, flit_rate=0.1, seed=3,
+        sensor_sample_period=32,
+    )
+    net.force_engine = "soa"
+    if faulted:
+        FaultInjector(
+            [FaultSpec("sensor-dropout", router=5, port="east", seed=3)],
+            master_seed=3,
+        ).apply(net)
+    for _ in range(3):
+        net.run(cycles // 3)
+    if faulted and policy == "sensor-wise":
+        assert net.stats().sensor_degraded_cycles > 0
+    return work
+
+
+class TestPolicyStageWork:
+    """The SoA policy stage does only work whose outcome stepping would
+    observe: no re-run that is certain to hit the memo, and no
+    round-robin ``decide`` whose (context, candidate) was decided
+    before."""
+
+    @pytest.mark.parametrize(
+        "policy", ["sensor-wise", "rr-no-sensor", "rejuvenation"]
+    )
+    @pytest.mark.parametrize("faulted", [False, True],
+                             ids=["fault-free", "faulted"])
+    def test_no_run_policy_call_hits_the_memo(self, policy, faulted,
+                                               monkeypatch):
+        work = run_counting_policy_work(policy, faulted, monkeypatch)
+        assert work["calls"] > 0
+        assert work["hits"] == []
+
+    @pytest.mark.parametrize("policy, faulted", [
+        ("rr-no-sensor", False),
+        ("rr-no-sensor", True),
+        # A degraded sensor-wise port decides through its rr fallback.
+        ("sensor-wise", True),
+    ], ids=["rr-fault-free", "rr-faulted", "sensor-wise-fallback"])
+    def test_round_robin_decides_once_per_context_and_phase(
+        self, policy, faulted, monkeypatch
+    ):
+        work = run_counting_policy_work(policy, faulted, monkeypatch)
+        decides = work["decides"]
+        assert decides
+        assert len(decides) == len(set(decides))

@@ -300,6 +300,29 @@ def test_hotspot_traffic_matches():
     assert not diff(prints["stepped"], prints["soa"])
 
 
+def test_composite_traffic_matches():
+    """Two scouting generators under one composite: at the composite's
+    scouted cycle only one child has its scouted injection, and the
+    other must consume its skipped cycles in the same inject call."""
+    from repro.traffic.base import CompositeTraffic
+
+    def mk_traffic():
+        return CompositeTraffic([
+            SyntheticTraffic("uniform", 4, flit_rate=0.02, seed=seed)
+            for seed in (31, 32)
+        ])
+
+    prints = {}
+    for mode in ("stepped", "soa"):
+        net = run_with_engine(mode, "sensor-wise", 0.0, 1800, 31,
+                              traffic=mk_traffic())
+        prints[mode] = fingerprint(net)
+        prints[mode]["rngs"] = [
+            str(gen._rng.bit_generator.state) for gen in net.traffic.generators
+        ]
+    assert not diff(prints["stepped"], prints["soa"])
+
+
 def test_stepped_and_soa_agree():
     """The stepped oracle and SoA produce the same fingerprint."""
     assert_engines_agree("sensor-wise", 0.02, 2400, 7)
@@ -407,6 +430,48 @@ def test_degraded_fallback_epochs_match_stepped(kind):
     (net, injector, _), (ref, ref_injector, _) = runs["soa"], runs["stepped"]
     assert net.stats().sensor_degraded_cycles > 1000
     assert not diff(fingerprint(ref, ref_injector), fingerprint(net, injector))
+
+
+@pytest.mark.parametrize("kind", ["sensor-dropout", "down-up-corrupt"])
+def test_one_cycle_runs_match_stepped(kind):
+    """Every cycle a fresh ``run`` call: the SoA engine attaches at every
+    cycle, so each port's first fused cycle must find on its own the
+    policy runs stepping makes there — a traffic bit about to flip, a
+    moved memo key, a watchdog deadline or degraded epoch falling on the
+    attach cycle."""
+    spec = FaultSpec(kind, router=0, port="east", seed=3)
+    prints = {}
+    for mode in ("stepped", "soa"):
+        with forced_engine(mode):
+            net = build_small_network(
+                policy="sensor-wise", flit_rate=0.1, seed=5,
+                sensor_sample_period=32,
+            )
+            injector = FaultInjector([spec], master_seed=5).apply(net)
+            for _ in range(700):
+                net.run(1)
+        prints[mode] = fingerprint(net, injector)
+    assert net.stats().sensor_degraded_cycles > 0
+    assert not diff(prints["stepped"], prints["soa"])
+
+
+def test_packet_enqueued_between_runs_matches_stepped():
+    """A packet queued by hand between two runs flips its injection
+    port's traffic bit without busting any memo: the next run's first
+    cycle must still re-run that port's policy, as stepping does."""
+    prints = {}
+    for mode in ("stepped", "soa"):
+        with forced_engine(mode):
+            # rr-no-sensor last ran at the epoch boundary 256, so at 300
+            # its memo key has not moved.
+            net = build_small_network(policy="rr-no-sensor", flit_rate=0.0)
+            net.run(300)
+            packet = net.packet_factory.create(0, 3, 4, net.cycle)
+            net.interfaces[0].enqueue(packet)
+            net.run(300)
+        prints[mode] = fingerprint(net)
+    assert prints["soa"]["ni0.stats"][0] == 1
+    assert not diff(prints["stepped"], prints["soa"])
 
 
 def test_fault_swap_replaces_the_listed_channel():
