@@ -502,11 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = pcache.add_subparsers(dest="cache_command", required=True)
     pverify = cache_sub.add_parser(
         "verify",
-        help="scan every cache entry (and orphaned temp files) and report rot",
+        help="scan every result-store and journal record and report rot",
     )
     pverify.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="cache directory to scan",
+        help="verify every result store in this cache directory "
+        "(header, per-record CRC and decoding, torn tail)",
     )
     pverify.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -973,27 +974,27 @@ def _dispatch(args: argparse.Namespace) -> int:
             if args.cache_dir is None and args.checkpoint_dir is None:
                 log.error("cache verify needs --cache-dir and/or --checkpoint-dir")
                 return 2
-            clean = True
+            from pathlib import Path
+
+            from repro.experiments.checkpoint import ScenarioJournal, verify_journal
+
+            journals = []
             if args.cache_dir is not None:
-                from repro.experiments.parallel import ResultCache
-
-                verdict = ResultCache(args.cache_dir).verify()
-                emit(verdict.summary())
-                for name in verdict.corrupt:
-                    log.warning("corrupt entry: %s", name)
-                for name in verdict.orphan_tmp:
-                    log.warning("orphaned temp file: %s", name)
-                clean = clean and verdict.clean
+                pattern = ScenarioJournal.STORE_FILENAME.format(digest="*")
+                stores = sorted(Path(args.cache_dir).glob(pattern))
+                if not stores:
+                    emit(f"{args.cache_dir}: no result store")
+                journals.extend(stores)
             if args.checkpoint_dir is not None:
-                from pathlib import Path
-
-                from repro.experiments.checkpoint import verify_journal
-
-                report = verify_journal(args.checkpoint_dir)
+                journals.append(Path(args.checkpoint_dir))
+            clean = True
+            for journal in journals:
+                report = verify_journal(journal)
                 emit(report.summary())
                 for line in report.torn:
                     log.warning("journal damage: %s", line)
                 clean = clean and report.clean
+            if args.checkpoint_dir is not None:
                 ga_state = Path(args.checkpoint_dir) / "ga.state.json"
                 if ga_state.exists():
                     from repro.dse.ga import verify_ga_state

@@ -9,25 +9,27 @@ into the final JSON.  Three cooperating pieces make campaigns durable:
   directory, flush + ``fsync``, then ``os.replace``.  A crash at any
   instant leaves either the old file or the new file, never a
   truncated hybrid.
-* :class:`ScenarioJournal` — a write-ahead, append-only JSONL log.
-  One fsync'd record per completed
-  :class:`~repro.experiments.runner.ScenarioResult`, keyed by the same
-  scenario hash the result cache uses, with a per-record CRC-32.  The
-  first line is a header carrying the cache schema version, the code
-  version and a digest of the campaign configuration, so a journal can
-  never silently feed a *different* campaign.  Replay skips and counts
-  torn or CRC-failed records (a ``SIGKILL`` mid-append tears at most
-  the tail line) instead of aborting.
+* :class:`ScenarioJournal` — a write-ahead, append-only JSONL log, and
+  the one on-disk result store.  One fsync'd record per completed
+  :class:`~repro.experiments.runner.ScenarioResult` (as CRC-guarded
+  JSON: nothing on disk is a pickle), keyed by the same scenario hash
+  ``--cache-dir`` uses, which opens a journal bound to no campaign
+  (:meth:`ScenarioJournal.store`).  The first line is a header carrying
+  the cache schema version, the code version and a digest of the
+  campaign configuration, so a journal can never silently feed a
+  *different* campaign.  Replay skips and counts torn or CRC-failed
+  records (a ``SIGKILL`` mid-append tears at most the tail line)
+  instead of aborting.
 * :class:`CheckpointManager` — owns one journal plus the
   ``campaign.state.json`` summary (done/pending/failed counts and
   per-failure tracebacks), and is what
   :class:`~repro.experiments.parallel.Executor` consults before
   dispatching a unit and notifies after finishing one.
 
-Resume contract: replayed results are the pickled originals, so a
-campaign resumed with ``--resume <dir>`` produces output **byte
-identical** to an uninterrupted run — the same bar PR 1 set for
-serial vs parallel execution (``tests/test_kill_resume.py``).
+Resume contract: replayed results decode ``==`` to the originals, with
+the same types and dict order, so a campaign resumed with ``--resume
+<dir>`` produces output **byte identical** to an uninterrupted run
+(``tests/test_kill_resume.py``).
 
 Graceful shutdown: :func:`graceful_shutdown` installs SIGINT/SIGTERM
 handlers that *drain* — stop dispatching new units, let in-flight
@@ -38,18 +40,18 @@ journal, write the state summary — and exit with
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
-import pickle
 import signal
 import tempfile
+import typing
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.version import __version__
 from repro.telemetry.log import get_logger
@@ -60,7 +62,8 @@ log = get_logger("checkpoint")
 PathLike = Union[str, Path]
 
 #: Journal file-format version (bump on incompatible layout changes).
-JOURNAL_SCHEMA_VERSION = 1
+#: Version 1 carried base64 pickles; version 2 carries JSON results.
+JOURNAL_SCHEMA_VERSION = 2
 
 #: Exit code of a campaign that drained cleanly after SIGINT/SIGTERM:
 #: the journal is flushed and the run is resumable (EX_TEMPFAIL — "try
@@ -114,22 +117,24 @@ def atomic_write_text(path: PathLike, text: str, encoding: str = "utf-8") -> Non
     ``os.replace`` never crosses a filesystem boundary; a crash at any
     point leaves the previous file contents intact.
     """
-    path = Path(path)
+    _place_file(Path(path), text.encode(encoding), os.replace)
+
+
+def _place_file(path: Path, data: bytes, place: Callable[[str, Path], None]) -> None:
+    """Fsync ``data`` into a temp file beside ``path``, then
+    ``place(tmp, path)``: ``os.replace``, or ``os.link`` (create only)."""
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding=encoding, newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
+        place(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
-        raise
     _fsync_directory(path.parent)
 
 
@@ -172,33 +177,49 @@ class ScenarioJournal:
     """Append-only write-ahead log of completed scenario results.
 
     Line 1 is a header record; every further line is one result record
-    ``{"type": "result", "key": <scenario-hash>, "crc": <crc32>,
-    "payload": <base64 pickle>}`` written with ``flush`` + ``fsync``
-    before the writer moves on — the *write-ahead* property: a result
-    is durable before the campaign acts on it.
+    ``{"crc": <crc32>, "key": <scenario-hash>, "payload": <result
+    JSON>, "type": "result"}`` (see :func:`encode_result`), written in
+    one ``write`` on an ``O_APPEND`` handle — so processes sharing a
+    journal never overwrite each other's records — and ``fsync``'d
+    before the writer moves on: a result is durable before the campaign
+    acts on it.
 
-    :meth:`replay` tolerates torn tails: any line that fails JSON
-    parsing, base64 decoding, the CRC check or unpickling is counted
-    in :attr:`torn` and skipped, never fatal.  A mismatched *header*
-    is fatal (:class:`CheckpointError`) — silently mixing results from
-    a different campaign or code version would be corruption, not
-    robustness.
+    Replay at open checks each record's CRC; results decode on lookup.
+    A line that fails either is counted in :attr:`torn` and served as a
+    miss, never fatal.  A mismatched *header* is fatal
+    (:class:`CheckpointError`): mixing results from a different
+    campaign or code version would be corruption, not robustness.
     """
 
     FILENAME = "scenario.journal.jsonl"
+    #: File name of a ``--cache-dir`` store (see :meth:`store`).
+    STORE_FILENAME = "results-{digest}.jsonl"
 
     def __init__(self, path: PathLike, meta: Optional[Dict[str, Any]] = None) -> None:
         self.path = Path(path)
         self.meta = dict(meta or {})
         self.digest = config_digest(self.meta)
-        self.results: Dict[str, ScenarioResult] = {}
-        #: Valid records recovered by replay at open time.
+        #: key -> offset of its record, or the result itself when this
+        #: process appended it.
+        self._index: Dict[str, Union[int, ScenarioResult]] = {}
+        #: Records replay found intact (a lookup that cannot decode one
+        #: moves it to :attr:`torn`).
         self.replayed = 0
-        #: Torn/CRC-failed/undecodable records skipped by replay.
+        #: Torn/CRC-failed/undecodable records skipped.
         self.torn = 0
         #: Records appended by this process.
         self.appended = 0
         self._fh = self._open()
+
+    @classmethod
+    def store(cls, directory: PathLike) -> "ScenarioJournal":
+        """The ``--cache-dir`` result store: a journal bound to no campaign.
+
+        Its file name carries the digest of the schema and package
+        versions, so a version bump opens a fresh file (the old one's
+        results would all miss: ``cache_key`` includes both versions).
+        """
+        return cls(Path(directory) / cls.STORE_FILENAME.format(digest=config_digest({})[:16]))
 
     # -- opening / replay ---------------------------------------------
     def _header_record(self) -> Dict[str, Any]:
@@ -214,35 +235,29 @@ class ScenarioJournal:
         }
 
     def _open(self):
-        if self.path.exists() and self.path.stat().st_size > 0:
-            header_ok = self._replay()
-            if header_ok:
-                fh = open(self.path, "r+", encoding="utf-8")
-                fh.seek(0, os.SEEK_END)
-                # A SIGKILL mid-append can leave the tail line without
-                # its newline; terminate it so the next append starts a
-                # fresh record instead of garbling itself onto the tear.
-                if self._missing_trailing_newline():
-                    fh.write("\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                return fh
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        # Placed whole, so no opener sees a file without its header.
+        header = _dump_record(self._header_record()).encode("utf-8")
+        if not self.path.exists():
+            try:
+                _place_file(self.path, header, os.link)
+            except FileExistsError:
+                self._replay()  # a concurrent opener created it first
+        elif not self._replay():
             # Unreadable header: nothing recoverable, restart the log.
             log.warning(
                 "journal %s has an unreadable header; starting it fresh", self.path
             )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(self.path, "w", encoding="utf-8")
-        fh.write(_dump_record(self._header_record()))
-        fh.flush()
-        os.fsync(fh.fileno())
-        _fsync_directory(self.path.parent)
+            _place_file(self.path, header, os.replace)
+        fh = open(self.path, "ab", buffering=0)
+        with open(self.path, "rb") as tail:
+            tail.seek(-1, os.SEEK_END)
+            # A SIGKILL mid-append can leave the tail line without its
+            # newline; terminate it so the next append starts a fresh
+            # record instead of garbling itself onto the tear.
+            if tail.read(1) != b"\n":
+                fh.write(b"\n")
         return fh
-
-    def _missing_trailing_newline(self) -> bool:
-        with open(self.path, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            return fh.read(1) != b"\n"
 
     def _check_header(self, record: Dict[str, Any]) -> None:
         """Refuse to serve a journal written for a different campaign."""
@@ -275,66 +290,90 @@ class ScenarioJournal:
         )
 
     def _replay(self) -> bool:
-        """Load every valid record; return False on an unreadable header."""
-        with open(self.path, "r", encoding="utf-8") as fh:
-            first = True
+        """Index every valid record; return False on an unreadable header."""
+        with open(self.path, "rb") as fh:
+            try:
+                header = json.loads(fh.readline())
+            except ValueError:
+                return False
+            if not isinstance(header, dict) or header.get("type") != "header":
+                return False
+            self._check_header(header)
+            offset = fh.tell()
             for line in fh:
-                line = line.strip()
-                if first:
-                    first = False
-                    try:
-                        header = json.loads(line)
-                    except ValueError:
-                        return False
-                    if not isinstance(header, dict) or header.get("type") != "header":
-                        return False
-                    self._check_header(header)
+                start, offset = offset, offset + len(line)
+                if not line.strip():
                     continue
-                if not line:
-                    continue
-                result = _decode_record(line)
-                if result is None:
+                try:
+                    key, _ = _read_record(line)
+                except TornRecord:
                     self.torn += 1
                     continue
-                key, value = result
-                self.results[key] = value
+                self._index[key] = start
                 self.replayed += 1
         return True
 
-    # -- appending -----------------------------------------------------
-    def append(self, key: str, result: ScenarioResult) -> None:
-        """Durably journal one completed result (idempotent per key)."""
-        if key in self.results:
-            return
-        blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    # -- appending / lookup --------------------------------------------
+    def append(self, key: str, result: ScenarioResult) -> bool:
+        """Durably journal one completed result; False if ``key`` is
+        already journaled (appends are idempotent per key)."""
+        if key in self._index:
+            return False
+        payload = encode_result(result)
         record = {
             "type": "result",
             "key": key,
-            "crc": zlib.crc32(blob) & 0xFFFFFFFF,
-            "payload": base64.b64encode(blob).decode("ascii"),
+            "crc": _crc(payload),
+            "payload": payload,
         }
-        self._fh.write(_dump_record(record))
-        self._fh.flush()
+        data = _dump_record(record).encode("utf-8")
+        # One unbuffered write: with O_APPEND the record lands whole at
+        # the end of the file, whatever other writers do meanwhile.
+        if self._fh.write(data) != len(data):
+            raise OSError(f"short write to journal {self.path}")
         os.fsync(self._fh.fileno())
-        self.results[key] = result
+        self._index[key] = result
         self.appended += 1
+        return True
 
     def get(self, key: str) -> Optional[ScenarioResult]:
-        return self.results.get(key)
+        """The result journaled under ``key``, or ``None`` (a record
+        that no longer decodes is counted in :attr:`torn` and dropped)."""
+        entry = self._index.get(key)
+        if entry is None or isinstance(entry, ScenarioResult):
+            return entry
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(entry)
+                found, payload = _read_record(fh.readline())
+            if found != key:
+                raise TornRecord("record moved")
+            result = decode_result(payload)
+        except (OSError, TornRecord):
+            del self._index[key]
+            self.replayed -= 1
+            self.torn += 1
+            return None
+        return result
+
+    @property
+    def results(self) -> Dict[str, ScenarioResult]:
+        """Every readable result, in record order (decodes each one)."""
+        decoded = {key: self.get(key) for key in list(self._index)}
+        return {key: result for key, result in decoded.items() if result is not None}
 
     def close(self) -> None:
         if not self._fh.closed:
-            self._fh.flush()
             os.fsync(self._fh.fileno())
             self._fh.close()
 
     def __len__(self) -> int:
-        return len(self.results)
+        return len(self._index)
 
 
 @dataclasses.dataclass
 class JournalVerifyReport:
-    """Outcome of :func:`verify_journal` (``cache verify --checkpoint-dir``).
+    """Outcome of :func:`verify_journal` (``repro-noc cache verify``).
 
     ``torn`` carries one ``"line N: reason"`` entry per unreadable
     record; ``torn_tail`` is true when the damage is confined to the
@@ -373,34 +412,8 @@ class JournalVerifyReport:
         return line
 
 
-def _record_error(line: str) -> str:
-    """Why a journal line failed :func:`_decode_record` (verify detail)."""
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return "not valid JSON (torn write)"
-    if not isinstance(record, dict) or record.get("type") != "result":
-        return f"not a result record (type={record.get('type') if isinstance(record, dict) else None!r})"
-    key, crc, payload = record.get("key"), record.get("crc"), record.get("payload")
-    if not isinstance(key, str) or not isinstance(crc, int) or not isinstance(payload, str):
-        return "malformed record fields"
-    try:
-        blob = base64.b64decode(payload.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError):
-        return "payload is not valid base64"
-    if zlib.crc32(blob) & 0xFFFFFFFF != crc:
-        return "CRC mismatch"
-    try:
-        result = pickle.loads(blob)
-    except Exception:  # noqa: BLE001 - arbitrary bytes fail arbitrarily
-        return "payload does not unpickle"
-    if not isinstance(result, ScenarioResult):
-        return f"payload is a {type(result).__name__}, not a ScenarioResult"
-    return "undiagnosed"
-
-
 def verify_journal(path: PathLike) -> JournalVerifyReport:
-    """Scan one scenario journal: header shape + per-record CRC.
+    """Scan one scenario journal: header shape, per-record CRC, decoding.
 
     Structural verification only — the header digest is checked for
     *presence and shape*, not recomputed against the current code
@@ -409,8 +422,9 @@ def verify_journal(path: PathLike) -> JournalVerifyReport:
     rot, by contrast, is anything replay would silently skip: torn
     tails, CRC failures, undecodable records.
 
-    ``path`` may be the journal file itself or a checkpoint directory
-    (resolved via :attr:`ScenarioJournal.FILENAME`).
+    ``path`` may be the journal file itself (a checkpoint journal or a
+    ``--cache-dir`` store) or a checkpoint directory (resolved via
+    :attr:`ScenarioJournal.FILENAME`).
     """
     path = Path(path)
     if path.is_dir():
@@ -435,8 +449,11 @@ def verify_journal(path: PathLike) -> JournalVerifyReport:
             header["config_digest"]
         ) != 64:
             header_ok, header_error = False, "header carries no config digest"
-        elif not isinstance(header.get("journal_schema"), int):
-            header_ok, header_error = False, "header carries no journal schema"
+        elif header.get("journal_schema") != JOURNAL_SCHEMA_VERSION:
+            header_ok, header_error = False, (
+                f"journal schema {header.get('journal_schema')!r} is not "
+                f"{JOURNAL_SCHEMA_VERSION}"
+            )
     except ValueError:
         header_ok, header_error = False, "first line is not valid JSON"
     total = ok = 0
@@ -445,10 +462,12 @@ def verify_journal(path: PathLike) -> JournalVerifyReport:
         if not line.strip():
             continue
         total += 1
-        if _decode_record(line) is not None:
-            ok += 1
+        try:
+            decode_result(_read_record(line)[1])
+        except TornRecord as exc:
+            torn.append(f"line {number}: {exc}")
         else:
-            torn.append(f"line {number}: {_record_error(line)}")
+            ok += 1
     return JournalVerifyReport(
         path=path, header_ok=header_ok, header_error=header_error,
         total=total, ok=ok, torn=torn,
@@ -501,32 +520,123 @@ def _dump_record(record: Dict[str, Any]) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _decode_record(line: str):
-    """``(key, result)`` for a valid result record, else ``None``."""
+class TornRecord(ValueError):
+    """A journal line that replay and lookup skip; the message says why."""
+
+
+def _read_record(line: Union[str, bytes]) -> Tuple[str, str]:
+    """``(key, payload)`` of a CRC-valid result record, else :class:`TornRecord`."""
     try:
         record = json.loads(line)
     except ValueError:
-        return None
+        raise TornRecord("not valid JSON (torn write)") from None
     if not isinstance(record, dict) or record.get("type") != "result":
-        return None
-    key = record.get("key")
-    crc = record.get("crc")
-    payload = record.get("payload")
+        kind = record.get("type") if isinstance(record, dict) else None
+        raise TornRecord(f"not a result record (type={kind!r})")
+    key, crc, payload = record.get("key"), record.get("crc"), record.get("payload")
     if not isinstance(key, str) or not isinstance(crc, int) or not isinstance(payload, str):
-        return None
+        raise TornRecord("malformed record fields")
+    if _crc(payload) != crc:
+        raise TornRecord("CRC mismatch")
+    return key, payload
+
+
+def _crc(payload: str) -> int:
+    return zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
+
+
+# ----------------------------------------------------------------------
+# Result codec
+# ----------------------------------------------------------------------
+def encode_result(result: ScenarioResult) -> str:
+    """Compact, deterministic JSON text of a result.
+
+    Dataclasses become objects of their fields (in declaration order),
+    str-keyed dicts objects, other dicts lists of ``[key, value]``
+    pairs, tuples lists.  Dict order is kept, since what sums over a
+    result's dicts depends on it.  Values typed ``object`` must be
+    JSON-native.
+    """
+    return json.dumps(_to_json(result), separators=(",", ":"))
+
+
+def decode_result(payload: str) -> ScenarioResult:
+    """Inverse of :func:`encode_result`, guided by the declared field types.
+
+    The payload comes from outside the program: anything but exactly
+    the declared fields with the declared types raises
+    :class:`TornRecord`, and nothing but the declared dataclasses is
+    ever built.
+    """
     try:
-        blob = base64.b64decode(payload.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError):
-        return None
-    if zlib.crc32(blob) & 0xFFFFFFFF != crc:
-        return None
-    try:
-        result = pickle.loads(blob)
-    except Exception:  # noqa: BLE001 - any unpickling failure is a torn record
-        return None
-    if not isinstance(result, ScenarioResult):
-        return None
-    return key, result
+        return _from_json(ScenarioResult, json.loads(payload))
+    except Exception as exc:  # noqa: BLE001 - untrusted input fails arbitrarily
+        raise TornRecord(f"payload is not a ScenarioResult ({exc})") from None
+
+
+def _to_json(value: Any) -> Any:
+    if isinstance(value, (str, int, float)) or value is None:
+        return value
+    if isinstance(value, dict):
+        if all(isinstance(key, str) for key in value):
+            return {key: _to_json(item) for key, item in value.items()}
+        return [[_to_json(key), _to_json(item)] for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_to_json(item) for item in value]
+    return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+
+
+#: What a JSON leaf may be per declared scalar type (never a bool for
+#: a number; a float field may hold an int).
+_SCALARS = {int: int, float: (int, float), str: str, bool: bool}
+
+
+@functools.lru_cache(maxsize=None)
+def _shape(tp: Any) -> Tuple[Any, Any]:
+    """``(origin, args)`` of a declared type; a dataclass's args are its
+    ``{field: type}``."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return dataclasses, {f.name: hints[f.name] for f in dataclasses.fields(tp)}
+    return typing.get_origin(tp), typing.get_args(tp)
+
+
+def _from_json(tp: Any, value: Any) -> Any:
+    accepted = _SCALARS.get(tp)
+    if accepted is not None:
+        _expect(isinstance(value, accepted) and (tp is bool or not isinstance(value, bool)), tp, value)
+        return value
+    if tp is object:
+        return value
+    origin, args = _shape(tp)
+    if origin is dataclasses:
+        if not isinstance(value, dict) or value.keys() != args.keys():
+            raise TornRecord(f"fields of {tp.__name__} do not match")
+        return tp(**{name: _from_json(args[name], value[name]) for name in args})
+    if origin is Union:
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return _from_json(inner, value)
+    if origin is dict:
+        key_type, item_type = args
+        _expect(isinstance(value, (dict, list)), tp, value)
+        pairs = value.items() if isinstance(value, dict) else value
+        return {_from_json(key_type, key): _from_json(item_type, item) for key, item in pairs}
+    _expect(isinstance(value, list), tp, value)
+    if origin is list:
+        return [_from_json(args[0], item) for item in value]
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_from_json(args[0], item) for item in value)
+        _expect(len(value) == len(args), tp, value)
+        return tuple(_from_json(arg, item) for arg, item in zip(args, value))
+    raise TornRecord(f"no decoding for declared type {tp}")
+
+
+def _expect(ok: bool, tp: Any, value: Any) -> None:
+    if not ok:
+        raise TornRecord(f"expected {tp}, found {type(value).__name__}")
 
 
 # ----------------------------------------------------------------------
@@ -536,8 +646,8 @@ class CheckpointManager:
     """One campaign's durable state: journal + ``campaign.state.json``.
 
     The manager is what gets threaded through the harness:
-    :class:`~repro.experiments.parallel.Executor` calls :meth:`lookup`
-    before dispatching a unit and :meth:`record` the moment one
+    :class:`~repro.experiments.parallel.Executor` looks each unit up in
+    :attr:`journal` before dispatching it and appends it the moment it
     completes; campaign drivers call :meth:`write_state` on completion
     and on drain.  ``meta`` describes the campaign (command + config);
     its digest gates resume compatibility (see :class:`ScenarioJournal`).
@@ -562,22 +672,10 @@ class CheckpointManager:
                 self.journal.replayed, self.journal.torn,
             )
 
-    # -- passthrough hot path ------------------------------------------
-    @property
-    def digest(self) -> str:
-        return self.journal.digest
-
+    # -- accessors -----------------------------------------------------
     @property
     def state_path(self) -> Path:
         return self.directory / self.STATE_FILENAME
-
-    def lookup(self, key: str) -> Optional[ScenarioResult]:
-        """The journaled result for a scenario hash, or ``None``."""
-        return self.journal.get(key)
-
-    def record(self, key: str, result: ScenarioResult) -> None:
-        """Durably journal one completed result before it is consumed."""
-        self.journal.append(key, result)
 
     def counters(self) -> Dict[str, int]:
         return {
@@ -606,7 +704,7 @@ class CheckpointManager:
             "pending": int(pending),
             "failed": [_failure_to_dict(failure) for failure in failures],
             "journal": self.counters(),
-            "config_digest": self.digest,
+            "config_digest": self.journal.digest,
             "code_version": __version__,
             "meta": self.meta,
         }

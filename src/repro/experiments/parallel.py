@@ -1,4 +1,4 @@
-"""Parallel scenario execution: executor, result cache, progress.
+"""Parallel scenario execution: executor, result store, progress.
 
 Every paper artifact is a pile of independent ``run_scenario`` calls —
 the comparison protocol (identical traffic/PV per policy) is enforced
@@ -12,9 +12,11 @@ This module exploits that:
   process (at most ``max_workers`` live) or in-process, with results
   bit-identical either way (determinism is a property of the work
   units, not of scheduling; verified by ``tests/test_parallel.py``).
-* :class:`ResultCache` is an on-disk cache keyed by a stable hash of
-  the scenario parameters, the iteration and a schema/code version, so
-  repeated campaigns and benchmarks skip already-computed scenarios.
+* ``Executor(cache=dir)`` keeps results in a
+  :class:`~repro.experiments.checkpoint.ScenarioJournal` store keyed by
+  :func:`cache_key`, a stable hash of the scenario parameters, the
+  iteration and a schema/code version, so repeated campaigns and
+  benchmarks skip already-computed scenarios.
 * :class:`ExecutorStats` accumulates per-scenario timing (scenarios
   completed, wall seconds, serial-time estimate and the implied
   speedup) so long campaign runs are observable.
@@ -39,7 +41,6 @@ import pickle
 import queue as queue_module
 import random
 import signal
-import tempfile
 import threading
 import time
 import traceback as traceback_module
@@ -50,7 +51,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.version import __version__
 from repro.telemetry.log import current_log_level, setup_worker_logging
 from repro.telemetry.metrics import MetricsRegistry
-from repro.experiments.checkpoint import CampaignInterrupted, CheckpointManager
+from repro.experiments.checkpoint import (
+    CampaignInterrupted,
+    CheckpointManager,
+    ScenarioJournal,
+)
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.governor import (
     BUDGET_KINDS,
@@ -236,117 +241,6 @@ def cache_key(scenario: ScenarioConfig, iteration: int) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class ResultCache:
-    """On-disk :class:`ScenarioResult` cache (one pickle per work unit).
-
-    Writes are atomic (temp file + ``os.replace``) so a killed run never
-    leaves a truncated entry; unreadable entries are treated as misses
-    *and counted* (``corrupt_entries``) so cache rot stays visible — a
-    plain miss (no file) is not corruption and is not counted.
-    """
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        if self.root.exists() and not self.root.is_dir():
-            raise NotADirectoryError(
-                f"cache path exists and is not a directory: {self.root}"
-            )
-        self.root.mkdir(parents=True, exist_ok=True)
-        #: Entries that existed on disk but could not be loaded (or held
-        #: the wrong type): truncated pickles, permission errors, stale
-        #: class layouts.  Served as misses, surfaced by the Executor.
-        self.corrupt_entries = 0
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
-
-    def get(self, scenario: ScenarioConfig, iteration: int) -> Optional[ScenarioResult]:
-        """Return the cached result for a unit, or ``None`` on a miss."""
-        path = self._path(cache_key(scenario, iteration))
-        try:
-            with open(path, "rb") as fh:
-                result = pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
-            self.corrupt_entries += 1
-            return None
-        if not isinstance(result, ScenarioResult):
-            self.corrupt_entries += 1
-            return None
-        return result
-
-    def put(self, scenario: ScenarioConfig, iteration: int, result: ScenarioResult) -> None:
-        """Store one computed result (atomic + fsync, last-writer-wins)."""
-        path = self._path(cache_key(scenario, iteration))
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def verify(self) -> "CacheVerifyReport":
-        """Scan every entry, loading each one, and report the rot.
-
-        Covers what :meth:`get` would hit lazily — truncated pickles
-        (partial writes that predate fsync), wrong payload types,
-        unreadable files — plus leftover ``*.tmp`` files from writers
-        that died before their rename.
-        """
-        total = ok = 0
-        corrupt: List[str] = []
-        for path in sorted(self.root.glob("*.pkl")):
-            total += 1
-            try:
-                with open(path, "rb") as fh:
-                    entry = pickle.load(fh)
-            except Exception:  # noqa: BLE001 - arbitrary bytes fail arbitrarily
-                corrupt.append(path.name)
-                continue
-            if isinstance(entry, ScenarioResult):
-                ok += 1
-            else:
-                corrupt.append(path.name)
-        orphans = sorted(path.name for path in self.root.glob("*.tmp"))
-        return CacheVerifyReport(
-            root=self.root, total=total, ok=ok, corrupt=corrupt, orphan_tmp=orphans
-        )
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.pkl"))
-
-
-@dataclasses.dataclass
-class CacheVerifyReport:
-    """Outcome of :meth:`ResultCache.verify` (the ``cache verify`` CLI)."""
-
-    root: Path
-    total: int
-    ok: int
-    corrupt: List[str]
-    orphan_tmp: List[str]
-
-    @property
-    def clean(self) -> bool:
-        return not self.corrupt and not self.orphan_tmp
-
-    def summary(self) -> str:
-        line = f"{self.root}: {self.ok}/{self.total} entries loadable"
-        if self.corrupt:
-            line += f", {len(self.corrupt)} corrupt"
-        if self.orphan_tmp:
-            line += f", {len(self.orphan_tmp)} orphaned tmp file(s)"
-        return line
-
-
 @dataclasses.dataclass
 class ExecutorStats:
     """Accumulated execution accounting across ``Executor.map`` calls."""
@@ -363,8 +257,8 @@ class ExecutorStats:
     failures: int = 0
     retries: int = 0
     timeouts: int = 0
-    #: Corrupt cache entries served as misses (mirrors the cache's own
-    #: counter so one summary line covers everything).
+    #: Torn records in the ``cache`` store, served as misses (mirrors
+    #: the store's own ``torn`` count so one summary line covers it).
     cache_corrupt: int = 0
     #: Units served from the write-ahead scenario journal (resume hits).
     journal_hits: int = 0
@@ -404,8 +298,9 @@ class Executor:
         Attempts allowed to run at once, each in its own child process.
         ``None``/``0`` auto-detects (``os.cpu_count``).
     cache:
-        Optional :class:`ResultCache` (or a path, which constructs one).
-        Hits skip simulation entirely; fresh results are stored back.
+        Optional result store: a directory (opened with
+        :meth:`~repro.experiments.checkpoint.ScenarioJournal.store`) or an
+        open journal.  Hits skip simulation; fresh results are appended.
     progress:
         Optional callable receiving one human-readable line per
         completed scenario (``[3/12] 4core-inj0.10 policy=... 0.42s``).
@@ -442,7 +337,9 @@ class Executor:
         Optional :class:`~repro.experiments.checkpoint.CheckpointManager`.
         Every completed unit is journaled (write-ahead, fsync'd) the
         moment it finishes, and units already in the journal are served
-        from it without re-running — the resume path.
+        from it without re-running — the resume path.  A unit served
+        from either ``checkpoint`` or ``cache`` is appended to the
+        other, so each store ends up holding every unit of the run.
     distributed:
         Optional
         :class:`~repro.experiments.distributed.protocol.DistributedSpec`.
@@ -485,7 +382,7 @@ class Executor:
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        cache: Optional[Union[ResultCache, str, Path]] = None,
+        cache: Optional[Union[ScenarioJournal, str, Path]] = None,
         progress: Optional[Callable[[str], None]] = None,
         timeout: Optional[float] = None,
         retries: int = 0,
@@ -510,8 +407,8 @@ class Executor:
         if retry_backoff < 0:
             raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
         self.max_workers = max_workers
-        if cache is not None and not isinstance(cache, ResultCache):
-            cache = ResultCache(cache)
+        if cache is not None and not isinstance(cache, ScenarioJournal):
+            cache = ScenarioJournal.store(cache)
         self.cache = cache
         self.progress = progress
         self.timeout = timeout
@@ -525,6 +422,10 @@ class Executor:
         )
         self.log_level = log_level if log_level is not None else current_log_level()
         self.checkpoint = checkpoint
+        #: Every store a unit is looked up in (in this order) and
+        #: appended to.
+        journal = None if checkpoint is None else checkpoint.journal
+        self._stores = [store for store in (journal, cache) if store is not None]
         if governor is not None and not isinstance(governor, ScenarioGovernor):
             governor = ScenarioGovernor(governor)
         self.governor = governor
@@ -537,7 +438,6 @@ class Executor:
         #: (what campaign.state.json surfaces as the failed-unit list).
         self.failure_records: List[ScenarioFailure] = []
         self._drain = threading.Event()
-        self._warned_corrupt = False
         if checkpoint is not None and self.metrics is not None:
             self.metrics.inc("checkpoint.journal_replayed", checkpoint.journal.replayed)
             self.metrics.inc("checkpoint.journal_torn", checkpoint.journal.torn)
@@ -633,7 +533,13 @@ class Executor:
                 self._report(index, unit, known, cached=True)
             else:
                 pending.append(index)
-        self._sync_cache_corruption()
+        if self.cache is not None and self.cache.torn > self.stats.cache_corrupt:
+            if not self.stats.cache_corrupt:
+                self._report_line(
+                    f"warning: {self.cache.torn} corrupt result-store records "
+                    f"in {self.cache.path} were treated as misses"
+                )
+            self.stats.cache_corrupt = self.cache.torn
 
         if pending and self.distributed is not None:
             self._map_distributed(units, pending, results)
@@ -651,17 +557,18 @@ class Executor:
         return results, errors  # type: ignore[return-value]  # every slot is filled
 
     def _lookup(self, unit: WorkUnit) -> Optional[ScenarioResult]:
-        """Serve a unit from the journal (resume) or the result cache."""
-        scenario, iteration = unit
-        if self.checkpoint is not None:
-            hit = self.checkpoint.lookup(cache_key(scenario, iteration))
+        """Serve a unit from the first store that holds it."""
+        if not self._stores:
+            return None
+        key = cache_key(*unit)
+        for store in self._stores:
+            hit = store.get(key)
             if hit is not None:
-                self.stats.journal_hits += 1
-                return hit
-        if self.cache is not None:
-            hit = self.cache.get(scenario, iteration)
-            if hit is not None:
-                self.stats.cache_hits += 1
+                if store is self.cache:
+                    self.stats.cache_hits += 1
+                else:
+                    self.stats.journal_hits += 1
+                self._store(key, hit)
                 return hit
         return None
 
@@ -896,12 +803,11 @@ class Executor:
     def _commit_remote(self, key: str, result: ScenarioResult) -> None:
         """Durably journal a remote completion before it is acked.
 
-        Runs on coordinator handler threads; the lock serializes journal
-        appends (the write-ahead property then extends across hosts: a
-        worker's completion is acked only once it is fsync'd here).
+        Runs on coordinator handler threads (the write-ahead property
+        then extends across hosts: a worker's completion is acked only
+        once it is fsync'd here).
         """
-        with self._commit_lock:
-            self._journal(key, result)
+        self._store(key, result)
 
     def _map_distributed(
         self,
@@ -974,12 +880,14 @@ class Executor:
             raise CampaignInterrupted(len(outstanding))
 
     def close(self) -> None:
-        """Stop the embedded coordinator and its local workers (no-op
-        for non-distributed executors; safe to call repeatedly)."""
+        """Stop the embedded coordinator and its local workers, and close
+        the ``cache`` store (safe to call repeatedly)."""
         if self._server is not None:
             self._distributed_summary = self._server.summary()
             self._server.close()
             self._server = None
+        if self.cache is not None:
+            self.cache.close()
 
     def _note_breach(
         self, unit: WorkUnit, kind: str, elapsed: float
@@ -1013,17 +921,6 @@ class Executor:
         self.failure_records.append(failure)
         self._report_line(f"[{index + 1}/{self.stats.units_total}] FAILED {failure}")
 
-    def _sync_cache_corruption(self) -> None:
-        if self.cache is None or self.cache.corrupt_entries <= self.stats.cache_corrupt:
-            return
-        self.stats.cache_corrupt = self.cache.corrupt_entries
-        if not self._warned_corrupt:
-            self._warned_corrupt = True
-            self._report_line(
-                f"warning: {self.cache.corrupt_entries} corrupt result-cache "
-                f"entries under {self.cache.root} were treated as misses"
-            )
-
     # -- bookkeeping ---------------------------------------------------
     def _finish(
         self,
@@ -1038,18 +935,23 @@ class Executor:
             self.metrics.observe("scenario.build_seconds", result.build_seconds)
             self.metrics.observe("scenario.sim_seconds", result.sim_seconds)
             self.metrics.observe("scenario.wall_seconds", result.wall_seconds)
-        if self.cache is not None:
-            self.cache.put(unit[0], unit[1], result)
         # Write-ahead: the result is durable (fsync'd journal record)
         # before the campaign consumes it.
-        self._journal(cache_key(unit[0], unit[1]), result)
+        if self._stores:
+            self._store(cache_key(*unit), result)
         self._report(index, unit, result, cached=False)
 
-    def _journal(self, key: str, result: ScenarioResult) -> None:
-        if self.checkpoint is not None:
-            self.checkpoint.record(key, result)
-            if self.metrics is not None:
-                self.metrics.inc("checkpoint.journal_appends")
+    def _store(self, key: str, result: ScenarioResult) -> None:
+        """Append a result to every store that lacks it.
+
+        The lock keeps each store single-writer within this process:
+        coordinator handler threads commit remote results through here.
+        """
+        with self._commit_lock:
+            for store in self._stores:
+                wrote = store.append(key, result)
+                if wrote and store is not self.cache and self.metrics is not None:
+                    self.metrics.inc("checkpoint.journal_appends")
 
     def _report(self, index: int, unit: WorkUnit, result: ScenarioResult, cached: bool) -> None:
         if self.progress is None:

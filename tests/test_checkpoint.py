@@ -4,9 +4,9 @@ The load-bearing properties:
 
 * atomic writes — an artifact file is either the old bytes or the new
   bytes, byte-compatible with the historical ``json.dump`` format;
-* the write-ahead journal round-trips results exactly, tolerates a torn
-  tail (skip + count, never abort) and rejects corrupted payloads via
-  the per-record CRC;
+* the write-ahead journal round-trips results exactly through its JSON
+  codec, tolerates a torn tail (skip + count, never abort) and rejects
+  corrupted payloads via the per-record CRC and the declared types;
 * resume — an executor pointed at a journal serves completed units
   from it and the final artifacts are byte-identical to an
   uninterrupted run;
@@ -17,9 +17,13 @@ The load-bearing properties:
 from __future__ import annotations
 
 import base64
+import dataclasses
+import importlib
 import json
+import multiprocessing
 import pickle
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -32,17 +36,20 @@ from repro.experiments.checkpoint import (
     atomic_write_json,
     atomic_write_text,
     bound_traceback,
+    encode_result,
     verify_journal,
 )
-from repro.experiments.config import ScenarioConfig
+from repro.experiments.config import REAL_TRAFFIC, ScenarioConfig
 from repro.experiments.parallel import (
+    CACHE_SCHEMA_VERSION,
     Executor,
-    ResultCache,
     ScenarioFailure,
     cache_key,
     make_executor,
 )
 from repro.experiments.runner import run_scenario
+from repro.faults.spec import FAULT_KINDS, FaultSpec
+from repro.version import __version__
 
 FAST = dict(cycles=300, warmup=100)
 
@@ -55,6 +62,33 @@ def tiny_units(n=3):
 
 def fingerprint(result):
     return (result.duty_cycles, result.md_vc, result.net_stats, result.initial_vths)
+
+
+def mapped(units, **kwargs):
+    """``(results, stats)`` of one closed executor's map."""
+    executor = Executor(max_workers=1, **kwargs)
+    try:
+        return executor.map(units), executor.stats
+    finally:
+        executor.close()
+
+
+def payload_record(key, payload):
+    """A result record around any ``payload`` text, with a valid CRC."""
+    return json.dumps({
+        "type": "result", "key": key, "payload": payload,
+        "crc": zlib.crc32(payload.encode()) & 0xFFFFFFFF,
+    })
+
+
+def tamper_payload(line):
+    """The record with one payload digit changed and its CRC left stale."""
+    record = json.loads(line)
+    payload = record["payload"]
+    at = next(i for i, c in enumerate(payload) if c.isdigit())
+    record["payload"] = payload[:at] + str((int(payload[at]) + 1) % 10) + payload[at + 1:]
+    assert zlib.crc32(record["payload"].encode()) & 0xFFFFFFFF != record["crc"]
+    return json.dumps(record)
 
 
 # ----------------------------------------------------------------------
@@ -153,13 +187,8 @@ class TestScenarioJournal:
         journal.close()
 
         header, record_line = path.read_text().splitlines()
-        record = json.loads(record_line)
-        blob = base64.b64decode(record["payload"])
-        # Flip one payload byte: valid JSON, valid base64, stale CRC.
-        tampered = bytes([blob[0] ^ 0xFF]) + blob[1:]
-        assert zlib.crc32(tampered) & 0xFFFFFFFF != record["crc"]
-        record["payload"] = base64.b64encode(tampered).decode("ascii")
-        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        # Valid JSON, valid payload text, stale CRC.
+        path.write_text(header + "\n" + tamper_payload(record_line) + "\n")
 
         replayed = ScenarioJournal(path, meta={})
         assert replayed.torn == 1
@@ -280,7 +309,7 @@ class TestExecutorCheckpoint:
     def test_partial_journal_runs_only_missing(self, tmp_path):
         units = tiny_units(3)
         seed = CheckpointManager(tmp_path, meta={"m": 1})
-        seed.record(cache_key(*units[0]), run_scenario(*units[0]))
+        seed.journal.append(cache_key(*units[0]), run_scenario(*units[0]))
         seed.close()
 
         executor = Executor(
@@ -368,42 +397,47 @@ class TestFailureRecords:
 # Cache verify
 # ----------------------------------------------------------------------
 class TestCacheVerify:
+    """``cache verify --cache-dir`` audits the ``--cache-dir`` store,
+    which is a journal, with :func:`verify_journal`."""
+
     def _populated(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        scenario, iteration = tiny_units(1)[0]
-        cache.put(scenario, iteration, run_scenario(scenario, iteration))
-        return cache
+        store = ScenarioJournal.store(tmp_path)
+        unit = tiny_units(1)[0]
+        store.append(cache_key(*unit), run_scenario(*unit))
+        store.close()
+        return store.path
 
     def test_clean_cache(self, tmp_path):
-        report = self._populated(tmp_path).verify()
+        report = verify_journal(self._populated(tmp_path))
         assert report.total == report.ok == 1
         assert report.clean
-        assert "1/1 entries loadable" in report.summary()
+        assert "1/1 records valid" in report.summary()
 
     def test_truncated_entry_reported(self, tmp_path):
-        cache = self._populated(tmp_path)
-        victim = next(cache.root.glob("*.pkl"))
-        victim.write_bytes(victim.read_bytes()[:16])
-        report = cache.verify()
+        path = self._populated(tmp_path)
+        path.write_bytes(path.read_bytes()[:-40])
+        report = verify_journal(path)
         assert report.ok == 0
-        assert report.corrupt == [victim.name]
+        assert len(report.torn) == 1
+        assert report.torn_tail
         assert not report.clean
 
-    def test_wrong_type_and_orphan_tmp(self, tmp_path):
-        cache = self._populated(tmp_path)
-        (cache.root / "deadbeef.pkl").write_bytes(pickle.dumps({"not": "a result"}))
-        (cache.root / "leftover.tmp").write_bytes(b"partial")
-        report = cache.verify()
+    def test_wrong_type_reported(self, tmp_path):
+        path = self._populated(tmp_path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(payload_record("deadbeef", '{"not":"a result"}') + "\n")
+        report = verify_journal(path)
         assert report.ok == 1
-        assert report.corrupt == ["deadbeef.pkl"]
-        assert report.orphan_tmp == ["leftover.tmp"]
+        (torn,) = report.torn
+        assert torn.startswith("line 3:")
+        assert "fields of ScenarioResult do not match" in torn
 
     def test_cli_exit_codes(self, tmp_path):
         from repro.cli import main
 
-        cache = self._populated(tmp_path)
+        path = self._populated(tmp_path)
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
-        next(cache.root.glob("*.pkl")).write_bytes(b"garbage")
+        path.write_bytes(path.read_bytes()[:-40])
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
 
 
@@ -449,12 +483,7 @@ class TestVerifyJournal:
     def test_crc_mismatch_diagnosed(self, tmp_path):
         path = self._journal(tmp_path, records=1)
         header, record_line = path.read_text().splitlines()
-        record = json.loads(record_line)
-        blob = base64.b64decode(record["payload"])
-        record["payload"] = base64.b64encode(
-            bytes([blob[0] ^ 0xFF]) + blob[1:]
-        ).decode("ascii")
-        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        path.write_text(header + "\n" + tamper_payload(record_line) + "\n")
         report = verify_journal(path)
         assert report.ok == 0
         assert "CRC mismatch" in report.torn[0]
@@ -496,21 +525,272 @@ class TestVerifyJournal:
 
         cache_dir = tmp_path / "cache"
         ckpt_dir = tmp_path / "ckpt"
-        ckpt_dir.mkdir()
-        cache = ResultCache(cache_dir)
         unit = tiny_units(1)[0]
-        cache.put(unit[0], unit[1], run_scenario(*unit))
+        result = run_scenario(*unit)
+        store = ScenarioJournal.store(cache_dir)
+        store.append(cache_key(*unit), result)
+        store.close()
         journal = ScenarioJournal(
             ckpt_dir / "scenario.journal.jsonl", meta={"m": 1}
         )
-        journal.append(cache_key(*unit), run_scenario(*unit))
+        journal.append(cache_key(*unit), result)
         journal.close()
         args = ["cache", "verify", "--cache-dir", str(cache_dir),
                 "--checkpoint-dir", str(ckpt_dir)]
         assert main(args) == 0
         # Rot in either store fails the combined scan.
-        next(cache_dir.glob("*.pkl")).write_bytes(b"garbage")
+        store.path.write_bytes(store.path.read_bytes()[:-40])
         assert main(args) == 1
+
+
+# ----------------------------------------------------------------------
+# Result codec: exact round trips, and refusals of forged records
+# ----------------------------------------------------------------------
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+CODEC_FAULTS = {
+    "stuck-sensor": FaultSpec(
+        "stuck-sensor", stuck_vc=1, stuck_reading=0.31, vc=0, onset=50, duration=200
+    ),
+    "sensor-dropout": FaultSpec("sensor-dropout"),
+    "down-up-drop": FaultSpec("down-up-drop", rate=0.5, seed=3),
+    "down-up-delay": FaultSpec("down-up-delay", delay=4),
+    "down-up-corrupt": FaultSpec("down-up-corrupt", rate=0.25),
+    "up-down-drop": FaultSpec("up-down-drop", rate=1.0, command="gate"),
+    "stuck-gated": FaultSpec("stuck-gated", rate=0.5, vc=1, extra_wake_cycles=3),
+}
+CODEC_CASES = ("default", *CODEC_FAULTS, "traced", "benchmark-mix", "regime")
+
+
+def codec_unit(case, tmp_path):
+    base = ScenarioConfig(
+        num_nodes=4, num_vcs=2, injection_rate=0.1, sensor_sample_period=32, **FAST
+    )
+    if case in CODEC_FAULTS:
+        return base.replace(faults=(CODEC_FAULTS[case],), validate_every=50), 0
+    if case == "traced":
+        return base.traced(str(tmp_path / "trace")), 0
+    if case == "benchmark-mix":
+        return base.replace(traffic=REAL_TRAFFIC), 1
+    if case == "regime":
+        return base.replace(regime="nbti-pbti"), 0
+    return base, 0
+
+
+class TestResultCodec:
+    def test_cases_cover_every_fault_kind(self):
+        assert set(CODEC_FAULTS) == set(FAULT_KINDS)
+
+    @pytest.mark.parametrize("case", CODEC_CASES)
+    def test_round_trip_is_exact(self, case, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        scenario, iteration = codec_unit(case, tmp_path)
+        result = run_scenario(scenario, iteration)
+        key = cache_key(scenario, iteration)
+        store = ScenarioJournal.store(tmp_path / "store")
+        store.append(key, result)
+        store.close()
+
+        reopened = ScenarioJournal.store(tmp_path / "store")
+        decoded = reopened.get(key)
+        reopened.close()
+        assert decoded == result
+        # Same types and dict order, hence the same bytes and digests.
+        assert list(decoded.port_duty) == list(result.port_duty)
+        assert encode_result(decoded) == encode_result(result)
+        assert workloads.digest(decoded) == workloads.digest(result)
+
+
+def _set(*path, value):
+    def mutate(blob):
+        *parents, last = path
+        target = blob
+        for name in parents:
+            target = target[name]
+        target[last] = value
+        return blob
+
+    return mutate
+
+
+def _drop(*path):
+    def mutate(blob):
+        *parents, last = path
+        target = blob
+        for name in parents:
+            target = target[name]
+        del target[last]
+        return blob
+
+    return mutate
+
+
+#: Ways a CRC-valid payload can still be wrong, each a blob -> blob edit
+#: of a real result's JSON.
+FORGERIES = {
+    "missing-field": _drop("md_vc"),
+    "extra-field": _set("__reduce__", value="os.system"),
+    "str-for-int": _set("md_vc", value="0"),
+    "bool-for-int": _set("iteration", value=True),
+    "float-for-int": _set("violations", value=0.5),
+    "str-for-dict": _set("port_duty", value="x"),
+    "bad-pair": _set("port_duty", value=[[0, "east", [1.0]]]),
+    "bad-key-type": _set("port_duty", 0, 0, value=["0", "east"]),
+    "short-tuple-key": _set("port_duty", 0, 0, value=[0]),
+    "nested-missing-field": _drop("net_stats", "cycles"),
+    "invalid-config": _set("scenario", "cycles", value=0),
+    "unknown-fault-kind": _set(
+        "scenario", "faults",
+        value=[dict(dataclasses.asdict(FaultSpec("sensor-dropout")), kind="melted")],
+    ),
+    "not-an-object": lambda blob: [blob],
+}
+
+
+class TestForgedRecords:
+    """A record that passes the CRC is still input from outside the
+    program: a wrong shape is a torn record and a miss, never an error
+    and never anything but the declared dataclasses."""
+
+    def _forge(self, tmp_path, unit, payload):
+        store = ScenarioJournal.store(tmp_path)
+        store.close()
+        with open(store.path, "a", encoding="utf-8") as fh:
+            fh.write(payload_record(cache_key(*unit), payload) + "\n")
+        return store.path
+
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    def test_wrong_shape_is_a_counted_miss(self, forgery, tmp_path):
+        unit = tiny_units(1)[0]
+        result = run_scenario(*unit)
+        blob = FORGERIES[forgery](json.loads(encode_result(result)))
+        path = self._forge(tmp_path, unit, json.dumps(blob))
+
+        store = ScenarioJournal.store(tmp_path)
+        assert (store.replayed, store.torn) == (1, 0)  # the CRC holds
+        assert store.get(cache_key(*unit)) is None
+        assert (store.replayed, store.torn) == (0, 1)
+        store.close()
+        (torn,) = verify_journal(path).torn
+
+        # An executor recomputes the unit, counts the record once, and
+        # appends a good record that the next run is served from.
+        (fresh,), stats = mapped([unit], cache=tmp_path)
+        assert fingerprint(fresh) == fingerprint(result)
+        assert (stats.cache_hits, stats.cache_corrupt) == (0, 1)
+        again, stats = mapped([unit], cache=tmp_path)
+        assert (stats.cache_hits, again) == (1, [fresh])
+
+    def test_payload_that_is_not_json(self, tmp_path):
+        unit = tiny_units(1)[0]
+        path = self._forge(tmp_path, unit, "{not json")
+        store = ScenarioJournal.store(tmp_path)
+        assert store.get(cache_key(*unit)) is None
+        assert store.torn == 1
+        store.close()
+        (torn,) = verify_journal(path).torn
+        assert "not a ScenarioResult" in torn
+
+
+# ----------------------------------------------------------------------
+# One store type: the --cache-dir store and the checkpoint journal
+# ----------------------------------------------------------------------
+def _share_store(cache_dir, units, barrier):
+    executor = Executor(max_workers=1, cache=cache_dir)
+    # Both processes hold the store open before either appends.
+    barrier.wait(timeout=60)
+    executor.map(units)
+    executor.close()
+
+
+class TestResultStore:
+    def test_hit_from_either_store_lands_in_the_other(self, tmp_path):
+        units = tiny_units(3)
+        mapped(units, cache=tmp_path / "cache")
+
+        def checkpoint():
+            return CheckpointManager(tmp_path / "ckpt", meta={"m": 1})
+
+        manager = checkpoint()
+        served, stats = mapped(units, cache=tmp_path / "cache", checkpoint=manager)
+        manager.write_state("complete")
+        manager.close()
+        assert stats.cache_hits == 3
+        state = json.loads((tmp_path / "ckpt" / "campaign.state.json").read_text())
+        assert state["done"] == 3
+
+        # A resume without the cache is served from the journal...
+        manager = checkpoint()
+        resumed, stats = mapped(units, checkpoint=manager)
+        manager.close()
+        assert (stats.journal_hits, resumed) == (3, served)
+        # ...and journal hits fill an empty cache.
+        manager = checkpoint()
+        mapped(units, checkpoint=manager, cache=tmp_path / "fresh-cache")
+        manager.close()
+        cached, stats = mapped(units, cache=tmp_path / "fresh-cache")
+        assert (stats.cache_hits, cached) == (3, served)
+
+    def test_two_processes_share_one_store(self, tmp_path):
+        units = tiny_units(4)
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        writers = [
+            ctx.Process(target=_share_store, args=(tmp_path, units[i::2], barrier))
+            for i in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+            assert writer.exitcode == 0
+        _, stats = mapped(units, cache=tmp_path)
+        assert stats.cache_hits == len(units)
+        assert stats.cache_corrupt == 0
+        (store,) = tmp_path.glob("results-*.jsonl")
+        assert verify_journal(store).clean
+
+    def test_stale_pickle_entry_is_a_miss(self, tmp_path):
+        unit = tiny_units(1)[0]
+        (tmp_path / f"{cache_key(*unit)}.pkl").write_bytes(
+            pickle.dumps(run_scenario(*unit))
+        )
+        _, stats = mapped([unit], cache=tmp_path)
+        assert stats.cache_hits == 0
+        assert stats.cache_corrupt == 0
+
+    def test_v1_pickle_journal_refused_on_resume(self, tmp_path):
+        meta = {"command": "campaign", "config": {}}
+        unit = tiny_units(1)[0]
+        blob = pickle.dumps(run_scenario(*unit))
+        header = {
+            "type": "header", "journal_schema": 1,
+            "cache_schema": CACHE_SCHEMA_VERSION, "code_version": __version__,
+            "config_digest": "0" * 64, "meta": meta,
+        }
+        record = {
+            "type": "result", "key": cache_key(*unit),
+            "crc": zlib.crc32(blob) & 0xFFFFFFFF,
+            "payload": base64.b64encode(blob).decode("ascii"),
+        }
+        (tmp_path / ScenarioJournal.FILENAME).write_text(
+            json.dumps(header) + "\n" + json.dumps(record) + "\n"
+        )
+        assert CheckpointManager.load_meta(tmp_path) == meta
+        with pytest.raises(CheckpointError, match="journal schema 1 != 2"):
+            CheckpointManager(tmp_path, meta=meta)
+
+    def test_version_bump_opens_a_fresh_store(self, tmp_path, monkeypatch):
+        from repro.experiments import checkpoint as checkpoint_module
+
+        unit = tiny_units(1)[0]
+        mapped([unit], cache=tmp_path)
+        monkeypatch.setattr(checkpoint_module, "__version__", "0.0.0-next")
+        bumped = ScenarioJournal.store(tmp_path)
+        assert len(bumped) == 0
+        bumped.close()
+        assert len(list(tmp_path.glob("results-*.jsonl"))) == 2
 
 
 # ----------------------------------------------------------------------

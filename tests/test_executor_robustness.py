@@ -11,15 +11,16 @@ import time
 
 import pytest
 
+from repro.experiments.checkpoint import ScenarioJournal
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import (
     Executor,
-    ResultCache,
     RetryBackoff,
     ScenarioFailure,
     cache_key,
     make_executor,
 )
+from repro.experiments.runner import run_scenario
 
 #: Environment variable carrying the scratch path of the flaky workers
 #: (inherited by worker processes under both fork and spawn).
@@ -260,24 +261,29 @@ class TestRobustVsPlainMap:
 class TestCorruptCache:
     def test_corrupt_entries_counted_and_warned(self, tmp_path):
         unit = _tiny_unit()
-        cache = ResultCache(tmp_path)
-        key = cache_key(*unit)
-        (tmp_path / f"{key}.pkl").write_bytes(b"this is not a pickle")
+        store = ScenarioJournal.store(tmp_path)
+        store.append(cache_key(*unit), run_scenario(*unit))
+        store.close()
+        # A torn tail: the unit's record lost its last bytes.
+        store.path.write_bytes(store.path.read_bytes()[:-40])
 
         lines = []
-        executor = Executor(max_workers=1, cache=cache, progress=lines.append)
+        executor = Executor(max_workers=1, cache=tmp_path, progress=lines.append)
         (result,) = executor.map([unit])
         # Served as a miss: the scenario was recomputed...
         assert result.duty_cycles
         # ...and the corruption is visible exactly once.
         assert executor.stats.cache_corrupt == 1
         assert "1 corrupt cache entries" in executor.summary()
-        warnings = [l for l in lines if "corrupt result-cache" in l]
+        executor.map([unit])
+        executor.close()
+        warnings = [l for l in lines if "corrupt result-store" in l]
         assert len(warnings) == 1
 
     def test_plain_miss_is_not_corruption(self, tmp_path):
-        executor = Executor(max_workers=1, cache=ResultCache(tmp_path))
+        executor = Executor(max_workers=1, cache=ScenarioJournal.store(tmp_path))
         executor.map([_tiny_unit()])
+        executor.close()
         assert executor.stats.cache_corrupt == 0
         assert "corrupt" not in executor.summary()
 

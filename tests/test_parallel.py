@@ -15,11 +15,10 @@ import pickle
 import pytest
 
 from repro.experiments.campaign import CampaignConfig, run_campaign
-from repro.experiments.checkpoint import CheckpointManager
+from repro.experiments.checkpoint import CheckpointManager, ScenarioJournal
 from repro.experiments.config import REAL_TRAFFIC, ScenarioConfig
 from repro.experiments.parallel import (
     Executor,
-    ResultCache,
     ScenarioFailure,
     cache_key,
     execute_units,
@@ -131,6 +130,8 @@ class TestExecuteUnits:
 
 
 class TestResultCache:
+    """``Executor(cache=dir)``: the result store, a journal under ``dir``."""
+
     def test_second_run_hits_cache_with_identical_results(self, tmp_path):
         units = small_units()
         first = Executor(max_workers=1, cache=tmp_path / "cache").map(units)
@@ -158,18 +159,26 @@ class TestResultCache:
         )
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
         scenario = ScenarioConfig(num_nodes=4, num_vcs=2, **FAST)
-        (tmp_path / f"{cache_key(scenario, 0)}.pkl").write_bytes(b"not a pickle")
-        assert cache.get(scenario, 0) is None
+        store = ScenarioJournal.store(tmp_path)
+        store.append(cache_key(scenario, 0), run_scenario(scenario))
+        store.close()
+        store.path.write_bytes(store.path.read_bytes()[:-40])
+        reopened = ScenarioJournal.store(tmp_path)
+        assert reopened.get(cache_key(scenario, 0)) is None
+        assert reopened.torn == 1
 
     def test_put_get_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        store = ScenarioJournal.store(tmp_path)
         scenario = ScenarioConfig(num_nodes=4, num_vcs=2, **FAST)
         result = run_scenario(scenario)
-        cache.put(scenario, 0, result)
-        assert len(cache) == 1
-        assert result_fingerprint(cache.get(scenario, 0)) == result_fingerprint(result)
+        store.append(cache_key(scenario, 0), result)
+        store.close()
+        assert len(store) == 1
+        assert store.get(cache_key(scenario, 0)) == result
+        reopened = ScenarioJournal.store(tmp_path)
+        assert len(reopened) == 1
+        assert reopened.get(cache_key(scenario, 0)) == result
 
 
 def _break_process_spawn(monkeypatch):
