@@ -18,7 +18,6 @@ Examples
     repro-noc metrics --cycles 2000 --json m.json    # metrics-only telemetry
     repro-noc campaign --checkpoint-dir out/         # crash-safe campaign
     repro-noc campaign --resume out/                 # pick up where it died
-    repro-noc campaign --workers 4                   # 4 loopback lease workers
     repro-noc serve --checkpoint-dir out/            # coordinator on :8765
     repro-noc worker --connect HOST:8765             # join from another host
     repro-noc health --connect HOST:8765             # probe /healthz (overload)
@@ -52,6 +51,7 @@ with a larger ``--budget-*`` to retry the offenders).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -102,12 +102,6 @@ def _add_exec_args(
     parser.add_argument(
         "--profile", action="store_true",
         help="collect per-scenario timing distributions into the summary",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="distributed execution: spawn N loopback 'repro-noc worker' "
-        "processes and shard scenarios to them over lease-based HTTP "
-        "(survives worker crashes; results byte-identical to serial)",
     )
     parser.add_argument(
         "--port", type=int, default=serve_port, metavar="PORT",
@@ -164,17 +158,14 @@ def _add_exec_args(
 
 
 def _make_distributed(args: argparse.Namespace):
-    """DistributedSpec from --workers/--port (None = run locally)."""
-    workers = getattr(args, "workers", 0)
-    port = getattr(args, "port", None)
-    if workers == 0 and port is None:
+    """DistributedSpec from --port (None = run locally)."""
+    if getattr(args, "port", None) is None:
         return None
     from repro.experiments.distributed import DistributedSpec
 
     return DistributedSpec(
         bind=args.bind,
-        port=port if port is not None else 0,
-        local_workers=workers,
+        port=args.port,
         lease_timeout=args.lease_timeout,
         poison_threshold=getattr(args, "poison_threshold", 3),
         port_file=args.port_file,
@@ -199,12 +190,6 @@ def _make_governor(args: argparse.Namespace):
         rss_bytes=int(rss_mb * 1024 * 1024) if rss_mb is not None else None,
         scale=scale if scale is not None else 1.0,
     )
-
-
-def _close_executor(executor) -> None:
-    """Stop an executor's embedded coordinator/workers (idempotent)."""
-    if executor is not None:
-        executor.close()
 
 
 def _add_resume_arg(parser: argparse.ArgumentParser) -> None:
@@ -250,23 +235,38 @@ def _make_checkpoint(args: argparse.Namespace, config_blob):
     return None
 
 
-def _make_executor(args: argparse.Namespace, checkpoint=None):
-    """Executor from --jobs/--cache-dir (None keeps the serial path)."""
+@contextlib.contextmanager
+def _executing(args: argparse.Namespace, checkpoint):
+    """The executor of one campaign command (``None`` keeps the serial
+    path), built from the execution flags around ``checkpoint``.
+
+    The body runs with drain-on-signal handlers installed; the executor
+    and ``checkpoint`` are closed however it ends, and the executor's
+    summary is logged when it ends normally.
+    """
+    from repro.experiments.checkpoint import graceful_shutdown
     from repro.experiments.parallel import make_executor
 
-    executor = make_executor(
-        args.jobs,
-        cache_dir=args.cache_dir,
-        progress=log.info,
-        profile=getattr(args, "profile", False),
-        checkpoint=checkpoint,
-        distributed=_make_distributed(args),
-        governor=_make_governor(args),
-    )
-    return executor
-
-
-def _print_exec_summary(executor) -> None:
+    executor = None
+    try:
+        executor = make_executor(
+            args.jobs,
+            cache_dir=args.cache_dir,
+            progress=log.info,
+            timeout=getattr(args, "timeout", None),
+            retries=getattr(args, "retries", 0),
+            profile=args.profile,
+            checkpoint=checkpoint,
+            distributed=_make_distributed(args),
+            governor=_make_governor(args),
+        )
+        with graceful_shutdown(executor, notify=log.warning):
+            yield executor
+    finally:
+        if executor is not None:
+            executor.close()
+        if checkpoint is not None:
+            checkpoint.close()
     if executor is not None:
         log.info(executor.summary())
 
@@ -398,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pworker = sub.add_parser(
         "worker",
-        help="lease scenarios from a coordinator ('serve' or --port/--workers "
-        "run) until it shuts down",
+        help="lease scenarios from a coordinator ('serve' or a --port run) "
+        "until it shuts down",
     )
     pworker.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
@@ -724,7 +724,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command in ("table2", "table3"):
-        from repro.experiments.checkpoint import graceful_shutdown
         from repro.experiments.tables import run_synthetic_table
 
         num_vcs = 4 if args.command == "table2" else 2
@@ -734,24 +733,16 @@ def _dispatch(args: argparse.Namespace) -> int:
              "warmup": args.warmup, "seed": args.seed,
              "regime": args.regime},
         )
-        executor = _make_executor(args, checkpoint=checkpoint)
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                table = run_synthetic_table(
-                    num_vcs=num_vcs, cycles=args.cycles, warmup=args.warmup,
-                    seed=args.seed, executor=executor,
-                    scenario_kwargs={"regime": args.regime},
-                )
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        emit(table.format())
-        _print_exec_summary(executor)
+        with _executing(args, checkpoint) as executor:
+            table = run_synthetic_table(
+                num_vcs=num_vcs, cycles=args.cycles, warmup=args.warmup,
+                seed=args.seed, executor=executor,
+                scenario_kwargs={"regime": args.regime},
+            )
+            emit(table.format())
         return 0
 
     if args.command == "table4":
-        from repro.experiments.checkpoint import graceful_shutdown
         from repro.experiments.tables import run_real_table
 
         checkpoint = _make_checkpoint(
@@ -760,23 +751,16 @@ def _dispatch(args: argparse.Namespace) -> int:
              "warmup": args.warmup, "seed": args.seed,
              "regime": args.regime},
         )
-        executor = _make_executor(args, checkpoint=checkpoint)
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                table = run_real_table(
-                    iterations=args.iterations,
-                    cycles=args.cycles,
-                    warmup=args.warmup,
-                    seed=args.seed,
-                    executor=executor,
-                    scenario_kwargs={"regime": args.regime},
-                )
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        emit(table.format())
-        _print_exec_summary(executor)
+        with _executing(args, checkpoint) as executor:
+            table = run_real_table(
+                iterations=args.iterations,
+                cycles=args.cycles,
+                warmup=args.warmup,
+                seed=args.seed,
+                executor=executor,
+                scenario_kwargs={"regime": args.regime},
+            )
+            emit(table.format())
         return 0
 
     if args.command == "area":
@@ -816,7 +800,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         import dataclasses
 
         from repro.experiments.campaign import CampaignConfig, run_campaign
-        from repro.experiments.checkpoint import graceful_shutdown
 
         config = CampaignConfig(
             cycles=args.cycles,
@@ -830,27 +813,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.resume is not None:
             # The journal header is the source of truth on resume.
             config = CampaignConfig(**checkpoint.meta["config"])
-        executor = _make_executor(args, checkpoint=checkpoint)
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                result = run_campaign(
-                    config, report_path=args.out, json_dir=args.json_dir,
-                    executor=executor, checkpoint=checkpoint,
-                )
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        emit(result.to_markdown())
-        emit(f"report written to {args.out} ({result.wall_seconds:.0f}s)")
-        _print_exec_summary(executor)
+        with _executing(args, checkpoint) as executor:
+            result = run_campaign(
+                config, report_path=args.out, json_dir=args.json_dir,
+                executor=executor, checkpoint=checkpoint,
+            )
+            emit(result.to_markdown())
+            emit(f"report written to {args.out} ({result.wall_seconds:.0f}s)")
         return 0
 
     if args.command == "sweep":
         from repro.experiments.config import ScenarioConfig
         from repro.experiments.sweeps import run_injection_sweep
-
-        from repro.experiments.checkpoint import graceful_shutdown
 
         rates = [float(r) for r in args.rates.split(",") if r]
         policies = [p for p in args.policies.split(",") if p]
@@ -866,21 +840,14 @@ def _dispatch(args: argparse.Namespace) -> int:
              "warmup": args.warmup, "seed": args.seed,
              "regime": args.regime},
         )
-        executor = _make_executor(args, checkpoint=checkpoint)
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                sweep = run_injection_sweep(
-                    rates, policies=policies, base=base, executor=executor
-                )
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        emit(sweep.format())
-        if args.csv:
-            sweep.to_csv(args.csv)
-            emit(f"\nwrote {args.csv}")
-        _print_exec_summary(executor)
+        with _executing(args, checkpoint) as executor:
+            sweep = run_injection_sweep(
+                rates, policies=policies, base=base, executor=executor
+            )
+            emit(sweep.format())
+            if args.csv:
+                sweep.to_csv(args.csv)
+                emit(f"\nwrote {args.csv}")
         return 0
 
     if args.command == "power":
@@ -907,8 +874,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "fault-campaign":
         import dataclasses
 
-        from repro.experiments.checkpoint import atomic_write_text, graceful_shutdown
-        from repro.experiments.parallel import make_executor
+        from repro.experiments.checkpoint import atomic_write_text
         from repro.faults.campaign import FaultCampaignConfig, run_fault_campaign
 
         if args.regime != "fresh":
@@ -938,34 +904,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         checkpoint = _make_checkpoint(args, dataclasses.asdict(config))
         if args.resume is not None:
             config = FaultCampaignConfig(**checkpoint.meta["config"])
-        executor = make_executor(
-            args.jobs,
-            cache_dir=args.cache_dir,
-            timeout=args.timeout,
-            retries=args.retries,
-            progress=log.info,
-            profile=args.profile,
-            checkpoint=checkpoint,
-            distributed=_make_distributed(args),
-            governor=_make_governor(args),
-        )
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                report = run_fault_campaign(
-                    config, executor=executor, checkpoint=checkpoint
-                )
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        emit(report.to_markdown())
-        if args.out:
-            atomic_write_text(args.out, report.to_markdown())
-            log.info("report written to %s", args.out)
-        if args.json:
-            atomic_write_text(args.json, report.to_json())
-            log.info("JSON written to %s", args.json)
-        _print_exec_summary(executor)
+        with _executing(args, checkpoint) as executor:
+            report = run_fault_campaign(
+                config, executor=executor, checkpoint=checkpoint
+            )
+            emit(report.to_markdown())
+            if args.out:
+                atomic_write_text(args.out, report.to_markdown())
+                log.info("report written to %s", args.out)
+            if args.json:
+                atomic_write_text(args.json, report.to_json())
+                log.info("JSON written to %s", args.json)
         failed = sum(1 for row in report.rows if row.failure is not None)
         return 1 if failed == len(report.rows) else 0
 
@@ -1114,37 +1063,26 @@ def _dispatch_dse(args: argparse.Namespace) -> int:
 
     if args.dse_command == "screen":
         from repro.dse import run_screening
-        from repro.experiments.checkpoint import graceful_shutdown
 
         checkpoint = _make_checkpoint(args, _dse_blob(args))
-        executor = _make_executor(args, checkpoint=checkpoint)
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
-                report = run_screening(space, objectives, executor=executor)
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        emit(report.format())
-        prunable = report.prune(args.threshold)
-        if prunable:
-            emit(
-                f"prunable below {args.threshold:.2f}: {', '.join(prunable)}"
-            )
-        if args.json:
-            from repro.experiments.checkpoint import atomic_write_json
+        with _executing(args, checkpoint) as executor:
+            report = run_screening(space, objectives, executor=executor)
+            emit(report.format())
+            prunable = report.prune(args.threshold)
+            if prunable:
+                emit(
+                    f"prunable below {args.threshold:.2f}: {', '.join(prunable)}"
+                )
+            if args.json:
+                from repro.experiments.checkpoint import atomic_write_json
 
-            atomic_write_json(args.json, report.to_dict())
-            log.info("effects JSON written to %s", args.json)
-        _print_exec_summary(executor)
+                atomic_write_json(args.json, report.to_dict())
+                log.info("effects JSON written to %s", args.json)
         return 0
 
     if args.dse_command == "search":
         from repro.dse import DSEEngine, DSEResult, GAConfig
-        from repro.experiments.checkpoint import (
-            CampaignInterrupted,
-            graceful_shutdown,
-        )
+        from repro.experiments.checkpoint import CampaignInterrupted
 
         blob = _dse_blob(args)
         blob["ga"] = {
@@ -1167,40 +1105,34 @@ def _dispatch_dse(args: argparse.Namespace) -> int:
         except ValueError as exc:
             log.error("%s", exc)
             return 2
-        executor = _make_executor(args, checkpoint=checkpoint)
-        engine = DSEEngine(
-            space, objectives, config,
-            executor=executor, checkpoint=checkpoint,
-        )
-        failures = executor.failure_records if executor is not None else ()
-        try:
-            with graceful_shutdown(executor, notify=log.warning):
+        with _executing(args, checkpoint) as executor:
+            engine = DSEEngine(
+                space, objectives, config,
+                executor=executor, checkpoint=checkpoint,
+            )
+            failures = executor.failure_records if executor is not None else ()
+            try:
                 engine.run(resume=checkpoint is not None)
+            except CampaignInterrupted as exc:
+                if checkpoint is not None:
+                    checkpoint.write_state(
+                        "interrupted", pending=exc.pending, failures=failures
+                    )
+                raise
             if checkpoint is not None:
                 checkpoint.write_state("complete", failures=failures)
-        except CampaignInterrupted as exc:
-            if checkpoint is not None:
-                checkpoint.write_state(
-                    "interrupted", pending=exc.pending, failures=failures
-                )
-            raise
-        finally:
-            _close_executor(executor)
-            if checkpoint is not None:
-                checkpoint.close()
-        result = DSEResult.from_archive(
-            space, objectives, engine.archive,
-            counters=engine.counters,
-            savings=engine.evaluations_saved(),
-            surrogate_scores=engine.surrogate_scores,
-        )
-        emit(result.format())
-        result.write_json(args.out)
-        emit(f"report written to {args.out}")
-        if args.csv:
-            result.write_csv(args.csv)
-            emit(f"wrote {args.csv}")
-        _print_exec_summary(executor)
+            result = DSEResult.from_archive(
+                space, objectives, engine.archive,
+                counters=engine.counters,
+                savings=engine.evaluations_saved(),
+                surrogate_scores=engine.surrogate_scores,
+            )
+            emit(result.format())
+            result.write_json(args.out)
+            emit(f"report written to {args.out}")
+            if args.csv:
+                result.write_csv(args.csv)
+                emit(f"wrote {args.csv}")
         return 0
 
     raise AssertionError(f"unhandled dse command {args.dse_command!r}")

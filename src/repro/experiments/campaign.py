@@ -23,7 +23,7 @@ from repro.experiments.checkpoint import (
 from repro.experiments.config import ScenarioConfig, format_experimental_setup
 from repro.experiments.governor import BudgetExceeded
 from repro.nbti.regime import get_regime
-from repro.experiments.parallel import Executor
+from repro.experiments.parallel import Executor, with_checkpoint
 from repro.experiments.tables import (
     run_cooperation_gain,
     run_real_table,
@@ -167,11 +167,7 @@ def run_campaign(
         success the status is ``complete``.
     """
     config = config if config is not None else CampaignConfig()
-    if checkpoint is not None:
-        if executor is None:
-            executor = Executor(max_workers=1, checkpoint=checkpoint)
-        elif executor.checkpoint is None:
-            executor.checkpoint = checkpoint
+    executor = with_checkpoint(executor, checkpoint)
     failures = executor.failure_records if executor is not None else ()
     try:
         result = _run_campaign_body(config, report_path, json_dir, executor)

@@ -185,8 +185,9 @@ class ScenarioJournal:
     acts on it.
 
     Replay at open checks each record's CRC; results decode on lookup.
-    A line that fails either is counted in :attr:`torn` and served as a
-    miss, never fatal.  A mismatched *header* is fatal
+    A line that fails either, or holds a result whose
+    :func:`~repro.experiments.parallel.cache_key` is not its key, is
+    counted in :attr:`torn` and served as a miss, never fatal.  A mismatched *header* is fatal
     (:class:`CheckpointError`): mixing results from a different
     campaign or code version would be corruption, not robustness.
     """
@@ -319,13 +320,7 @@ class ScenarioJournal:
         already journaled (appends are idempotent per key)."""
         if key in self._index:
             return False
-        payload = encode_result(result)
-        record = {
-            "type": "result",
-            "key": key,
-            "crc": _crc(payload),
-            "payload": payload,
-        }
+        record = {"type": "result", **encode_record(key, result)}
         data = _dump_record(record).encode("utf-8")
         # One unbuffered write: with O_APPEND the record lands whole at
         # the end of the file, whatever other writers do meanwhile.
@@ -348,7 +343,7 @@ class ScenarioJournal:
                 found, payload = _read_record(fh.readline())
             if found != key:
                 raise TornRecord("record moved")
-            result = decode_result(payload)
+            result = _decode_under(key, payload)
         except (OSError, TornRecord):
             del self._index[key]
             self.replayed -= 1
@@ -420,7 +415,7 @@ def verify_journal(path: PathLike) -> JournalVerifyReport:
     version (an old journal is valid history, not rot; resume-time
     compatibility gating is :class:`ScenarioJournal`'s job).  Exit-1
     rot, by contrast, is anything replay would silently skip: torn
-    tails, CRC failures, undecodable records.
+    tails, CRC failures, undecodable or misfiled records.
 
     ``path`` may be the journal file itself (a checkpoint journal or a
     ``--cache-dir`` store) or a checkpoint directory (resolved via
@@ -463,7 +458,7 @@ def verify_journal(path: PathLike) -> JournalVerifyReport:
             continue
         total += 1
         try:
-            decode_result(_read_record(line)[1])
+            _decode_under(*_read_record(line))
         except TornRecord as exc:
             torn.append(f"line {number}: {exc}")
         else:
@@ -533,6 +528,10 @@ def _read_record(line: Union[str, bytes]) -> Tuple[str, str]:
     if not isinstance(record, dict) or record.get("type") != "result":
         kind = record.get("type") if isinstance(record, dict) else None
         raise TornRecord(f"not a result record (type={kind!r})")
+    return _record_fields(record)
+
+
+def _record_fields(record: Dict[str, Any]) -> Tuple[str, str]:
     key, crc, payload = record.get("key"), record.get("crc"), record.get("payload")
     if not isinstance(key, str) or not isinstance(crc, int) or not isinstance(payload, str):
         raise TornRecord("malformed record fields")
@@ -548,8 +547,8 @@ def _crc(payload: str) -> int:
 # ----------------------------------------------------------------------
 # Result codec
 # ----------------------------------------------------------------------
-def encode_result(result: ScenarioResult) -> str:
-    """Compact, deterministic JSON text of a result.
+def encode_result(result: Any) -> str:
+    """Compact, deterministic JSON text of a result (or a work unit).
 
     Dataclasses become objects of their fields (in declaration order),
     str-keyed dicts objects, other dicts lists of ``[key, value]``
@@ -560,8 +559,8 @@ def encode_result(result: ScenarioResult) -> str:
     return json.dumps(_to_json(result), separators=(",", ":"))
 
 
-def decode_result(payload: str) -> ScenarioResult:
-    """Inverse of :func:`encode_result`, guided by the declared field types.
+def decode_result(payload: str, tp: Any = ScenarioResult) -> Any:
+    """Inverse of :func:`encode_result`, guided by the declared type ``tp``.
 
     The payload comes from outside the program: anything but exactly
     the declared fields with the declared types raises
@@ -569,9 +568,42 @@ def decode_result(payload: str) -> ScenarioResult:
     ever built.
     """
     try:
-        return _from_json(ScenarioResult, json.loads(payload))
+        return _from_json(tp, json.loads(payload))
     except Exception as exc:  # noqa: BLE001 - untrusted input fails arbitrarily
-        raise TornRecord(f"payload is not a ScenarioResult ({exc})") from None
+        name = getattr(tp, "__name__", tp)
+        raise TornRecord(f"payload is not a {name} ({exc})") from None
+
+
+def encode_record(key: str, value: Any) -> Dict[str, Any]:
+    """The journal's ``key``/``crc``/``payload`` record fields of a
+    result, or of a work unit on its way to a worker."""
+    payload = encode_result(value)
+    return {"key": key, "crc": _crc(payload), "payload": payload}
+
+
+def decode_record(record: Any, tp: Any = ScenarioResult) -> Tuple[str, Any]:
+    """``(key, value)`` of an :func:`encode_record` record.
+
+    Raises :class:`TornRecord` when the record fails its CRC, does not
+    decode as ``tp``, or holds a result other than ``key``'s own.
+    """
+    if not isinstance(record, dict):
+        raise TornRecord("record is not a JSON object")
+    key, payload = _record_fields(record)
+    if tp is ScenarioResult:
+        return key, _decode_under(key, payload)
+    return key, decode_result(payload, tp)
+
+
+def _decode_under(key: str, payload: str) -> ScenarioResult:
+    """The result in ``payload`` if it is the one ``key`` names: a
+    record filed under another scenario's key is a torn record."""
+    from repro.experiments.parallel import cache_key  # parallel imports this module
+
+    result = decode_result(payload)
+    if cache_key(result.scenario, result.iteration) != key:
+        raise TornRecord("result of another scenario (key mismatch)")
+    return result
 
 
 def _to_json(value: Any) -> Any:

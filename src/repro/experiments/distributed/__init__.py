@@ -11,20 +11,21 @@ poison scenarios that fail on several distinct workers.
 Modules
 -------
 ``protocol``
-    Wire format: JSON endpoints, CRC-guarded pickle payloads,
+    Wire format: JSON endpoints carrying the scenario journal's
+    CRC-guarded JSON records,
     :class:`~repro.experiments.distributed.protocol.DistributedSpec`.
 ``lease``
     The coordinator's authoritative lease table (grant / heartbeat /
     complete / fail / expire state machine).
 ``coordinator``
-    Embedded HTTP server + durable commit pipeline + loopback worker
-    spawning; feeds the executor's event loop.
+    Embedded HTTP server + durable commit pipeline; feeds the
+    executor's event loop.
 ``worker``
     The ``repro-noc worker`` loop: lease, heartbeat, execute, report.
 
 Entry points: ``Executor(distributed=DistributedSpec(...))`` (or
-``--workers N`` / ``repro-noc serve`` on the CLI) on the coordinator
-side, ``repro-noc worker --connect HOST:PORT`` on the worker side.
+``--port`` / ``repro-noc serve`` on the CLI) on the coordinator side,
+``repro-noc worker --connect HOST:PORT`` on every worker host.
 """
 
 from repro.experiments.distributed.protocol import (  # noqa: F401

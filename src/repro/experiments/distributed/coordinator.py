@@ -3,15 +3,16 @@
 One :class:`CoordinatorServer` lives inside the campaign process (the
 ``Executor``'s distributed backend).  It owns the
 :class:`~repro.experiments.distributed.lease.LeaseTable`, serves the
-protocol endpoints on a ``ThreadingHTTPServer``, optionally spawns
-loopback ``repro-noc worker`` subprocesses, and feeds verified
-completions to the executor through a thread-safe event queue.
+protocol endpoints on a ``ThreadingHTTPServer`` for ``repro-noc
+worker`` processes, and feeds verified completions to the executor
+through a thread-safe event queue.
 
 Durability ordering on ``/complete`` (the heart of the fault-tolerance
 contract):
 
-1. decode + CRC-check the uploaded result (corrupt uploads are
-   *requeued*, never committed);
+1. CRC-check and decode the uploaded result record, and check that
+   the result is the leased scenario's own (corrupt or foreign
+   uploads are *requeued*, never committed);
 2. claim the key in the lease table (dedup point — duplicates and
    post-poison stragglers are dropped here);
 3. ``commit`` — the executor appends the result to the write-ahead
@@ -28,14 +29,10 @@ because execution is a pure function of the unit.
 from __future__ import annotations
 
 import json
-import os
 import queue
-import subprocess
-import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry.log import get_logger
@@ -46,6 +43,7 @@ from repro.experiments.governor import (
     OverloadGuard,
     process_rss_bytes,
 )
+from repro.experiments.checkpoint import TornRecord, decode_record, encode_record
 from repro.experiments.parallel import RetryBackoff
 from repro.experiments.distributed.lease import (
     COMMITTED,
@@ -55,9 +53,6 @@ from repro.experiments.distributed.lease import (
 from repro.experiments.distributed.protocol import (
     PROTOCOL_VERSION,
     DistributedSpec,
-    ProtocolError,
-    decode_payload,
-    encode_payload,
 )
 
 log = get_logger("distributed")
@@ -78,7 +73,7 @@ class CoordinatorServer:
     ----------
     spec:
         The :class:`DistributedSpec` (bind address, lease timing,
-        poison threshold, loopback worker count...).
+        poison threshold...).
     commit:
         Callable ``(key, ScenarioResult)`` invoked *before* a
         completion is acked — the executor journals there.  A raise
@@ -110,7 +105,6 @@ class CoordinatorServer:
         self.address: Tuple[str, int] = (spec.bind, spec.port)
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
-        self._local: List[subprocess.Popen] = []
         #: Admission control on /lease: shed (HTTP 503 + Retry-After)
         #: when the pending-event queue or handler concurrency is
         #: saturated, brownout (defer new grants only) at 75%.
@@ -150,31 +144,11 @@ class CoordinatorServer:
             atomic_write_text(
                 self.spec.port_file, f"{self.address[0]}:{self.address[1]}\n"
             )
-        for _ in range(self.spec.local_workers):
-            self._spawn_local_worker()
-
-    def _spawn_local_worker(self) -> None:
-        host, port = self.address
-        command = [
-            sys.executable, "-m", "repro.cli", "worker",
-            "--connect", f"{host}:{port}",
-        ]
-        # A detached session keeps a terminal ^C (whole process group)
-        # from killing workers mid-scenario; the coordinator drains and
-        # terminates them itself on close().
-        self._local.append(
-            subprocess.Popen(
-                command, env=_worker_environment(), start_new_session=True
-            )
-        )
 
     def submit(self, batch: List[Tuple[str, Tuple]]) -> None:
         """Load ``(key, WorkUnit)`` pairs into the lease table."""
-        encoded = []
-        for key, unit in batch:
-            payload, crc = encode_payload(unit)
-            encoded.append((key, payload, crc))
-        self.table.load(encoded)
+        records = [encode_record(key, unit) for key, unit in batch]
+        self.table.load([(r["key"], r["payload"], r["crc"]) for r in records])
 
     def expire_leases(self) -> None:
         """Reclaim dead-worker leases; surface any fresh poisonings."""
@@ -194,22 +168,10 @@ class CoordinatorServer:
             self.table.pause()
 
     def close(self) -> None:
-        """Shut down: workers are told/forced to stop, socket closes."""
+        """Shut down: polling workers are told to stop, socket closes."""
         self.state = SHUTDOWN
         self.table.pause()
         self._grace_period()
-        for proc in self._local:
-            if proc.poll() is None:
-                proc.terminate()
-        deadline = time.monotonic() + 5.0
-        for proc in self._local:
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-        self._local.clear()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -350,7 +312,7 @@ class CoordinatorServer:
             "status": "lease",
             "lease": grant.lease_id,
             "key": grant.key,
-            "unit": payload,
+            "payload": payload,
             "crc": crc,
             "lease_timeout": self.spec.lease_timeout,
             "heartbeat": self.spec.heartbeat,
@@ -376,9 +338,10 @@ class CoordinatorServer:
                 "reason": "commit circuit open; coordinator draining",
             }
         try:
-            result = decode_payload(body.get("result", ""), body.get("crc", -1))
-        except ProtocolError as exc:
-            # Corrupt in transit: never commit, requeue for a clean run.
+            _, result = decode_record(body)
+        except TornRecord as exc:
+            # Corrupt in transit, or another scenario's result: never
+            # commit, requeue for a clean run.
             disposition = self.table.fail(
                 lease_id, key, worker,
                 {"error_type": "CorruptUpload", "message": str(exc),
@@ -510,19 +473,3 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         log.debug("%s %s", self.address_string(), format % args)
-
-
-def _worker_environment() -> Dict[str, str]:
-    """Environment for spawned loopback workers: make ``repro``
-    importable even when the coordinator itself runs from a source
-    tree that is not installed."""
-    import repro
-
-    env = dict(os.environ)
-    source_root = str(Path(repro.__file__).resolve().parent.parent)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        source_root if not existing
-        else source_root + os.pathsep + existing
-    )
-    return env

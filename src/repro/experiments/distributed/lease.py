@@ -127,7 +127,7 @@ class LeaseTable:
 
     # -- loading -------------------------------------------------------
     def load(self, batch: List[Tuple[str, str, int]]) -> None:
-        """Add ``(key, unit payload b64, crc)`` work; known keys ignored."""
+        """Add ``(key, unit payload, crc)`` work; known keys ignored."""
         with self._lock:
             for key, payload, crc in batch:
                 if key in self._items:
@@ -217,7 +217,7 @@ class LeaseTable:
                 self.counters["late_accepted"] += 1
             item.state = DONE
             item.lease = None
-            item.payload = ""  # the unit pickle is no longer needed
+            item.payload = ""  # the unit record is no longer needed
             self.counters["committed"] += 1
             return COMMITTED
 

@@ -1,30 +1,35 @@
 """Wire protocol of the distributed campaign engine.
 
 Everything on the wire is JSON over plain HTTP (stdlib only — no new
-dependencies), with simulation objects (``WorkUnit`` tuples going out,
-:class:`~repro.experiments.runner.ScenarioResult` objects coming back)
-carried as base64-encoded pickles guarded by a CRC-32 — the same
-record scheme the write-ahead :class:`ScenarioJournal` uses, so a
-completion that survives the network round-trip is byte-for-byte what
-gets journaled.
+dependencies).  Simulation objects travel as the scenario journal's
+record fields: ``key`` (the scenario hash), ``payload`` (the compact
+JSON text of the ``WorkUnit`` going out or the
+:class:`~repro.experiments.runner.ScenarioResult` coming back) and
+``crc`` (CRC-32 of the payload), encoded and decoded by
+:func:`~repro.experiments.checkpoint.encode_record` and
+:func:`~repro.experiments.checkpoint.decode_record`.  A completion's
+fields are what gets journaled, and decoding builds nothing but the
+declared dataclasses: no client can make the coordinator run code.
 
 Endpoints (all bodies are JSON objects):
 
 ======================  ================================================
 ``POST /lease``         ``{"worker": id}`` →
                         ``{"status": "lease", "lease": id, "key": hash,
-                        "unit": b64, "crc": int, "lease_timeout": s,
-                        "heartbeat": s}`` | ``{"status": "wait",
-                        "retry_after": s}`` | ``{"status": "draining",
-                        ...}`` | ``{"status": "busy", "retry_after": s}``
+                        "payload": unit JSON, "crc": int,
+                        "lease_timeout": s, "heartbeat": s}`` |
+                        ``{"status": "wait", "retry_after": s}`` |
+                        ``{"status": "draining", ...}`` |
+                        ``{"status": "busy", "retry_after": s}``
                         (HTTP 503 + ``Retry-After`` — admission control
                         shed the request) | ``{"status": "shutdown"}``
 ``POST /heartbeat``     ``{"worker": id, "lease": id}`` →
                         ``{"status": "ok" | "unknown"}`` (``unknown``
                         means the lease expired and was reassigned)
 ``POST /complete``      ``{"worker": id, "lease": id, "key": hash,
-                        "result": b64, "crc": int}`` → ``{"status":
-                        "committed" | "duplicate" | "rejected", ...}``
+                        "payload": result JSON, "crc": int}`` →
+                        ``{"status": "committed" | "duplicate" |
+                        "rejected", ...}``
 ``POST /fail``          ``{"worker": id, "lease": id, "key": hash,
                         "error_type": str, "message": str,
                         "traceback": str}`` → ``{"status": "requeued" |
@@ -38,6 +43,11 @@ Endpoints (all bodies are JSON objects):
                         ``/lease`` sheds, so probes see *why*.
 ======================  ================================================
 
+A record that fails its CRC or its typed decode, or a result that is
+not the leased scenario's own, is never committed: the coordinator
+answers ``rejected`` and requeues the scenario; a worker that cannot
+decode its lease reports it through ``/fail`` as a ``ProtocolError``.
+
 Robustness contract: a ``committed`` ack is sent only *after* the
 result is fsync'd into the scenario journal, so a worker (or the whole
 network) can die the instant after the ack without losing the work.
@@ -47,26 +57,24 @@ re-executing a unit is always safe, re-committing it is a no-op.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
-import pickle
-import zlib
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 from urllib.error import HTTPError, URLError
 from urllib.request import Request, urlopen
 
-#: Bump on incompatible wire-format changes; carried in /status and
-#: checked by workers so a mixed-version fleet fails loudly, not weirdly.
-PROTOCOL_VERSION = 1
+#: Bump on incompatible wire-format changes; reported by /status and
+#: /healthz.  Version 2 carries journal records, which a version-1
+#: peer cannot decode.
+PROTOCOL_VERSION = 2
 
 #: Default coordinator port of ``repro-noc serve`` (0 = ephemeral).
 DEFAULT_PORT = 8765
 
 
 class ProtocolError(RuntimeError):
-    """A payload failed its CRC/pickle validation or an HTTP exchange
-    returned something that is not valid protocol JSON."""
+    """An HTTP exchange returned something that is not valid protocol
+    JSON, or a lease carried a record the worker cannot decode."""
 
 
 @dataclasses.dataclass
@@ -79,10 +87,6 @@ class DistributedSpec:
         Listen address.  Port ``0`` binds an ephemeral port (the bound
         address is available via ``Executor.distributed_address()`` and
         ``port_file``).
-    local_workers:
-        ``repro-noc worker`` subprocesses to spawn against the loopback
-        address (the ``--workers N`` story); external workers can attach
-        regardless.
     lease_timeout:
         Seconds a lease stays valid without a heartbeat before the
         coordinator reassigns the scenario.
@@ -121,7 +125,6 @@ class DistributedSpec:
 
     bind: str = "127.0.0.1"
     port: int = 0
-    local_workers: int = 0
     lease_timeout: float = 60.0
     heartbeat_interval: Optional[float] = None
     poll_interval: float = 0.2
@@ -148,8 +151,6 @@ class DistributedSpec:
             raise ValueError(
                 f"poison_threshold must be >= 1, got {self.poison_threshold}"
             )
-        if self.local_workers < 0:
-            raise ValueError(f"local_workers must be >= 0, got {self.local_workers}")
         if self.heartbeat_interval is not None:
             if self.heartbeat_interval <= 0:
                 raise ValueError(
@@ -186,26 +187,6 @@ class DistributedSpec:
         if self.heartbeat_interval is not None:
             return self.heartbeat_interval
         return max(self.lease_timeout / 4.0, 0.05)
-
-
-def encode_payload(obj: Any) -> Tuple[str, int]:
-    """``(base64 pickle, crc32)`` of a simulation object."""
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return base64.b64encode(blob).decode("ascii"), zlib.crc32(blob) & 0xFFFFFFFF
-
-
-def decode_payload(payload: str, crc: int) -> Any:
-    """Inverse of :func:`encode_payload`; :class:`ProtocolError` on rot."""
-    try:
-        blob = base64.b64decode(payload.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError, AttributeError) as exc:
-        raise ProtocolError(f"payload is not valid base64: {exc}") from exc
-    if zlib.crc32(blob) & 0xFFFFFFFF != crc:
-        raise ProtocolError("payload CRC mismatch (corrupted in transit)")
-    try:
-        return pickle.loads(blob)
-    except Exception as exc:  # noqa: BLE001 - arbitrary bytes fail arbitrarily
-        raise ProtocolError(f"payload does not unpickle: {exc}") from exc
 
 
 def post_json(url: str, blob: Any, timeout: float = 30.0) -> Any:
@@ -247,8 +228,6 @@ __all__ = [
     "DEFAULT_PORT",
     "DistributedSpec",
     "ProtocolError",
-    "encode_payload",
-    "decode_payload",
     "post_json",
     "get_json",
     "URLError",

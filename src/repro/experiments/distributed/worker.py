@@ -30,13 +30,16 @@ import zlib
 from typing import Callable, Optional
 
 from repro.telemetry.log import get_logger
-from repro.experiments.checkpoint import bound_traceback
-from repro.experiments.parallel import RetryBackoff, _execute_unit
+from repro.experiments.checkpoint import (
+    TornRecord,
+    bound_traceback,
+    decode_record,
+    encode_record,
+)
+from repro.experiments.parallel import RetryBackoff, WorkUnit, _execute_unit
 from repro.experiments.distributed.protocol import (
     ProtocolError,
     URLError,
-    decode_payload,
-    encode_payload,
     post_json,
 )
 
@@ -161,8 +164,8 @@ def _serve_lease(
     lease_id = str(reply.get("lease", ""))
     key = str(reply.get("key", ""))
     try:
-        unit = decode_payload(reply.get("unit", ""), reply.get("crc", -1))
-    except ProtocolError as exc:
+        _, unit = decode_record(reply, WorkUnit)
+    except TornRecord as exc:
         _report_failure(
             base_url, worker_id, lease_id, key,
             "ProtocolError", f"lease payload corrupt: {exc}", None,
@@ -175,7 +178,8 @@ def _serve_lease(
     )
     heartbeat.start()
     try:
-        result = execute(unit)
+        # Encoding fails like the scenario would: reported, not fatal.
+        record = encode_record(key, execute(unit))
     except BaseException as exc:  # noqa: BLE001 - reported, never fatal
         import traceback as traceback_module
 
@@ -190,14 +194,10 @@ def _serve_lease(
             raise
         return
     heartbeat.stop()
-    payload, crc = encode_payload(result)
     try:
         ack = post_json(
             base_url + "/complete",
-            {
-                "worker": worker_id, "lease": lease_id, "key": key,
-                "result": payload, "crc": crc,
-            },
+            {"worker": worker_id, "lease": lease_id, **record},
             timeout=request_timeout,
         )
     except (URLError, OSError, ProtocolError) as exc:

@@ -349,8 +349,7 @@ class Executor:
         results are committed idempotently through ``checkpoint`` the
         moment they arrive, so worker crashes, partitions and
         coordinator kills compose with ``--resume``.  Call
-        :meth:`close` when done (stops the coordinator and any local
-        workers it spawned).
+        :meth:`close` when done (stops the coordinator).
     governor:
         Optional :class:`~repro.experiments.governor.ScenarioGovernor`
         (or a :class:`~repro.experiments.governor.GovernorSpec`, which
@@ -422,10 +421,6 @@ class Executor:
         )
         self.log_level = log_level if log_level is not None else current_log_level()
         self.checkpoint = checkpoint
-        #: Every store a unit is looked up in (in this order) and
-        #: appended to.
-        journal = None if checkpoint is None else checkpoint.journal
-        self._stores = [store for store in (journal, cache) if store is not None]
         if governor is not None and not isinstance(governor, ScenarioGovernor):
             governor = ScenarioGovernor(governor)
         self.governor = governor
@@ -441,6 +436,13 @@ class Executor:
         if checkpoint is not None and self.metrics is not None:
             self.metrics.inc("checkpoint.journal_replayed", checkpoint.journal.replayed)
             self.metrics.inc("checkpoint.journal_torn", checkpoint.journal.torn)
+
+    @property
+    def _stores(self) -> List[ScenarioJournal]:
+        """Every store a unit is looked up in (in this order) and
+        appended to; follows a checkpoint attached after construction."""
+        journal = None if self.checkpoint is None else self.checkpoint.journal
+        return [store for store in (journal, self.cache) if store is not None]
 
     def request_drain(self) -> None:
         """Stop dispatching new units; in-flight ones finish and are
@@ -557,11 +559,13 @@ class Executor:
         return results, errors  # type: ignore[return-value]  # every slot is filled
 
     def _lookup(self, unit: WorkUnit) -> Optional[ScenarioResult]:
-        """Serve a unit from the first store that holds it."""
-        if not self._stores:
+        """Serve a unit from the first store that holds it (a record
+        holding another scenario's result is a torn record: a miss)."""
+        stores = self._stores
+        if not stores:
             return None
         key = cache_key(*unit)
-        for store in self._stores:
+        for store in stores:
             hit = store.get(key)
             if hit is not None:
                 if store is self.cache:
@@ -788,10 +792,7 @@ class Executor:
             )
             self._server.start()
             host, port = self._server.address
-            self._report_line(
-                f"distributed coordinator serving on {host}:{port} "
-                f"({self.distributed.local_workers} local worker(s))"
-            )
+            self._report_line(f"distributed coordinator serving on {host}:{port}")
         return self._server
 
     def distributed_address(self) -> Tuple[str, int]:
@@ -880,8 +881,8 @@ class Executor:
             raise CampaignInterrupted(len(outstanding))
 
     def close(self) -> None:
-        """Stop the embedded coordinator and its local workers, and close
-        the ``cache`` store (safe to call repeatedly)."""
+        """Stop the embedded coordinator and close the ``cache`` store
+        (safe to call repeatedly)."""
         if self._server is not None:
             self._distributed_summary = self._server.summary()
             self._server.close()
@@ -1001,6 +1002,24 @@ def make_executor(
         timeout=timeout, retries=retries, profile=profile,
         checkpoint=checkpoint, distributed=distributed, governor=governor,
     )
+
+
+def with_checkpoint(
+    executor: Optional[Executor], checkpoint: Optional[CheckpointManager]
+) -> Optional[Executor]:
+    """The executor a campaign driver runs on when handed ``checkpoint``.
+
+    ``executor`` journaling through ``checkpoint`` (unless it already
+    journals through one), or a serial executor built around it when
+    ``executor`` is ``None``; without a checkpoint, ``executor`` as is.
+    """
+    if checkpoint is None:
+        return executor
+    if executor is None:
+        return Executor(max_workers=1, checkpoint=checkpoint)
+    if executor.checkpoint is None:
+        executor.checkpoint = checkpoint
+    return executor
 
 
 def execute_units(

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.experiments.checkpoint import CheckpointManager, atomic_write_text
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.parallel import Executor, execute_units
+from repro.experiments.parallel import Executor, execute_units, with_checkpoint
 from repro.experiments.report import render_table
 from repro.experiments.runner import ScenarioResult
 from repro.experiments.tables import PROPOSED_POLICY, REFERENCE_POLICY
@@ -146,11 +146,7 @@ def run_injection_sweep(
     """
     if not rates:
         raise ValueError("sweep needs at least one rate")
-    if checkpoint is not None:
-        if executor is None:
-            executor = Executor(max_workers=1, checkpoint=checkpoint)
-        elif executor.checkpoint is None:
-            executor.checkpoint = checkpoint
+    executor = with_checkpoint(executor, checkpoint)
     base = base if base is not None else ScenarioConfig()
     if scenario_kwargs:
         base = base.replace(**scenario_kwargs)

@@ -31,7 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.checkpoint import CampaignInterrupted, CheckpointManager
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.parallel import Executor, ScenarioFailure, WorkUnit
+from repro.experiments.parallel import (
+    Executor,
+    ScenarioFailure,
+    WorkUnit,
+    with_checkpoint,
+)
 from repro.experiments.runner import ScenarioResult
 from repro.faults.spec import FaultSpec
 
@@ -247,13 +252,7 @@ def run_fault_campaign(
     ``campaign.state.json`` records status ``interrupted``/``complete``
     plus any per-cell failures with full tracebacks.
     """
-    if checkpoint is not None:
-        if executor is None:
-            executor = Executor(max_workers=1, checkpoint=checkpoint)
-        elif executor.checkpoint is None:
-            executor.checkpoint = checkpoint
-    if executor is None:
-        executor = Executor(max_workers=1)
+    executor = with_checkpoint(executor, checkpoint) or Executor(max_workers=1)
     cells = campaign_cells(config)
     units: List[WorkUnit] = [
         (_cell_scenario(config, policy, kind, rate), 0)

@@ -39,6 +39,7 @@ from repro.experiments.checkpoint import (
     encode_result,
     verify_journal,
 )
+from repro.experiments.campaign import CampaignConfig, run_campaign
 from repro.experiments.config import REAL_TRAFFIC, ScenarioConfig
 from repro.experiments.parallel import (
     CACHE_SCHEMA_VERSION,
@@ -48,6 +49,8 @@ from repro.experiments.parallel import (
     make_executor,
 )
 from repro.experiments.runner import run_scenario
+from repro.experiments.sweeps import run_injection_sweep
+from repro.faults.campaign import FaultCampaignConfig, run_fault_campaign
 from repro.faults.spec import FAULT_KINDS, FaultSpec
 from repro.version import __version__
 
@@ -645,6 +648,9 @@ FORGERIES = {
         value=[dict(dataclasses.asdict(FaultSpec("sensor-dropout")), kind="melted")],
     ),
     "not-an-object": lambda blob: [blob],
+    # Well-formed results filed under another unit's key.
+    "another-policy": _set("scenario", "policy", value="sensor-wise"),
+    "another-iteration": _set("iteration", value=1),
 }
 
 
@@ -691,6 +697,54 @@ class TestForgedRecords:
         store.close()
         (torn,) = verify_journal(path).torn
         assert "not a ScenarioResult" in torn
+
+
+# ----------------------------------------------------------------------
+# Campaign drivers handed an executor and a checkpoint
+# ----------------------------------------------------------------------
+def _drive_campaign(executor, checkpoint, out):
+    config = CampaignConfig(
+        cycles=150, warmup=50, iterations=1, include_real_traffic=False
+    )
+    run_campaign(config, json_dir=out, executor=executor, checkpoint=checkpoint)
+
+
+def _drive_fault_campaign(executor, checkpoint, out):
+    config = FaultCampaignConfig(
+        kinds=("sensor-dropout",), fault_rates=(0.0, 1.0),
+        policies=("sensor-wise",), **FAST,
+    )
+    run_fault_campaign(config, executor=executor, checkpoint=checkpoint)
+
+
+def _drive_sweep(executor, checkpoint, out):
+    base = ScenarioConfig(num_nodes=4, num_vcs=2, **FAST)
+    run_injection_sweep(
+        [0.05, 0.1], base=base, executor=executor, checkpoint=checkpoint
+    )
+
+
+class TestDriversJournalThroughGivenExecutor:
+    """A checkpoint handed to a driver beside an executor built without
+    one is journaled through, and a resume is served from it."""
+
+    @pytest.mark.parametrize(
+        "drive", [_drive_campaign, _drive_fault_campaign, _drive_sweep]
+    )
+    def test_checkpoint_attached_and_resumed(self, drive, tmp_path):
+        first = Executor(max_workers=1)
+        checkpoint = CheckpointManager(tmp_path / "ckpt", meta={"m": 1})
+        drive(first, checkpoint, tmp_path / "first")
+        checkpoint.close()
+        assert first.stats.units_total > 0
+        assert len(checkpoint.journal) == checkpoint.journal.appended > 0
+
+        resumed = Executor(max_workers=1)
+        checkpoint = CheckpointManager(tmp_path / "ckpt", meta={"m": 1})
+        drive(resumed, checkpoint, tmp_path / "resumed")
+        checkpoint.close()
+        assert resumed.stats.journal_hits == first.stats.units_total
+        assert checkpoint.journal.appended == 0
 
 
 # ----------------------------------------------------------------------

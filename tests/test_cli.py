@@ -132,10 +132,20 @@ class TestGovernanceFlags:
         from repro.cli import _make_distributed
 
         spec = _make_distributed(self._args([
-            "fault-campaign", "--workers", "1", "--poison-threshold", "5",
+            "fault-campaign", "--port", "0", "--poison-threshold", "5",
         ]))
         assert spec is not None
         assert spec.poison_threshold == 5
+        assert spec.port == 0
+
+    def test_no_port_means_local_execution(self):
+        from repro.cli import _make_distributed
+
+        assert _make_distributed(self._args(["fault-campaign"])) is None
+        # Workers attach with 'repro-noc worker --connect'; the campaign
+        # spawns none itself.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "--workers", "2"])
 
 
 class TestHealthCommand:

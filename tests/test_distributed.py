@@ -5,23 +5,31 @@ Layered like the implementation:
 * ``LeaseTable`` unit tests with an injected fake clock — grant /
   heartbeat / complete / fail / expire transitions, dedup by key, late
   acceptance, poison quarantine, backoff windows;
-* wire-protocol tests — CRC-guarded payloads, spec validation;
+* wire-protocol tests — the journal's CRC-guarded JSON records for
+  units, spec validation;
 * HTTP-level tests against a live ``CoordinatorServer`` — the
   durability ordering on ``/complete`` (commit before ack, reopen on
-  commit failure), corrupt-upload rejection, lease expiry and
-  reassignment over the wire, late duplicates dropped idempotently;
+  commit failure), corrupt and foreign upload rejection, lease expiry
+  and reassignment over the wire, late duplicates dropped
+  idempotently;
 * in-process integration — a real ``Executor`` with worker threads
   running the real ``run_worker`` loop, asserting distributed results
   are identical to serial and poison scenarios surface as
   ``ScenarioFailure`` records;
-* chaos tests — subprocess coordinator + workers, one SIGKILL'd
-  mid-campaign, requiring byte-identical campaign JSON vs an
+* chaos tests — a subprocess coordinator (``--port 0``) and the
+  ``repro-noc worker --connect`` processes the test spawns, one
+  SIGKILL'd mid-campaign, requiring byte-identical campaign JSON vs an
   uninterrupted single-process run; coordinator SIGKILL + ``--resume``
   completing without re-running journaled scenarios.
+
+Every unit and result on the wire is real: one 4-node scenario is
+simulated per module and re-filed under each unit it stands in for.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 import signal
@@ -29,16 +37,17 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import pytest
 
+from repro.experiments.checkpoint import TornRecord, decode_record, encode_record
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.distributed import (
     CoordinatorServer,
     DistributedSpec,
     LeaseTable,
-    ProtocolError,
     run_worker,
 )
 from repro.experiments.distributed.lease import (
@@ -48,16 +57,12 @@ from repro.experiments.distributed.lease import (
     REQUEUED,
     UNKNOWN,
 )
-from repro.experiments.distributed.protocol import (
-    decode_payload,
-    encode_payload,
-    get_json,
-    post_json,
-)
+from repro.experiments.distributed.protocol import get_json, post_json
 from repro.experiments.parallel import (
     Executor,
     RetryBackoff,
     ScenarioFailure,
+    WorkUnit,
     _execute_unit,
     cache_key,
 )
@@ -77,6 +82,26 @@ def tiny_units(n=4):
 
 def fingerprint(result):
     return (result.duty_cycles, result.md_vc, result.net_stats, result.initial_vths)
+
+
+@functools.lru_cache(maxsize=None)
+def _simulated_result():
+    return run_scenario(*tiny_units(1)[0])
+
+
+def tiny_result(unit):
+    """A real 4-node result filed under ``unit`` (simulated once)."""
+    scenario, iteration = unit
+    return dataclasses.replace(
+        _simulated_result(), scenario=scenario, iteration=iteration
+    )
+
+
+def completion(worker, lease, unit, result=None):
+    """A ``/complete`` body: ``result`` (default: the unit's own) as a
+    journal record filed under ``unit``'s key."""
+    record = encode_record(cache_key(*unit), result or tiny_result(unit))
+    return {"worker": worker, "lease": lease, **record}
 
 
 # ----------------------------------------------------------------------
@@ -269,20 +294,28 @@ class TestLeaseTable:
 # ----------------------------------------------------------------------
 class TestProtocol:
     def test_payload_roundtrip(self):
-        obj = {"scenario": tiny_units(1)[0][0], "n": 3}
-        payload, crc = encode_payload(obj)
-        back = decode_payload(payload, crc)
-        assert back["n"] == 3
-        assert back["scenario"] == obj["scenario"]
+        unit = tiny_units(1)[0]
+        record = json.loads(json.dumps(encode_record(cache_key(*unit), unit)))
+        key, back = decode_record(record, WorkUnit)
+        assert key == cache_key(*unit)
+        assert back == unit
+        assert type(back) is tuple and type(back[0]) is ScenarioConfig
 
     def test_crc_mismatch_rejected(self):
-        payload, crc = encode_payload([1, 2, 3])
-        with pytest.raises(ProtocolError, match="CRC"):
-            decode_payload(payload, crc ^ 1)
+        unit = tiny_units(1)[0]
+        record = encode_record(cache_key(*unit), unit)
+        record["crc"] ^= 1
+        with pytest.raises(TornRecord, match="CRC"):
+            decode_record(record, WorkUnit)
 
-    def test_bad_base64_rejected(self):
-        with pytest.raises(ProtocolError, match="base64"):
-            decode_payload("!!! not base64 !!!", 0)
+    def test_bad_payload_rejected(self):
+        payload = "!!! not json !!!"
+        record = dict(encode_record("k", 0), payload=payload)
+        record["crc"] = zlib.crc32(payload.encode("utf-8"))
+        with pytest.raises(TornRecord, match="not a"):
+            decode_record(record, WorkUnit)
+        with pytest.raises(TornRecord, match="not a JSON object"):
+            decode_record("not a record", WorkUnit)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -291,8 +324,6 @@ class TestProtocol:
             DistributedSpec(poll_interval=0)
         with pytest.raises(ValueError):
             DistributedSpec(poison_threshold=0)
-        with pytest.raises(ValueError):
-            DistributedSpec(local_workers=-1)
 
     def test_heartbeat_interval_defaults_to_quarter_lease(self):
         assert DistributedSpec(lease_timeout=60.0).heartbeat == 15.0
@@ -331,80 +362,87 @@ class _LiveCoordinator:
 class TestCoordinatorHTTP:
     def test_lease_complete_commit_ordering(self):
         committed = []
+        unit = tiny_units(1)[0]
+        key, result = cache_key(*unit), tiny_result(unit)
         with _LiveCoordinator(_spec(), commit=lambda k, r: committed.append((k, r))) as live:
-            live.server.submit([("k1", ("unit", 0))])
+            live.server.submit([(key, unit)])
             reply = post_json(live.url + "/lease", {"worker": "w1"})
             assert reply["status"] == "lease"
-            assert reply["key"] == "k1"
-            assert decode_payload(reply["unit"], reply["crc"]) == ("unit", 0)
+            assert reply["key"] == key
+            assert decode_record(reply, WorkUnit) == (key, unit)
 
-            payload, crc = encode_payload({"outcome": 42})
-            ack = post_json(
-                live.url + "/complete",
-                {"worker": "w1", "lease": reply["lease"], "key": "k1",
-                 "result": payload, "crc": crc},
-            )
+            ack = post_json(live.url + "/complete", completion("w1", reply["lease"], unit))
             assert ack["status"] == "committed"
             # The durable commit ran before the ack was sent.
-            assert committed == [("k1", {"outcome": 42})]
-            kind, key, result = live.server.events.get_nowait()
-            assert (kind, key, result) == ("result", "k1", {"outcome": 42})
+            assert committed == [(key, result)]
+            kind, event_key, event_result = live.server.events.get_nowait()
+            assert (kind, event_key, event_result) == ("result", key, result)
 
     def test_late_duplicate_dropped_idempotently(self):
         committed = []
+        unit = tiny_units(1)[0]
+        key = cache_key(*unit)
         spec = _spec(lease_timeout=0.15)
         with _LiveCoordinator(spec, commit=lambda k, r: committed.append(k)) as live:
-            live.server.submit([("k1", ("unit", 0))])
+            live.server.submit([(key, unit)])
             stale = post_json(live.url + "/lease", {"worker": "w1"})
             time.sleep(0.3)  # w1 partitioned: no heartbeats
             fresh = post_json(live.url + "/lease", {"worker": "w2"})
             assert fresh["status"] == "lease"
-            assert fresh["key"] == "k1"
+            assert fresh["key"] == key
 
-            payload, crc = encode_payload("result-from-w1")
-            ack1 = post_json(
-                live.url + "/complete",
-                {"worker": "w1", "lease": stale["lease"], "key": "k1",
-                 "result": payload, "crc": crc},
-            )
+            ack1 = post_json(live.url + "/complete", completion("w1", stale["lease"], unit))
             assert ack1["status"] == "committed"  # undone: work kept
-            ack2 = post_json(
-                live.url + "/complete",
-                {"worker": "w2", "lease": fresh["lease"], "key": "k1",
-                 "result": payload, "crc": crc},
-            )
+            ack2 = post_json(live.url + "/complete", completion("w2", fresh["lease"], unit))
             assert ack2["status"] == "duplicate"
-            assert committed == ["k1"]  # exactly one durable commit
+            assert committed == [key]  # exactly one durable commit
             counters = live.server.table.snapshot()["counters"]
             assert counters["late_accepted"] == 1
             assert counters["duplicates_dropped"] == 1
 
     def test_corrupt_upload_rejected_and_requeued(self):
         committed = []
+        unit = tiny_units(1)[0]
+        key = cache_key(*unit)
         with _LiveCoordinator(_spec(), commit=lambda k, r: committed.append(k)) as live:
-            live.server.submit([("k1", ("unit", 0))])
+            live.server.submit([(key, unit)])
             lease = post_json(live.url + "/lease", {"worker": "w1"})
-            payload, crc = encode_payload("result")
-            ack = post_json(
-                live.url + "/complete",
-                {"worker": "w1", "lease": lease["lease"], "key": "k1",
-                 "result": payload, "crc": crc ^ 1},
-            )
+            body = completion("w1", lease["lease"], unit)
+            ack = post_json(live.url + "/complete", dict(body, crc=body["crc"] ^ 1))
             assert ack["status"] == "rejected"
             assert committed == []
             # The scenario went back in the queue for a clean run.
             retry = post_json(live.url + "/lease", {"worker": "w2"})
-            assert retry["status"] == "lease" and retry["key"] == "k1"
-            ack = post_json(
-                live.url + "/complete",
-                {"worker": "w2", "lease": retry["lease"], "key": "k1",
-                 "result": payload, "crc": crc},
-            )
+            assert retry["status"] == "lease" and retry["key"] == key
+            ack = post_json(live.url + "/complete", completion("w2", retry["lease"], unit))
             assert ack["status"] == "committed"
-            assert committed == ["k1"]
+            assert committed == [key]
+
+    def test_foreign_result_rejected_and_requeued(self):
+        committed = []
+        unit, other = tiny_units(2)
+        key = cache_key(*unit)
+        with _LiveCoordinator(_spec(), commit=lambda k, r: committed.append(k)) as live:
+            live.server.submit([(key, unit)])
+            lease = post_json(live.url + "/lease", {"worker": "w1"})
+            # A CRC-valid record of another unit's result, filed under
+            # the leased key: never committed, never served.
+            body = completion("w1", lease["lease"], unit, tiny_result(other))
+            ack = post_json(live.url + "/complete", body)
+            assert ack["status"] == "rejected"
+            assert "another scenario" in ack["reason"]
+            assert committed == []
+            assert live.server.events.empty()
+            retry = post_json(live.url + "/lease", {"worker": "w2"})
+            assert retry["status"] == "lease" and retry["key"] == key
+            ack = post_json(live.url + "/complete", completion("w2", retry["lease"], unit))
+            assert ack["status"] == "committed"
+            assert committed == [key]
 
     def test_commit_failure_never_acked(self):
         calls = []
+        unit = tiny_units(1)[0]
+        key = cache_key(*unit)
 
         def flaky_commit(key, result):
             calls.append(key)
@@ -412,33 +450,33 @@ class TestCoordinatorHTTP:
                 raise OSError("disk full")
 
         with _LiveCoordinator(_spec(), commit=flaky_commit) as live:
-            live.server.submit([("k1", ("unit", 0))])
+            live.server.submit([(key, unit)])
             lease = post_json(live.url + "/lease", {"worker": "w1"})
-            payload, crc = encode_payload("result")
-            body = {"worker": "w1", "lease": lease["lease"], "key": "k1",
-                    "result": payload, "crc": crc}
+            body = completion("w1", lease["lease"], unit)
             assert post_json(live.url + "/complete", body)["status"] == "rejected"
             # Reopened: a retry (same upload) commits durably this time.
             release = post_json(live.url + "/lease", {"worker": "w1"})
             body["lease"] = release["lease"]
             assert post_json(live.url + "/complete", body)["status"] == "committed"
-            assert calls == ["k1", "k1"]
+            assert calls == [key, key]
 
     def test_fail_reports_poison_after_distinct_workers(self):
+        unit = tiny_units(1)[0]
+        key = cache_key(*unit)
         with _LiveCoordinator(_spec(poison_threshold=2)) as live:
-            live.server.submit([("k1", ("unit", 0))])
+            live.server.submit([(key, unit)])
             for worker, expected in (("w1", "requeued"), ("w2", "poisoned")):
                 lease = post_json(live.url + "/lease", {"worker": worker})
                 reply = post_json(
                     live.url + "/fail",
-                    {"worker": worker, "lease": lease["lease"], "key": "k1",
+                    {"worker": worker, "lease": lease["lease"], "key": key,
                      "error_type": "ValueError", "message": "cursed",
                      "traceback": "tb"},
                 )
                 assert reply["status"] == expected
-            kind, key, error = live.server.events.get_nowait()
+            kind, event_key, error = live.server.events.get_nowait()
             assert kind == "poisoned"
-            assert key == "k1"
+            assert event_key == key
             assert error["error_type"] == "ValueError"
             assert "2 distinct worker(s)" in error["message"]
 
@@ -446,7 +484,7 @@ class TestCoordinatorHTTP:
         with _LiveCoordinator(_spec()) as live:
             post_json(live.url + "/lease", {"worker": "w1"})
             status = get_json(live.url + "/status")
-            assert status["protocol"] == 1
+            assert status["protocol"] == 2
             assert status["state"] == "serving"
             assert "w1" in status["workers"]
             assert status["table"]["total"] == 0
@@ -471,26 +509,19 @@ class TestCoordinatorHTTP:
 # ----------------------------------------------------------------------
 # In-process integration: Executor + real run_worker loops in threads
 # ----------------------------------------------------------------------
-class _FakeResult:
-    """Picklable stand-in for ScenarioResult (what _finish touches)."""
-
-    def __init__(self, payload):
-        self.payload = payload
-        self.wall_seconds = 0.0
-        self.sim_seconds = 0.0
-        self.build_seconds = 0.0
-
-
 def _echo_execute(unit):
-    scenario, iteration = unit
-    return _FakeResult(f"{scenario.policy}/{iteration}")
+    return tiny_result(unit)
 
 
 def _cursed_execute(unit):
     scenario, iteration = unit
     if scenario.policy == "rr-no-sensor":
         raise ValueError("cursed policy")
-    return _FakeResult(f"{scenario.policy}/{iteration}")
+    return tiny_result(unit)
+
+
+def _filed_under(result):
+    return (result.scenario.policy, result.iteration)
 
 
 def _worker_threads(executor, count, execute):
@@ -547,8 +578,8 @@ class TestExecutorDistributed:
             results = executor.map_robust(units)
         finally:
             _reap(executor, threads)
-        assert results[0].payload == "baseline/0"
-        assert results[2].payload == "sensor-wise/0"
+        assert _filed_under(results[0]) == ("baseline", 0)
+        assert _filed_under(results[2]) == ("sensor-wise", 0)
         failure = results[1]
         assert isinstance(failure, ScenarioFailure)
         assert failure.error_type == "ValueError"
@@ -633,7 +664,7 @@ FAULT_ARGS = [
 ]
 
 
-def _spawn(args, extra=()):
+def _spawn(args, extra=(), stderr=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
     return subprocess.Popen(
@@ -641,7 +672,7 @@ def _spawn(args, extra=()):
         env=env,
         cwd=REPO_ROOT,
         stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
     )
 
 
@@ -675,24 +706,20 @@ def _wait_for_status(url, predicate, deadline=120.0):
     raise AssertionError(f"coordinator status never satisfied predicate: {status}")
 
 
-def _worker_pids(status):
-    # Worker ids are "<hostname>-<pid>"; hostnames may contain dashes.
-    return [int(worker.rsplit("-", 1)[1]) for worker in status["workers"]]
+def _spawn_workers(address, count=2):
+    """``count`` ``repro-noc worker --connect`` processes."""
+    return [
+        _spawn(["worker", "--connect", address, "--poll", "0.2"],
+               stderr=subprocess.DEVNULL)
+        for _ in range(count)
+    ]
 
 
-def _alive(pid):
-    try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, PermissionError):
-        return False
-    return True
-
-
-def _kill_quietly(pid):
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        pass
+def _stop(procs):
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=60)
 
 
 class TestChaos:
@@ -705,26 +732,28 @@ class TestChaos:
         dist_json = tmp_path / "distributed.json"
         proc = _spawn(
             FAULT_ARGS,
-            ["--workers", "2", "--port-file", str(port_file),
+            ["--port", "0", "--port-file", str(port_file),
              "--lease-timeout", "2", "--json", str(dist_json)],
         )
-        victim = None
+        workers = []
         try:
-            url = "http://" + _read_port_file(port_file)
-            status = _wait_for_status(
-                url,
+            address = _read_port_file(port_file)
+            workers = _spawn_workers(address)
+            _wait_for_status(
+                "http://" + address,
                 lambda s: len(s["workers"]) >= 2
                 and s["table"]["states"]["leased"] >= 1,
             )
-            victim = _worker_pids(status)[0]
-            os.kill(victim, signal.SIGKILL)
+            victim = workers[0]
+            victim.send_signal(signal.SIGKILL)
             _, stderr_bytes = proc.communicate(timeout=600)
+            # The survivor saw the coordinator's "shutdown" and left.
+            assert workers[1].wait(timeout=60) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            _stop([proc, *workers])
         stderr = stderr_bytes.decode()
         assert proc.returncode == 0, stderr
-        assert not _alive(victim)
+        assert victim.returncode == -signal.SIGKILL
         assert dist_json.read_bytes() == golden.read_bytes()
 
     def test_coordinator_sigkill_then_resume_completes(self, tmp_path):
@@ -736,26 +765,22 @@ class TestChaos:
         port_file = tmp_path / "coordinator.addr"
         proc = _spawn(
             FAULT_ARGS,
-            ["--workers", "2", "--port-file", str(port_file),
+            ["--port", "0", "--port-file", str(port_file),
              "--checkpoint-dir", str(ckpt), "--json", str(tmp_path / "never.json")],
         )
-        orphans = []
+        workers = []
         try:
-            url = "http://" + _read_port_file(port_file)
-            status = _wait_for_status(
-                url,
+            address = _read_port_file(port_file)
+            workers = _spawn_workers(address)
+            _wait_for_status(
+                "http://" + address,
                 lambda s: s["table"]["states"]["done"] >= 2,
             )
-            orphans = _worker_pids(status)
             proc.kill()  # SIGKILL: no drain, no cleanup — journal only
             proc.wait(timeout=60)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-            # The coordinator never got to reap its workers; the crash
-            # takes the whole host with it in this scenario.
-            for pid in orphans:
-                _kill_quietly(pid)
+            # The crash takes the whole host with it in this scenario.
+            _stop([proc, *workers])
         assert proc.returncode == -signal.SIGKILL
         journal = ckpt / "scenario.journal.jsonl"
         committed_lines = journal.read_bytes().count(b"\n") - 1  # - header
@@ -845,8 +870,9 @@ class TestOverloadProtection:
         import urllib.error
         import urllib.request
 
+        unit = tiny_units(1)[0]
         with _LiveCoordinator(_spec(queue_limit=2)) as live:
-            live.server.submit([("k1", ("unit", 0))])
+            live.server.submit([(cache_key(*unit), unit)])
             for _ in range(2):  # results nobody folded in yet: overload
                 live.server.events.put(("noise", "", None))
             body = json.dumps({"worker": "w1"}).encode("utf-8")
@@ -872,8 +898,9 @@ class TestOverloadProtection:
             assert "1 lease(s) shed" in live.server.summary()
 
     def test_brownout_defers_new_grants(self):
+        unit = tiny_units(1)[0]
         with _LiveCoordinator(_spec(queue_limit=4)) as live:
-            live.server.submit([("k1", ("unit", 0))])
+            live.server.submit([(cache_key(*unit), unit)])
             for _ in range(3):  # 0.75 of the queue limit: brownout
                 live.server.events.put(("noise", "", None))
             reply = post_json(live.url + "/lease", {"worker": "w1"})
@@ -889,7 +916,8 @@ class TestOverloadProtection:
         spec = _spec(queue_limit=1, poll_interval=0.05)
         with _LiveCoordinator(spec) as live:
             live.server.events.put(("noise", "", None))  # saturate
-            live.server.submit([("k1", tiny_units(1)[0])])
+            unit = tiny_units(1)[0]
+            live.server.submit([(cache_key(*unit), unit)])
             host, port = live.server.address
             thread = threading.Thread(
                 target=run_worker,
@@ -921,17 +949,15 @@ class TestOverloadProtection:
         def broken_commit(key, result):
             raise OSError("disk full")
 
+        unit = tiny_units(1)[0]
         spec = _spec(commit_breaker_threshold=2)
         with _LiveCoordinator(spec, commit=broken_commit) as live:
-            live.server.submit([("k1", ("unit", 0))])
-            payload, crc = encode_payload("result")
+            live.server.submit([(cache_key(*unit), unit)])
             for attempt in range(2):
                 lease = post_json(live.url + "/lease", {"worker": "w1"})
                 assert lease["status"] == "lease"
                 ack = post_json(
-                    live.url + "/complete",
-                    {"worker": "w1", "lease": lease["lease"], "key": "k1",
-                     "result": payload, "crc": crc},
+                    live.url + "/complete", completion("w1", lease["lease"], unit)
                 )
                 assert ack["status"] == "rejected"
                 assert "commit failed" in ack["reason"]
@@ -939,11 +965,7 @@ class TestOverloadProtection:
             # drains instead of wedging in a grant/commit-fail loop.
             assert live.server.breaker.open
             assert live.server.state == "draining"
-            ack = post_json(
-                live.url + "/complete",
-                {"worker": "w2", "lease": "stale", "key": "k1",
-                 "result": payload, "crc": crc},
-            )
+            ack = post_json(live.url + "/complete", completion("w2", "stale", unit))
             assert ack["status"] == "rejected"
             assert "commit circuit open" in ack["reason"]
             assert post_json(live.url + "/lease", {"worker": "w1"})["status"] == "draining"
@@ -957,7 +979,7 @@ def _oom_execute(unit):
     scenario, iteration = unit
     if scenario.policy == "rr-no-sensor":
         raise MemoryError("worker address-space budget")
-    return _FakeResult(f"{scenario.policy}/{iteration}")
+    return tiny_result(unit)
 
 
 class TestDistributedFailureKinds:
@@ -974,8 +996,8 @@ class TestDistributedFailureKinds:
             results = executor.map_robust(units)
         finally:
             _reap(executor, threads)
-        assert results[0].payload == "baseline/0"
-        assert results[2].payload == "sensor-wise/0"
+        assert _filed_under(results[0]) == ("baseline", 0)
+        assert _filed_under(results[2]) == ("sensor-wise", 0)
         failure = results[1]
         assert isinstance(failure, ScenarioFailure)
         assert failure.error_type == "MemoryError"
