@@ -20,7 +20,6 @@ Examples
     repro-noc campaign --resume out/                 # pick up where it died
     repro-noc serve --checkpoint-dir out/            # coordinator on :8765
     repro-noc worker --connect HOST:8765             # join from another host
-    repro-noc health --connect HOST:8765             # probe /healthz (overload)
     repro-noc fault-campaign --budget --retries 1    # adaptive resource budgets
     repro-noc campaign --budget-cpu 120 --budget-rss 8192  # explicit caps
     repro-noc cache verify --cache-dir .repro-cache  # scan cache for rot
@@ -127,7 +126,8 @@ def _add_exec_args(
     parser.add_argument(
         "--poison-threshold", type=int, default=3, metavar="N",
         help="distinct workers that must fail a scenario before it is "
-        "quarantined as poisoned instead of requeued",
+        "quarantined as poisoned instead of retried (a fleet smaller "
+        "than N settles it once every live worker has failed it)",
     )
     parser.add_argument(
         "--budget", action="store_true",
@@ -242,24 +242,29 @@ def _executing(args: argparse.Namespace, checkpoint):
 
     The body runs with drain-on-signal handlers installed; the executor
     and ``checkpoint`` are closed however it ends, and the executor's
-    summary is logged when it ends normally.
+    summary is logged when it ends normally.  Flags the executor cannot
+    honour together (``--port`` with ``--timeout``, ``--retries`` or
+    ``--budget*``) are a usage error.
     """
     from repro.experiments.checkpoint import graceful_shutdown
     from repro.experiments.parallel import make_executor
 
     executor = None
     try:
-        executor = make_executor(
-            args.jobs,
-            cache_dir=args.cache_dir,
-            progress=log.info,
-            timeout=getattr(args, "timeout", None),
-            retries=getattr(args, "retries", 0),
-            profile=args.profile,
-            checkpoint=checkpoint,
-            distributed=_make_distributed(args),
-            governor=_make_governor(args),
-        )
+        try:
+            executor = make_executor(
+                args.jobs,
+                cache_dir=args.cache_dir,
+                progress=log.info,
+                timeout=getattr(args, "timeout", None),
+                retries=getattr(args, "retries", 0),
+                profile=args.profile,
+                checkpoint=checkpoint,
+                distributed=_make_distributed(args),
+                governor=_make_governor(args),
+            )
+        except ValueError as exc:  # flags that contradict each other
+            build_parser().error(f"{args.command}: {exc}")
         with graceful_shutdown(executor, notify=log.warning):
             yield executor
     finally:
@@ -416,20 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     pworker.add_argument(
         "--max-errors", type=int, default=30, metavar="N",
         help="exit 1 after this many consecutive connection failures",
-    )
-
-    phealth = sub.add_parser(
-        "health",
-        help="probe a coordinator's /healthz endpoint (overload verdict, "
-        "queue depth, lease churn, memory pressure, commit breaker)",
-    )
-    phealth.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address, e.g. 127.0.0.1:8765",
-    )
-    phealth.add_argument(
-        "--timeout", type=float, default=10.0, metavar="SECONDS",
-        help="probe timeout",
     )
 
     psweep = sub.add_parser("sweep", help="injection-rate sweep with CSV export")
@@ -695,27 +686,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             poll=args.poll,
             max_errors=args.max_errors,
         )
-
-    if args.command == "health":
-        import json as json_module
-
-        from repro.experiments.distributed.protocol import (
-            ProtocolError,
-            URLError,
-            get_json,
-        )
-
-        base = (
-            args.connect if "://" in args.connect else f"http://{args.connect}"
-        )
-        url = base.rstrip("/") + "/healthz"
-        try:
-            blob = get_json(url, timeout=args.timeout)
-        except (URLError, OSError, ProtocolError) as exc:
-            log.error("coordinator unreachable at %s: %s", url, exc)
-            return 2
-        emit(json_module.dumps(blob, indent=2, sort_keys=True))
-        return 0 if blob.get("status") == "ok" else 1
 
     if args.command == "setup":
         from repro.experiments.config import format_experimental_setup

@@ -273,13 +273,12 @@ def _jsonable(value):
 def default_space(base: Optional[ScenarioConfig] = None) -> DesignSpace:
     """The stock search space: every knob the paper fixes by hand.
 
-    {policy, rotation period, sensor sample period, wake latency,
-    buffer depth, VC count, stress regime} around the paper's Table I
-    design point — the question the ROADMAP's north star asks ("which
-    configuration should I build?") rather than the one the paper
-    answers ("how good is this one?").  The regime axis explores how
-    robust a design point is to pre-aged parts and joint NBTI+PBTI
-    stress; the rejuvenation policy trades throughput inside scheduled
+    Seven axes around the paper's Table I design point — policy (3
+    values), rotation period (3), sensor sample period (2), wake
+    latency (3), buffer depth (3), VC count (2) and stress regime (3),
+    972 genomes in all.  The regime axis explores how robust a design
+    point is to pre-aged parts and joint NBTI+PBTI stress; the
+    rejuvenation policy trades throughput inside scheduled
     deep-recovery windows for extra recovery time.
     """
     return DesignSpace(

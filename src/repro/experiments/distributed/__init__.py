@@ -5,8 +5,10 @@ a minimal HTTP/JSON protocol, engineered first for fault tolerance:
 lease-based work assignment with heartbeats and deadline expiry,
 idempotent result commits through the write-ahead scenario journal
 (journal-as-replication-log — ``--resume`` and crash-safety compose
-for free), seeded-jitter backoff on reassignment, and quarantine of
-poison scenarios that fail on several distinct workers.
+for free), and quarantine of poison scenarios that fail on several
+distinct workers.  The coordinator is the remote attempt runner of the
+executor's one dispatch loop: retries, backoff, failure records and
+drain are the executor's, exactly as for local attempts.
 
 Modules
 -------
@@ -15,11 +17,11 @@ Modules
     CRC-guarded JSON records,
     :class:`~repro.experiments.distributed.protocol.DistributedSpec`.
 ``lease``
-    The coordinator's authoritative lease table (grant / heartbeat /
-    complete / fail / expire state machine).
+    The coordinator's lease table (grant / heartbeat / complete /
+    fail / expire state machine).
 ``coordinator``
-    Embedded HTTP server + durable commit pipeline; feeds the
-    executor's event loop.
+    Embedded HTTP server + durable commit pipeline; posts lease
+    outcomes to the executor's dispatch loop.
 ``worker``
     The ``repro-noc worker`` loop: lease, heartbeat, execute, report.
 
@@ -35,10 +37,7 @@ from repro.experiments.distributed.protocol import (  # noqa: F401
     ProtocolError,
 )
 from repro.experiments.distributed.lease import LeaseTable  # noqa: F401
-from repro.experiments.distributed.coordinator import (  # noqa: F401
-    POISON_ERROR_TYPE,
-    CoordinatorServer,
-)
+from repro.experiments.distributed.coordinator import CoordinatorServer  # noqa: F401
 from repro.experiments.distributed.worker import (  # noqa: F401
     default_worker_id,
     run_worker,
@@ -50,7 +49,6 @@ __all__ = [
     "DistributedSpec",
     "ProtocolError",
     "LeaseTable",
-    "POISON_ERROR_TYPE",
     "CoordinatorServer",
     "default_worker_id",
     "run_worker",

@@ -1,53 +1,52 @@
 """Embedded campaign coordinator: HTTP lease server + commit pipeline.
 
-One :class:`CoordinatorServer` lives inside the campaign process (the
-``Executor``'s distributed backend).  It owns the
-:class:`~repro.experiments.distributed.lease.LeaseTable`, serves the
-protocol endpoints on a ``ThreadingHTTPServer`` for ``repro-noc
-worker`` processes, and feeds verified completions to the executor
-through a thread-safe event queue.
+One :class:`CoordinatorServer` lives inside the campaign process: it is
+the remote attempt runner of the ``Executor``'s dispatch loop.  It owns
+the :class:`~repro.experiments.distributed.lease.LeaseTable`, serves
+the protocol endpoints on a ``ThreadingHTTPServer`` for ``repro-noc
+worker`` processes, and hands what happens to a lease back to the
+dispatch loop as events on a pipe (:attr:`CoordinatorServer.events`)
+that the loop waits on alongside its child processes' pipes.
 
 Durability ordering on ``/complete`` (the heart of the fault-tolerance
 contract):
 
 1. CRC-check and decode the uploaded result record, and check that
-   the result is the leased scenario's own (corrupt or foreign
-   uploads are *requeued*, never committed);
+   the result is the leased scenario's own (a corrupt or foreign
+   upload fails the attempt, and is never committed);
 2. claim the key in the lease table (dedup point — duplicates and
-   post-poison stragglers are dropped here);
+   stragglers for parked keys are dropped here);
 3. ``commit`` — the executor appends the result to the write-ahead
    scenario journal and fsyncs (idempotent per key);
-4. only then ack ``committed`` to the worker and enqueue the result
+4. only then ack ``committed`` to the worker and post the result
    event.
 
 A coordinator SIGKILL between (3) and (4) therefore loses nothing: the
 journal already holds the record and ``--resume`` serves it without
 re-running.  A crash between (2) and (3) re-runs one scenario — safe,
-because execution is a pure function of the unit.
+because execution is a pure function of the unit.  A commit that
+raises reopens the key, answers ``rejected`` and posts the exception,
+which the executor's map raises: a broken journal stops the campaign
+for ``--resume`` instead of cycling the fleet through recompute and
+reject.
 """
 
 from __future__ import annotations
 
 import json
-import queue
+import multiprocessing
+import pickle
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry.log import get_logger
-from repro.experiments.governor import (
-    BROWNOUT,
-    SHED,
-    CircuitBreaker,
-    OverloadGuard,
-    process_rss_bytes,
-)
 from repro.experiments.checkpoint import TornRecord, decode_record, encode_record
-from repro.experiments.parallel import RetryBackoff
+from repro.experiments.governor import FailureLedger
 from repro.experiments.distributed.lease import (
     COMMITTED,
-    QUARANTINED,
+    LeaseFailure,
     LeaseTable,
 )
 from repro.experiments.distributed.protocol import (
@@ -56,9 +55,6 @@ from repro.experiments.distributed.protocol import (
 )
 
 log = get_logger("distributed")
-
-#: Error type surfaced on quarantined scenarios' failure records.
-POISON_ERROR_TYPE = "PoisonedScenario"
 
 #: Coordinator lifecycle states (reported by ``/status``).
 SERVING = "serving"
@@ -77,7 +73,8 @@ class CoordinatorServer:
     commit:
         Callable ``(key, ScenarioResult)`` invoked *before* a
         completion is acked — the executor journals there.  A raise
-        reopens the work item (the result was not durable).
+        reopens the work item (the result was not durable) and is
+        posted as an ``error`` event.
     """
 
     def __init__(
@@ -87,37 +84,22 @@ class CoordinatorServer:
     ) -> None:
         self.spec = spec
         self.commit = commit
-        self.table = LeaseTable(
-            lease_timeout=spec.lease_timeout,
-            backoff=RetryBackoff(
-                spec.requeue_backoff, spec.requeue_jitter, spec.jitter_seed
-            ),
-            poison_threshold=spec.poison_threshold,
-        )
-        #: ``("result", key, ScenarioResult)`` and ``("poisoned", key,
-        #: error dict)`` events, consumed by the executor's map loop.
-        self.events: "queue.Queue[Tuple[str, str, object]]" = queue.Queue()
+        #: Remote failures by worker; the executor files them and the
+        #: table reads it to steer a worker away from what it failed.
+        self.ledger = FailureLedger(spec.poison_threshold)
+        self.table = LeaseTable(spec.lease_timeout, self.ledger)
+        #: Receiving end of the event pipe: ``("result", key,
+        #: ScenarioResult)``, ``("failed", key, LeaseFailure)`` and
+        #: ``("error", key, exception)`` from the HTTP handler threads.
+        self.events, self._events_in = multiprocessing.Pipe(duplex=False)
+        self._events_lock = threading.Lock()
         self.state = SERVING
-        self.workers_seen: Dict[str, float] = {}
         #: Workers that polled after shutdown began (they saw the
         #: ``shutdown`` reply and are exiting — no need to wait longer).
         self._farewells: set = set()
         self.address: Tuple[str, int] = (spec.bind, spec.port)
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
-        #: Admission control on /lease: shed (HTTP 503 + Retry-After)
-        #: when the pending-event queue or handler concurrency is
-        #: saturated, brownout (defer new grants only) at 75%.
-        self.guard = OverloadGuard(
-            max_queue_depth=spec.queue_limit,
-            max_inflight=spec.max_inflight,
-        )
-        #: Opens after K consecutive durable-commit failures: stop
-        #: acking completions and drain instead of wedging the fleet
-        #: against a broken journal.
-        self.breaker = CircuitBreaker(spec.commit_breaker_threshold)
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -146,36 +128,39 @@ class CoordinatorServer:
             )
 
     def submit(self, batch: List[Tuple[str, Tuple]]) -> None:
-        """Load ``(key, WorkUnit)`` pairs into the lease table."""
+        """Make ``(key, WorkUnit)`` pairs leasable."""
         records = [encode_record(key, unit) for key, unit in batch]
         self.table.load([(r["key"], r["payload"], r["crc"]) for r in records])
 
-    def expire_leases(self) -> None:
-        """Reclaim dead-worker leases; surface any fresh poisonings."""
-        for expired in self.table.expire():
+    def expire_leases(self) -> List[LeaseFailure]:
+        """Fail the leases of workers that stopped heartbeating."""
+        expired = self.table.expire()
+        for failure in expired:
             log.warning(
-                "lease for %s expired (worker %s); %s",
-                expired.key[:12], expired.worker,
-                "quarantined" if expired.poisoned else "requeued",
+                "lease for %s expired (worker %s)", failure.key[:12], failure.worker
             )
-            if expired.poisoned:
-                self.events.put(("poisoned", expired.key, expired.error))
+        return expired
 
-    def drain(self) -> None:
-        """Stop granting leases; in-flight ones finish or expire."""
-        if self.state == SERVING:
-            self.state = DRAINING
-            self.table.pause()
+    def drain(self) -> List[str]:
+        """Stop granting leases; returns the keys withdrawn unleased.
+        In-flight leases finish or expire."""
+        if self.state != SERVING:
+            return []
+        withdrawn = self.table.pause()
+        self.state = DRAINING
+        return withdrawn
 
     def close(self) -> None:
         """Shut down: polling workers are told to stop, socket closes."""
-        self.state = SHUTDOWN
         self.table.pause()
+        self.state = SHUTDOWN
         self._grace_period()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd = None
+        self.events.close()
+        self._events_in.close()
 
     def _grace_period(self) -> None:
         """Keep answering ``shutdown`` until live workers have seen it.
@@ -191,52 +176,39 @@ class CoordinatorServer:
         started = time.monotonic()
         window = max(3.0, 4 * self.spec.poll_interval)
         awaited = {
-            worker for worker, seen in self.workers_seen.items()
+            worker for worker, seen in self.table.last_seen().items()
             if started - seen <= window
         }
         deadline = started + self.spec.shutdown_grace
         while awaited - self._farewells and time.monotonic() < deadline:
             time.sleep(0.02)
 
-    # -- request accounting (handler threads) --------------------------
-    def _request_started(self) -> None:
-        with self._inflight_lock:
-            self._inflight += 1
-
-    def _request_finished(self) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
-
-    @property
-    def inflight(self) -> int:
-        """Concurrently-processing HTTP requests (including this one)."""
-        with self._inflight_lock:
-            return self._inflight
+    def _post(self, kind: str, key: str, payload: object) -> None:
+        """Hand one event to the dispatch loop (handler threads)."""
+        with self._events_lock:
+            try:
+                self._events_in.send((kind, key, payload))
+            except (pickle.PicklingError, TypeError, AttributeError):
+                # An exception that does not pickle still stops the map.
+                self._events_in.send((kind, key, RuntimeError(repr(payload))))
 
     # -- reporting -----------------------------------------------------
     def summary(self) -> str:
-        snap = self.table.snapshot()
-        counters = snap["counters"]
+        counters = self.table.snapshot()["counters"]
         line = (
             f"distributed: {counters['committed']} committed over "
             f"{counters['leases_granted']} lease(s), "
-            f"{len(self.workers_seen)} worker(s)"
+            f"{len(self.table.last_seen())} worker(s)"
         )
         extras = []
+        if counters["failed"]:
+            extras.append(f"{counters['failed']} failed")
         if counters["expiries"]:
             extras.append(f"{counters['expiries']} expired")
         if counters["duplicates_dropped"]:
             extras.append(f"{counters['duplicates_dropped']} duplicate(s) dropped")
         if counters["late_accepted"]:
             extras.append(f"{counters['late_accepted']} late accepted")
-        if counters["poisoned"]:
-            extras.append(f"{counters['poisoned']} poisoned")
-        if self.guard.counters["sheds"]:
-            extras.append(f"{self.guard.counters['sheds']} lease(s) shed")
-        if self.guard.counters["brownouts"]:
-            extras.append(f"{self.guard.counters['brownouts']} brownout(s)")
-        if self.breaker.trips:
-            extras.append(f"commit breaker tripped {self.breaker.trips}x")
         if extras:
             line += " (" + ", ".join(extras) + ")"
         return line
@@ -250,63 +222,22 @@ class CoordinatorServer:
             "table": self.table.snapshot(),
             "workers": {
                 worker: round(now - seen, 3)
-                for worker, seen in sorted(self.workers_seen.items())
+                for worker, seen in sorted(self.table.last_seen().items())
             },
-        }
-
-    def healthz(self) -> Dict[str, object]:
-        """Overload health for probes (served even while shedding)."""
-        queue_depth = self.events.qsize()
-        inflight = self.inflight
-        verdict = self.guard.verdict(queue_depth, inflight)
-        counters = self.table.snapshot()["counters"]
-        healthy = verdict == "ok" and not self.breaker.open
-        return {
-            "status": "ok" if healthy else "degraded",
-            "verdict": verdict,
-            "state": self.state,
-            "protocol": PROTOCOL_VERSION,
-            "queue_depth": queue_depth,
-            "queue_limit": self.spec.queue_limit,
-            "inflight": inflight,
-            "max_inflight": self.spec.max_inflight,
-            "memory_rss_bytes": process_rss_bytes(),
-            "lease_churn": {
-                name: counters[name]
-                for name in ("leases_granted", "expiries", "requeued",
-                             "poisoned", "committed")
-            },
-            "workers": len(self.workers_seen),
-            "shed": dict(self.guard.counters),
-            "commit_breaker": self.breaker.snapshot(),
         }
 
     # -- endpoint logic (called from handler threads) ------------------
     def handle_lease(self, body: Dict) -> Dict:
         worker = str(body.get("worker", "anonymous"))
-        self.workers_seen[worker] = time.monotonic()
-        if self.state == SHUTDOWN:
-            self._farewells.add(worker)
-            return {"status": "shutdown"}
-        if self.state == DRAINING:
-            return {"status": "draining", "retry_after": self.spec.poll_interval}
-        # Admission control: granting a lease is the one *optional*
-        # piece of work here (completions and heartbeats release
-        # resources; leases consume them), so it sheds first.  SHED is
-        # a hard 503 + Retry-After; BROWNOUT defers new grants while
-        # everything already in flight keeps being served.
-        verdict = self.guard.assess(self.events.qsize(), self.inflight)
-        if verdict == SHED:
-            return {"status": "busy", "retry_after": self.spec.poll_interval}
-        if verdict == BROWNOUT:
-            return {
-                "status": "wait",
-                "retry_after": self.spec.poll_interval,
-                "reason": "brownout",
-            }
+        # Granting pauses before the state leaves SERVING, so a lease
+        # granted here is one the drain lets finish.
         granted = self.table.grant(worker)
         if granted is None:
-            return {"status": "wait", "retry_after": self.spec.poll_interval}
+            if self.state == SHUTDOWN:
+                self._farewells.add(worker)
+                return {"status": "shutdown"}
+            status = "draining" if self.state == DRAINING else "wait"
+            return {"status": status, "retry_after": self.spec.poll_interval}
         grant, payload, crc = granted
         return {
             "status": "lease",
@@ -319,8 +250,6 @@ class CoordinatorServer:
         }
 
     def handle_heartbeat(self, body: Dict) -> Dict:
-        worker = str(body.get("worker", "anonymous"))
-        self.workers_seen[worker] = time.monotonic()
         alive = self.table.heartbeat(str(body.get("lease", "")))
         return {"status": "ok" if alive else "unknown"}
 
@@ -328,27 +257,16 @@ class CoordinatorServer:
         worker = str(body.get("worker", "anonymous"))
         lease_id = str(body.get("lease", ""))
         key = str(body.get("key", ""))
-        self.workers_seen[worker] = time.monotonic()
-        if self.breaker.open:
-            # The journal is broken: acking would promise durability we
-            # cannot deliver.  Leave the lease alone (it expires and
-            # requeues for the resume run) and keep draining.
-            return {
-                "status": "rejected",
-                "reason": "commit circuit open; coordinator draining",
-            }
         try:
             _, result = decode_record(body)
         except TornRecord as exc:
             # Corrupt in transit, or another scenario's result: never
-            # commit, requeue for a clean run.
-            disposition = self.table.fail(
+            # commit; the attempt failed.
+            self._report_failure(self.table.fail(
                 lease_id, key, worker,
                 {"error_type": "CorruptUpload", "message": str(exc),
                  "traceback": None},
-            )
-            if disposition == QUARANTINED:
-                self._emit_poison(key)
+            ))
             return {"status": "rejected", "reason": str(exc)}
         disposition = self.table.complete(lease_id, key, worker)
         if disposition != COMMITTED:
@@ -359,44 +277,26 @@ class CoordinatorServer:
             except Exception as exc:  # noqa: BLE001 - never ack a lost commit
                 self.table.reopen(key)
                 log.error("durable commit of %s failed: %s", key[:12], exc)
-                if self.breaker.record_failure():
-                    log.error(
-                        "commit circuit breaker opened after %d consecutive "
-                        "failures; draining instead of wedging",
-                        self.breaker.consecutive_failures,
-                    )
-                    self.drain()
+                self._post("error", key, exc)
                 return {"status": "rejected", "reason": f"commit failed: {exc}"}
-            else:
-                self.breaker.record_success()
-        self.events.put(("result", key, result))
+        self._post("result", key, result)
         return {"status": COMMITTED}
 
     def handle_fail(self, body: Dict) -> Dict:
         worker = str(body.get("worker", "anonymous"))
         key = str(body.get("key", ""))
-        self.workers_seen[worker] = time.monotonic()
         error = {
             "error_type": str(body.get("error_type", "WorkerError")),
             "message": str(body.get("message", "")),
             "traceback": body.get("traceback"),
         }
-        disposition = self.table.fail(
-            str(body.get("lease", "")), key, worker, error
-        )
-        if disposition == QUARANTINED:
-            self._emit_poison(key)
-        return {"status": disposition}
+        failure = self.table.fail(str(body.get("lease", "")), key, worker, error)
+        self._report_failure(failure)
+        return {"status": "failed" if failure is not None else "ignored"}
 
-    def _emit_poison(self, key: str) -> None:
-        error = self.table.error_of(key) or {}
-        error.setdefault("error_type", POISON_ERROR_TYPE)
-        error["message"] = (
-            f"failed on {len(error.get('workers') or []) or 'several'} "
-            f"distinct worker(s): {error.get('message', 'no detail')}"
-        )
-        log.warning("scenario %s quarantined: %s", key[:12], error["message"])
-        self.events.put(("poisoned", key, error))
+    def _report_failure(self, failure: Optional[LeaseFailure]) -> None:
+        if failure is not None:
+            self._post("failed", failure.key, failure)
 
 
 class _CoordinatorHandler(BaseHTTPRequestHandler):
@@ -417,55 +317,34 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         if handler_name is None:
             self._reply(404, {"status": "error", "reason": "unknown endpoint"})
             return
-        self.coordinator._request_started()
         try:
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length).decode("utf-8"))
-                if not isinstance(body, dict):
-                    raise ValueError("body must be a JSON object")
-            except (ValueError, UnicodeDecodeError) as exc:
-                self._reply(400, {"status": "error", "reason": f"bad request: {exc}"})
-                return
-            try:
-                reply = getattr(self.coordinator, handler_name)(body)
-            except Exception as exc:  # noqa: BLE001 - a handler bug must not kill the fleet
-                log.error("coordinator %s handler failed: %s", self.path, exc)
-                self._reply(500, {"status": "error", "reason": str(exc)})
-                return
-            if reply.get("status") == "busy":
-                # Backpressure, not failure: 503 + Retry-After tells
-                # generic HTTP clients the same thing the JSON body
-                # tells repro-noc workers.
-                self._reply(503, reply, retry_after=reply.get("retry_after"))
-            else:
-                self._reply(200, reply)
-        finally:
-            self.coordinator._request_finished()
+            length = int(self.headers.get("Content-Length", 0))
+            body = json.loads(self.rfile.read(length).decode("utf-8"))
+            if not isinstance(body, dict):
+                raise ValueError("body must be a JSON object")
+        except (ValueError, UnicodeDecodeError) as exc:
+            self._reply(400, {"status": "error", "reason": f"bad request: {exc}"})
+            return
+        try:
+            reply = getattr(self.coordinator, handler_name)(body)
+        except Exception as exc:  # noqa: BLE001 - a handler bug must not kill the fleet
+            log.error("coordinator %s handler failed: %s", self.path, exc)
+            self._reply(500, {"status": "error", "reason": str(exc)})
+            return
+        self._reply(200, reply)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/status":
             self._reply(200, self.coordinator.status())
-        elif self.path == "/healthz":
-            # Served unconditionally — a saturated coordinator must
-            # still tell probes *why* it is shedding.
-            blob = self.coordinator.healthz()
-            self._reply(200 if blob["status"] == "ok" else 503, blob)
         else:
             self._reply(404, {"status": "error", "reason": "unknown endpoint"})
 
-    def _reply(
-        self, code: int, blob: Dict, retry_after: Optional[float] = None
-    ) -> None:
+    def _reply(self, code: int, blob: Dict) -> None:
         raw = json.dumps(blob).encode("utf-8")
         try:
             self.send_response(code)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(raw)))
-            if retry_after is not None:
-                # RFC 7231 wants integral seconds; round up so clients
-                # never come back *before* the window ends.
-                self.send_header("Retry-After", str(max(1, int(retry_after + 0.5))))
             self.end_headers()
             self.wfile.write(raw)
         except (BrokenPipeError, ConnectionResetError):

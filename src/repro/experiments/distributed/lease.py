@@ -1,31 +1,34 @@
-"""Lease table: the coordinator's authoritative work ledger.
+"""Lease table: who computes which scenario until when.
 
-Every scenario in flight across the fleet is one :class:`WorkItem`
-keyed by its content hash (the same hash the result cache and the
-write-ahead journal use).  The table is a small, lock-guarded state
-machine engineered around the failure matrix:
+Every scenario the executor has handed to the fleet is one
+:class:`WorkItem` keyed by its content hash (the same hash the result
+cache and the write-ahead journal use).  The table is a small,
+lock-guarded state machine that keeps lease state only; whether a
+failed scenario runs again, and when, is the executor's decision (its
+due-time retry queue and the :class:`~repro.experiments.governor.FailureLedger`):
 
+* **Grant** — :meth:`grant` leases the oldest pending scenario,
+  preferring one the polling worker has not failed yet (the ledger
+  says which), because a failure may be machine-local.
 * **Worker crash / SIGKILL** — heartbeats stop, the lease deadline
-  passes, :meth:`expire` returns the scenario to the queue (with
-  exponential backoff + seeded jitter) and it is granted to the next
-  worker.  Nothing committed is ever re-run: completions are
-  deduplicated by key.
+  passes and :meth:`expire` reports the attempt as failed
+  (``LeaseExpired``, typed ``timeout``).
 * **Partition / slow worker** — a worker that lost its lease but kept
-  computing may still deliver: a valid result for an *undone* key is
-  accepted (``late_accepted``; work is never thrown away), while a
-  result for a key that someone else already completed is dropped
-  idempotently (``duplicates_dropped``).
-* **Poison scenario** — a scenario that fails on
-  ``poison_threshold`` *distinct* workers is quarantined
-  (``POISONED``) instead of wedging the campaign in a
-  grant/crash/expire loop; the executor surfaces it as a
-  :class:`~repro.experiments.parallel.ScenarioFailure` record.
-* **Coordinator drain** — :meth:`pause` stops new grants; in-flight
-  leases still complete (or expire), after which the caller can count
-  :meth:`remaining` and raise ``CampaignInterrupted``.
+  computing may still deliver: a valid result for a key that is
+  pending or leased again is accepted (``late_accepted``; work is
+  never thrown away), while a result for a key that someone else
+  already completed is dropped idempotently (``duplicates_dropped``).
+* **Failure** — :meth:`fail` and :meth:`expire` park the item and
+  return a :class:`LeaseFailure` naming the identity to file it under
+  in the ledger: the worker ID, or a fresh identity for a repeat
+  failure once every live worker has failed the key, so a fleet
+  smaller than ``poison_threshold`` still settles it.
+* **Coordinator drain** — :meth:`pause` stops new grants and withdraws
+  the scenarios nobody holds; in-flight leases still complete (or
+  expire).
 
-The clock is injectable so expiry/backoff logic is unit-testable
-without sleeping.
+The clock is injectable so expiry logic is unit-testable without
+sleeping.
 """
 
 from __future__ import annotations
@@ -36,20 +39,18 @@ import time
 import uuid
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.governor import classify_failure_kind
-from repro.experiments.parallel import RetryBackoff
+from repro.experiments.governor import FailureLedger, classify_failure_kind
 
-#: WorkItem lifecycle states.
+#: WorkItem lifecycle states.  ``failed`` parks an item until the
+#: executor loads it again (a retry) or gives up on it.
 PENDING = "pending"
 LEASED = "leased"
 DONE = "done"
-POISONED = "poisoned"
+FAILED = "failed"
 
-#: Dispositions returned by :meth:`LeaseTable.complete` / :meth:`fail`.
+#: Dispositions returned by :meth:`LeaseTable.complete`.
 COMMITTED = "committed"
 DUPLICATE = "duplicate"
-REQUEUED = "requeued"
-QUARANTINED = "poisoned"
 UNKNOWN = "unknown"
 
 
@@ -64,36 +65,30 @@ class LeaseGrant:
 
 
 @dataclasses.dataclass
-class ExpiredLease:
-    """One lease the expiry scan reclaimed (crashed/partitioned worker)."""
+class LeaseFailure:
+    """One failed attempt: a worker's report or an expired lease."""
 
     key: str
     worker: str
-    poisoned: bool
+    #: What the attempt is filed under in the failure ledger.
+    identity: str
+    #: ``error_type``/``message``/``traceback``/``kind``.
     error: Dict[str, object]
 
 
 class WorkItem:
-    """One scenario's distributed execution state."""
+    """One scenario's lease state."""
 
-    __slots__ = (
-        "key", "payload", "crc", "state", "attempts",
-        "failed_workers", "not_before", "lease", "last_error",
-    )
+    __slots__ = ("key", "payload", "crc", "state", "failures", "lease")
 
     def __init__(self, key: str, payload: str, crc: int) -> None:
         self.key = key
         self.payload = payload
         self.crc = crc
         self.state = PENDING
-        #: Failed attempts so far (drives the backoff schedule).
-        self.attempts = 0
-        #: Distinct workers that failed this scenario (poison evidence).
-        self.failed_workers: set = set()
-        #: Monotonic time before which the item must not be regranted.
-        self.not_before = 0.0
+        #: Failed attempts so far (numbers repeat-failure identities).
+        self.failures = 0
         self.lease: Optional[LeaseGrant] = None
-        self.last_error: Optional[Dict[str, object]] = None
 
 
 class LeaseTable:
@@ -101,19 +96,19 @@ class LeaseTable:
 
     def __init__(
         self,
-        lease_timeout: float = 60.0,
-        backoff: Optional[RetryBackoff] = None,
-        poison_threshold: int = 3,
+        lease_timeout: float,
+        ledger: FailureLedger,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.lease_timeout = lease_timeout
-        self.backoff = backoff if backoff is not None else RetryBackoff(0.5)
-        self.poison_threshold = poison_threshold
+        self.ledger = ledger
         self.clock = clock
         self.granting = True
         self._lock = threading.Lock()
         self._items: Dict[str, WorkItem] = {}
         self._order: List[str] = []
+        #: worker -> last time it polled, heartbeat or reported.
+        self._seen: Dict[str, float] = {}
         self.counters: Dict[str, int] = {
             "leases_granted": 0,
             "heartbeats": 0,
@@ -121,37 +116,44 @@ class LeaseTable:
             "late_accepted": 0,
             "duplicates_dropped": 0,
             "expiries": 0,
-            "requeued": 0,
-            "poisoned": 0,
+            "failed": 0,
         }
 
     # -- loading -------------------------------------------------------
     def load(self, batch: List[Tuple[str, str, int]]) -> None:
-        """Add ``(key, unit payload, crc)`` work; known keys ignored."""
+        """Make ``(key, unit payload, crc)`` work pending.
+
+        A key already pending or leased is left alone; a failed or done
+        one is pending again (the executor is retrying it).
+        """
         with self._lock:
             for key, payload, crc in batch:
-                if key in self._items:
-                    continue
-                self._items[key] = WorkItem(key, payload, crc)
-                self._order.append(key)
+                item = self._items.get(key)
+                if item is None:
+                    self._items[key] = WorkItem(key, payload, crc)
+                    self._order.append(key)
+                elif item.state in (FAILED, DONE):
+                    item.payload, item.crc = payload, crc
+                    item.state = PENDING
 
     # -- worker-facing transitions -------------------------------------
     def grant(self, worker: str) -> Optional[Tuple[LeaseGrant, str, int]]:
-        """Lease the oldest eligible scenario to ``worker`` (or ``None``)."""
+        """Lease the oldest pending scenario to ``worker`` (or ``None``);
+        every poll counts as contact, granted or not."""
         now = self.clock()
         with self._lock:
-            self._expire_locked(now)
+            self._seen[worker] = now
             if not self.granting:
                 return None
             for key in self._order:
                 item = self._items[key]
-                if item.state is not PENDING or item.not_before > now:
+                if item.state is not PENDING:
                     continue
                 # A worker that already failed this scenario gets a
                 # different one first — poison evidence needs distinct
                 # workers, and its failure mode may be machine-local.
-                if worker in item.failed_workers and self._other_eligible(
-                    worker, now, skip=key
+                if self.ledger.failed(key, worker) and self._other_pending(
+                    worker, skip=key
                 ):
                     continue
                 grant = LeaseGrant(
@@ -166,17 +168,13 @@ class LeaseTable:
                 return grant, item.payload, item.crc
             return None
 
-    def _other_eligible(self, worker: str, now: float, skip: str) -> bool:
-        for key in self._order:
-            item = self._items[key]
-            if (
-                key != skip
-                and item.state is PENDING
-                and item.not_before <= now
-                and worker not in item.failed_workers
-            ):
-                return True
-        return False
+    def _other_pending(self, worker: str, skip: str) -> bool:
+        return any(
+            key != skip
+            and self._items[key].state is PENDING
+            and not self.ledger.failed(key, worker)
+            for key in self._order
+        )
 
     def heartbeat(self, lease_id: str) -> bool:
         """Extend a live lease; ``False`` tells the worker it lost it."""
@@ -186,6 +184,7 @@ class LeaseTable:
             if item is None:
                 return False
             item.lease.deadline = now + self.lease_timeout
+            self._seen[item.lease.worker] = now
             self.counters["heartbeats"] += 1
             return True
 
@@ -194,24 +193,18 @@ class LeaseTable:
 
         Returns :data:`COMMITTED` (first valid completion — commit it),
         :data:`DUPLICATE` (someone already completed it — drop), or
-        :data:`UNKNOWN` (key never belonged to this campaign).
+        :data:`UNKNOWN` (no live work under that key: never part of
+        the campaign, or parked after a failure).
         """
         with self._lock:
+            self._seen[worker] = self.clock()
             item = self._items.get(key)
-            if item is None:
+            if item is None or item.state is FAILED:
                 return UNKNOWN
             if item.state is DONE:
                 self.counters["duplicates_dropped"] += 1
                 return DUPLICATE
-            if item.state is POISONED:
-                # Already surfaced as a failure record; accepting now
-                # would fork the campaign's view of the result set.
-                self.counters["duplicates_dropped"] += 1
-                return DUPLICATE
-            expired_lease = (
-                item.lease is None or item.lease.lease_id != lease_id
-            )
-            if expired_lease:
+            if item.lease is None or item.lease.lease_id != lease_id:
                 # Partitioned/slow worker finishing after reassignment:
                 # the key is still undone, so the work is kept.
                 self.counters["late_accepted"] += 1
@@ -232,133 +225,101 @@ class LeaseTable:
     def fail(
         self, lease_id: str, key: str, worker: str,
         error: Optional[Dict[str, object]] = None,
-    ) -> str:
-        """Record a worker-reported failure; requeue or quarantine."""
+    ) -> Optional[LeaseFailure]:
+        """Record a worker-reported failure of its live lease.
+
+        ``None`` when there is nothing to report: an unknown key, or a
+        stale lease (a reassigned worker must not steal the live lease).
+        """
         now = self.clock()
         with self._lock:
+            self._seen[worker] = now
             item = self._items.get(key)
-            if item is None:
-                return UNKNOWN
-            if item.state in (DONE, POISONED):
-                return DUPLICATE
-            if item.state is LEASED and item.lease is not None and (
+            if item is None or item.state is not LEASED or (
                 item.lease.lease_id != lease_id
             ):
-                # A reassigned worker reporting a stale failure must not
-                # steal the live lease or its poison accounting.
-                item.failed_workers.add(worker)
-                return DUPLICATE
-            return self._settle_failure_locked(item, worker, error, now)
+                return None
+            return self._fail_locked(item, error or {}, now)
 
     # -- expiry --------------------------------------------------------
-    def expire(self, now: Optional[float] = None) -> List[ExpiredLease]:
-        """Reclaim every lease past its deadline (crashed workers)."""
+    def expire(self) -> List[LeaseFailure]:
+        """Fail every lease past its deadline (crashed workers)."""
+        now = self.clock()
         with self._lock:
-            return self._expire_locked(self.clock() if now is None else now)
-
-    def _expire_locked(self, now: float) -> List[ExpiredLease]:
-        reclaimed: List[ExpiredLease] = []
-        for key in self._order:
-            item = self._items[key]
-            if item.state is not LEASED or item.lease is None:
-                continue
-            if item.lease.deadline > now:
-                continue
-            worker = item.lease.worker
-            self.counters["expiries"] += 1
-            error = {
-                "error_type": "LeaseExpired",
+            reclaimed: List[LeaseFailure] = []
+            for key in self._order:
+                item = self._items[key]
+                if item.state is not LEASED or item.lease.deadline > now:
+                    continue
+                self.counters["expiries"] += 1
                 # A worker that stopped heartbeating is indistinguishable
-                # from a hang: same typed kind as a parent-side deadline.
-                "kind": "timeout",
-                "message": (
-                    f"worker {worker!r} stopped heartbeating "
-                    f"(lease timeout {self.lease_timeout}s)"
-                ),
-                "traceback": None,
-            }
-            disposition = self._settle_failure_locked(item, worker, error, now)
-            reclaimed.append(
-                ExpiredLease(
-                    key=key,
-                    worker=worker,
-                    poisoned=disposition == QUARANTINED,
-                    error=dict(item.last_error or error),
-                )
-            )
-        return reclaimed
+                # from a hang: ``LeaseExpired`` is typed ``timeout``, like
+                # a parent-side deadline.
+                error = {
+                    "error_type": "LeaseExpired",
+                    "message": (
+                        f"worker {item.lease.worker!r} stopped heartbeating "
+                        f"(lease timeout {self.lease_timeout}s)"
+                    ),
+                    "traceback": None,
+                }
+                reclaimed.append(self._fail_locked(item, error, now))
+            return reclaimed
 
-    def _settle_failure_locked(
-        self, item: WorkItem, worker: str,
-        error: Optional[Dict[str, object]], now: float,
-    ) -> str:
+    def _fail_locked(
+        self, item: WorkItem, error: Dict[str, object], now: float
+    ) -> LeaseFailure:
+        worker = item.lease.worker
+        item.state = FAILED
         item.lease = None
-        item.attempts += 1
-        item.failed_workers.add(worker)
-        if error is not None:
-            item.last_error = dict(error)
-            item.last_error["attempts"] = item.attempts
-            item.last_error["workers"] = sorted(item.failed_workers)
-            item.last_error.setdefault(
-                "kind",
-                classify_failure_kind(str(error.get("error_type") or "")),
-            )
-        if len(item.failed_workers) >= self.poison_threshold:
-            item.state = POISONED
-            self.counters["poisoned"] += 1
-            return QUARANTINED
-        item.state = PENDING
-        item.not_before = now + self.backoff.delay(item.attempts)
-        self.counters["requeued"] += 1
-        return REQUEUED
+        item.failures += 1
+        self.counters["failed"] += 1
+        identity = worker
+        if self.ledger.failed(item.key, worker) and not any(
+            other != worker
+            and now - seen <= self.lease_timeout
+            and not self.ledger.failed(item.key, other)
+            for other, seen in self._seen.items()
+        ):
+            # Every live worker has failed this key already: the repeat
+            # is new evidence, or a fleet smaller than the threshold
+            # would retry it forever.
+            identity = f"{worker}#{item.failures}"
+        error = dict(error)
+        error.setdefault(
+            "kind", classify_failure_kind(str(error.get("error_type") or ""))
+        )
+        return LeaseFailure(item.key, worker, identity, error)
 
     def _find_lease_locked(self, lease_id: str) -> Optional[WorkItem]:
         for key in self._order:
             item = self._items[key]
-            if (
-                item.state is LEASED
-                and item.lease is not None
-                and item.lease.lease_id == lease_id
-            ):
+            if item.state is LEASED and item.lease.lease_id == lease_id:
                 return item
         return None
 
     # -- drain / accounting --------------------------------------------
-    def pause(self) -> None:
-        """Stop granting new leases (drain); in-flight ones stand."""
+    def pause(self) -> List[str]:
+        """Stop granting (drain) and withdraw the scenarios nobody
+        holds; returns their keys.  In-flight leases stand."""
         with self._lock:
             self.granting = False
+            withdrawn = [
+                key for key in self._order if self._items[key].state is PENDING
+            ]
+            for key in withdrawn:
+                self._items[key].state = FAILED
+            return withdrawn
 
-    def resume_granting(self) -> None:
+    def last_seen(self) -> Dict[str, float]:
+        """worker -> clock reading of its last contact."""
         with self._lock:
-            self.granting = True
-
-    def active_leases(self) -> int:
-        with self._lock:
-            return sum(
-                1 for item in self._items.values() if item.state is LEASED
-            )
-
-    def remaining(self) -> int:
-        """Scenarios not yet settled (neither committed nor poisoned)."""
-        with self._lock:
-            return sum(
-                1 for item in self._items.values()
-                if item.state in (PENDING, LEASED)
-            )
-
-    def error_of(self, key: str) -> Optional[Dict[str, object]]:
-        """Last recorded failure detail for a key (poison diagnostics)."""
-        with self._lock:
-            item = self._items.get(key)
-            if item is None or item.last_error is None:
-                return None
-            return dict(item.last_error)
+            return dict(self._seen)
 
     def snapshot(self) -> Dict[str, object]:
         """Point-in-time view for ``/status`` and tests."""
         with self._lock:
-            states = {PENDING: 0, LEASED: 0, DONE: 0, POISONED: 0}
+            states = {PENDING: 0, LEASED: 0, DONE: 0, FAILED: 0}
             for item in self._items.values():
                 states[item.state] += 1
             return {

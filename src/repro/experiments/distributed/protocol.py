@@ -20,32 +20,27 @@ Endpoints (all bodies are JSON objects):
                         "lease_timeout": s, "heartbeat": s}`` |
                         ``{"status": "wait", "retry_after": s}`` |
                         ``{"status": "draining", ...}`` |
-                        ``{"status": "busy", "retry_after": s}``
-                        (HTTP 503 + ``Retry-After`` — admission control
-                        shed the request) | ``{"status": "shutdown"}``
+                        ``{"status": "shutdown"}``
 ``POST /heartbeat``     ``{"worker": id, "lease": id}`` →
                         ``{"status": "ok" | "unknown"}`` (``unknown``
                         means the lease expired and was reassigned)
 ``POST /complete``      ``{"worker": id, "lease": id, "key": hash,
                         "payload": result JSON, "crc": int}`` →
                         ``{"status": "committed" | "duplicate" |
-                        "rejected", ...}``
+                        "unknown" | "rejected", ...}``
 ``POST /fail``          ``{"worker": id, "lease": id, "key": hash,
                         "error_type": str, "message": str,
-                        "traceback": str}`` → ``{"status": "requeued" |
-                        "poisoned" | "duplicate"}``
+                        "traceback": str}`` → ``{"status": "failed" |
+                        "ignored"}`` (``ignored``: the lease was no
+                        longer live); whether the scenario runs again
+                        is the coordinator's executor's call
 ``GET /status``         → coordinator state, lease-table snapshot,
-                        per-worker last-heartbeat ages
-``GET /healthz``        → overload health: verdict (``ok`` |
-                        ``brownout`` | ``shed``), queue depth, in-flight
-                        requests, lease churn, memory pressure, commit
-                        circuit-breaker state.  Served even while
-                        ``/lease`` sheds, so probes see *why*.
+                        per-worker last-contact ages
 ======================  ================================================
 
 A record that fails its CRC or its typed decode, or a result that is
 not the leased scenario's own, is never committed: the coordinator
-answers ``rejected`` and requeues the scenario; a worker that cannot
+answers ``rejected`` and fails the attempt; a worker that cannot
 decode its lease reports it through ``/fail`` as a ``ProtocolError``.
 
 Robustness contract: a ``committed`` ack is sent only *after* the
@@ -63,9 +58,9 @@ from typing import Any, Optional
 from urllib.error import HTTPError, URLError
 from urllib.request import Request, urlopen
 
-#: Bump on incompatible wire-format changes; reported by /status and
-#: /healthz.  Version 2 carries journal records, which a version-1
-#: peer cannot decode.
+#: Bump on incompatible wire-format changes; reported by /status.
+#: Version 2 carries journal records, which a version-1 peer cannot
+#: decode.
 PROTOCOL_VERSION = 2
 
 #: Default coordinator port of ``repro-noc serve`` (0 = ephemeral).
@@ -89,38 +84,28 @@ class DistributedSpec:
         ``port_file``).
     lease_timeout:
         Seconds a lease stays valid without a heartbeat before the
-        coordinator reassigns the scenario.
+        attempt counts as failed (and the executor retries it).
     heartbeat_interval:
         Seconds between worker heartbeats (``None`` = lease_timeout/4).
     poll_interval:
-        Coordinator event-loop tick and the wait workers are told to
-        sleep when no work is available.
+        Tick of the executor's lease-expiry scan, and the wait workers
+        are told to sleep when no work is available.
     poison_threshold:
         Distinct workers that must fail a scenario before it is
-        quarantined as poisoned instead of being requeued.
-    requeue_backoff, requeue_jitter, jitter_seed:
-        Backoff schedule for requeueing failed/expired leases
-        (:class:`~repro.experiments.parallel.RetryBackoff`): base
-        seconds, jitter fraction, and the seed making the jitter stream
-        deterministic.
+        quarantined as poisoned instead of retried.  Once every live
+        worker has failed it, each repeat failure counts as one more,
+        so a fleet smaller than the threshold still settles it.
     port_file:
         When set, ``host:port`` is written here (atomically) once the
         coordinator is bound — how scripts find an ephemeral port.
-    max_inflight:
-        Concurrently-processing HTTP requests above which ``/lease``
-        sheds (``busy`` + ``Retry-After``); brownout starts at 75%.
-    queue_limit:
-        Pending result-event queue depth (completions the executor has
-        not folded in yet) above which ``/lease`` sheds.
-    commit_breaker_threshold:
-        Consecutive durable-commit failures that open the circuit
-        breaker: the coordinator stops acking completions and drains
-        instead of wedging against a broken journal.
     shutdown_grace:
         Seconds ``close()`` keeps the socket answering ``shutdown`` so
         polling workers exit cleanly instead of spinning on a dead
         address (the wait ends early once every recently-seen worker
         has acknowledged).
+
+    Failed attempts are retried on the executor's own backoff schedule
+    (``Executor(retry_backoff=...)``).
     """
 
     bind: str = "127.0.0.1"
@@ -129,13 +114,7 @@ class DistributedSpec:
     heartbeat_interval: Optional[float] = None
     poll_interval: float = 0.2
     poison_threshold: int = 3
-    requeue_backoff: float = 0.5
-    requeue_jitter: float = 0.5
-    jitter_seed: Optional[int] = None
     port_file: Optional[str] = None
-    max_inflight: int = 32
-    queue_limit: int = 1024
-    commit_breaker_threshold: int = 5
     shutdown_grace: float = 1.0
 
     def __post_init__(self) -> None:
@@ -163,23 +142,6 @@ class DistributedSpec:
                     f"heartbeat_interval ({self.heartbeat_interval}) must be "
                     f"< lease_timeout ({self.lease_timeout})"
                 )
-        if self.requeue_backoff < 0:
-            raise ValueError(
-                f"requeue_backoff must be >= 0, got {self.requeue_backoff}"
-            )
-        if self.requeue_jitter < 0:
-            raise ValueError(
-                f"requeue_jitter must be >= 0, got {self.requeue_jitter}"
-            )
-        if self.max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.queue_limit < 1:
-            raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
-        if self.commit_breaker_threshold < 1:
-            raise ValueError(
-                f"commit_breaker_threshold must be >= 1, "
-                f"got {self.commit_breaker_threshold}"
-            )
 
     @property
     def heartbeat(self) -> float:

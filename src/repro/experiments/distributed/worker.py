@@ -111,7 +111,6 @@ def run_worker(
         seed=zlib.crc32(worker_id.encode("utf-8")),
     )
     errors = 0
-    busy_streak = 0
     log.info("worker %s serving %s", worker_id, base_url)
     while True:
         try:
@@ -134,19 +133,6 @@ def run_worker(
         if status == "shutdown":
             log.info("worker %s: coordinator shut down, exiting", worker_id)
             return 0
-        if status == "busy":
-            # Backpressure (503 + Retry-After): the coordinator shed
-            # this lease request.  Not an error — back off with the
-            # seeded jitter stream so a saturated coordinator is not
-            # hammered by a synchronized fleet, growing the delay
-            # while the overload persists.
-            busy_streak += 1
-            time.sleep(max(
-                float(reply.get("retry_after", poll)),
-                reconnect.delay(min(busy_streak, 6)),
-            ))
-            continue
-        busy_streak = 0
         if status in ("wait", "draining"):
             time.sleep(float(reply.get("retry_after", poll)))
             continue

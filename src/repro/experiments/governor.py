@@ -1,9 +1,9 @@
-"""Resource governance: per-scenario budgets, overload protection, quarantine.
+"""Resource governance: per-scenario budgets, failure kinds, quarantine.
 
-A campaign that "serves heavy traffic" needs the same discipline the
-paper applies to NBTI stress: *budget* the resource a component may
-consume and gate the worst offender before it degrades the rest.  This
-module is that discipline for the execution layer:
+A campaign needs the same discipline the paper applies to NBTI stress:
+*budget* the resource a component may consume and gate the worst
+offender before it degrades the rest.  This module is that discipline
+for the execution layer:
 
 * :class:`ResourceBudget` — wall/CPU/RSS limits for one scenario
   attempt.  CPU and address-space limits are installed with
@@ -23,19 +23,15 @@ module is that discipline for the execution layer:
   onto the typed failure kinds ``timeout``/``cpu``/``oom``/``crash``
   surfaced end-to-end in failure records, campaign reports and
   ``campaign.state.json``.
+* :class:`FailureLedger` — key → the distinct identities of its failed
+  attempts, checked against a threshold.  The one quarantine rule of
+  the execution layer: the lease coordinator files remote failures
+  under the worker that failed them (``poison_threshold``), the
+  governor files budget breaches under their breach number
+  (``quarantine_threshold``).
 * :class:`ScenarioGovernor` — per-executor budget policy plus the local
-  quarantine ledger.  Quarantine deliberately *reuses* the distributed
-  :class:`~repro.experiments.distributed.lease.LeaseTable` poison
-  machinery (each budget-busting attempt is recorded as a distinct
-  failed "worker"); after :attr:`GovernorSpec.quarantine_threshold`
-  breaches the scenario is poisoned locally exactly as it would be
-  fleet-wide.
-* :class:`OverloadGuard` / :class:`CircuitBreaker` — coordinator-side
-  overload protection: admission verdicts (``ok``/``brownout``/
-  ``shed``) from queue depth, in-flight request count and resident-set
-  pressure, and a breaker that stops acking completions after K
-  consecutive durable-commit failures so a wedged journal drains the
-  fleet instead of silently losing acks.
+  quarantine ledger: after :attr:`GovernorSpec.quarantine_threshold`
+  breaches a scenario is quarantined instead of retried.
 
 Everything here is opt-in: an executor without a governor behaves
 byte-identically to the historical code paths.
@@ -46,7 +42,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import signal
-import sys
 import threading
 from typing import Dict, List, Optional
 
@@ -231,6 +226,41 @@ def estimate_cost(scenario) -> CostEstimate:
     )
 
 
+class FailureLedger:
+    """Key → the distinct identities of its failed attempts.
+
+    A key *settles* (is quarantined) once ``threshold`` distinct
+    identities have failed it.  The caller chooses what an identity
+    is: a remote failure is filed under the worker that failed it, so
+    one flaky machine alone cannot poison a scenario; a governed local
+    breach under its breach number, so every breach counts.
+
+    Written from one thread (the executor's dispatch loop, or under
+    the governor's lock); the lease table's reads from HTTP handler
+    threads are single set lookups.
+    """
+
+    def __init__(self, threshold: int) -> None:
+        if threshold < 1:
+            raise ValueError(f"threshold must be >= 1, got {threshold}")
+        self.threshold = threshold
+        self._failed: Dict[str, set] = {}
+
+    def record(self, key: str, identity: str) -> bool:
+        """File one failed attempt; ``True`` once ``key`` has settled."""
+        identities = self._failed.setdefault(key, set())
+        identities.add(identity)
+        return len(identities) >= self.threshold
+
+    def failed(self, key: str, identity: str) -> bool:
+        """Whether ``identity`` already failed ``key``."""
+        return identity in self._failed.get(key, ())
+
+    def count(self, key: str) -> int:
+        """Distinct identities that failed ``key`` so far."""
+        return len(self._failed.get(key, ()))
+
+
 @dataclasses.dataclass
 class GovernorSpec:
     """Budget policy of one :class:`ScenarioGovernor`.
@@ -273,8 +303,7 @@ class ScenarioGovernor:
     def __init__(self, spec: Optional[GovernorSpec] = None) -> None:
         self.spec = spec if spec is not None else GovernorSpec()
         self._lock = threading.Lock()
-        self._table = None  # lazy LeaseTable (import cycle: lease -> parallel)
-        self._breaches: Dict[str, int] = {}
+        self.ledger = FailureLedger(self.spec.quarantine_threshold)
         #: key -> quarantine record (predicted vs actual cost, kind...).
         self.quarantine_records: Dict[str, Dict[str, object]] = {}
         self.counters: Dict[str, int] = {
@@ -322,18 +351,7 @@ class ScenarioGovernor:
             info["actual_wall_seconds"] = round(actual_seconds, 3)
         return info
 
-    # -- quarantine (LeaseTable poison machinery, locally) -------------
-    def _quarantine_table(self):
-        if self._table is None:
-            # Imported lazily: lease depends on parallel which imports
-            # this module at load time.
-            from repro.experiments.distributed.lease import LeaseTable
-
-            self._table = LeaseTable(
-                poison_threshold=self.spec.quarantine_threshold
-            )
-        return self._table
-
+    # -- quarantine -----------------------------------------------------
     def record_breach(
         self,
         key: str,
@@ -344,26 +362,17 @@ class ScenarioGovernor:
     ) -> bool:
         """Account one budget breach; ``True`` once the key is quarantined.
 
-        Each breach is a distinct failed "worker" in a local
-        :class:`LeaseTable`, so the quarantine verdict is literally the
-        distributed poison rule evaluated locally.
+        Each breach is filed in the :class:`FailureLedger` under its own
+        breach number, so the key settles after ``quarantine_threshold``
+        breaches.
         """
         if kind not in BUDGET_KINDS:
             return False
         with self._lock:
-            table = self._quarantine_table()
-            table.load([(key, "", 0)])
-            self._breaches[key] = self._breaches.get(key, 0) + 1
             self.counters[f"breach_{kind}"] += 1
-            disposition = table.fail(
-                "", key, f"attempt-{self._breaches[key]}",
-                {"error_type": "BudgetBreached", "kind": kind,
-                 "message": f"resource budget breached ({kind})",
-                 "traceback": None},
-            )
-            from repro.experiments.distributed.lease import QUARANTINED
-
-            if disposition != QUARANTINED or key in self.quarantine_records:
+            breaches = self.ledger.count(key) + 1
+            settled = self.ledger.record(key, str(breaches))
+            if not settled or key in self.quarantine_records:
                 return key in self.quarantine_records
             self.counters["quarantined"] += 1
             self.quarantine_records[key] = {
@@ -371,7 +380,7 @@ class ScenarioGovernor:
                 "policy": getattr(scenario, "policy", None),
                 "iteration": iteration,
                 "kind": kind,
-                "breaches": self._breaches[key],
+                "breaches": breaches,
                 **self.budget_info(scenario, actual_seconds),
             }
             return True
@@ -400,153 +409,15 @@ class ScenarioGovernor:
             )
 
 
-# ----------------------------------------------------------------------
-# Coordinator-side overload protection
-# ----------------------------------------------------------------------
-#: OverloadGuard verdicts, in increasing severity.
-OK = "ok"
-BROWNOUT = "brownout"
-SHED = "shed"
-
-
-def process_rss_bytes() -> int:
-    """This process's peak resident set, in bytes (0 where unknown)."""
-    try:
-        import resource
-    except ImportError:
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is kilobytes on Linux, bytes on macOS.
-    return int(peak if sys.platform == "darwin" else peak * 1024)
-
-
-class OverloadGuard:
-    """Admission-control verdicts for the coordinator's ``/lease``.
-
-    The guard watches three pressure signals — pending-event queue
-    depth (results the executor has not folded in yet), concurrently
-    in-flight HTTP requests, and resident-set size — and answers with
-    the mildest sufficient verdict: :data:`BROWNOUT` (shed optional
-    work: defer *new* lease grants, keep serving heartbeats and
-    completions, which release resources) once any signal crosses
-    ``brownout_fraction`` of its limit, :data:`SHED` (refuse leases
-    outright with a ``Retry-After``) at the limit.
-    """
-
-    def __init__(
-        self,
-        max_queue_depth: int = 1024,
-        max_inflight: int = 32,
-        max_rss_bytes: Optional[int] = None,
-        brownout_fraction: float = 0.75,
-    ) -> None:
-        if max_queue_depth < 1:
-            raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        if not 0.0 < brownout_fraction <= 1.0:
-            raise ValueError(
-                f"brownout_fraction must be in (0, 1], got {brownout_fraction}"
-            )
-        self.max_queue_depth = max_queue_depth
-        self.max_inflight = max_inflight
-        self.max_rss_bytes = max_rss_bytes
-        self.brownout_fraction = brownout_fraction
-        self.counters: Dict[str, int] = {"brownouts": 0, "sheds": 0}
-        self._lock = threading.Lock()
-
-    def _pressure(self, queue_depth: int, inflight: int) -> float:
-        """Worst utilization across the watched signals (1.0 = at limit)."""
-        ratios = [
-            queue_depth / self.max_queue_depth,
-            inflight / self.max_inflight,
-        ]
-        if self.max_rss_bytes:
-            ratios.append(process_rss_bytes() / self.max_rss_bytes)
-        return max(ratios)
-
-    def verdict(self, queue_depth: int, inflight: int) -> str:
-        """Current verdict without recording an admission decision
-        (what health probes read — observing load must not count as
-        load shedding)."""
-        pressure = self._pressure(queue_depth, inflight)
-        if pressure >= 1.0:
-            return SHED
-        if pressure >= self.brownout_fraction:
-            return BROWNOUT
-        return OK
-
-    def assess(self, queue_depth: int, inflight: int) -> str:
-        """Verdict for one admission decision (counted when degraded)."""
-        verdict = self.verdict(queue_depth, inflight)
-        if verdict == SHED:
-            with self._lock:
-                self.counters["sheds"] += 1
-        elif verdict == BROWNOUT:
-            with self._lock:
-                self.counters["brownouts"] += 1
-        return verdict
-
-
-class CircuitBreaker:
-    """Consecutive-failure breaker around the durable-commit path.
-
-    ``record_failure`` returns ``True`` the moment the breaker *opens*
-    (``threshold`` consecutive failures) — the caller's cue to stop
-    acking completions and drain.  Any success closes it again.
-    """
-
-    def __init__(self, threshold: int = 5) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
-        self.consecutive_failures = 0
-        self.trips = 0
-        self._open = False
-        self._lock = threading.Lock()
-
-    @property
-    def open(self) -> bool:
-        return self._open
-
-    def record_failure(self) -> bool:
-        with self._lock:
-            self.consecutive_failures += 1
-            if not self._open and self.consecutive_failures >= self.threshold:
-                self._open = True
-                self.trips += 1
-                return True
-            return False
-
-    def record_success(self) -> None:
-        with self._lock:
-            self.consecutive_failures = 0
-            self._open = False
-
-    def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "open": self._open,
-                "consecutive_failures": self.consecutive_failures,
-                "threshold": self.threshold,
-                "trips": self.trips,
-            }
-
-
 __all__ = [
     "ALL_KINDS",
     "BUDGET_KINDS",
-    "BROWNOUT",
     "BudgetExceeded",
-    "CircuitBreaker",
     "CostEstimate",
+    "FailureLedger",
     "GovernorSpec",
-    "OK",
-    "OverloadGuard",
     "ResourceBudget",
-    "SHED",
     "ScenarioGovernor",
     "classify_failure_kind",
     "estimate_cost",
-    "process_rss_bytes",
 ]

@@ -8,10 +8,11 @@ This module exploits that:
 
 * :class:`Executor` maps ``(ScenarioConfig, iteration)`` work units to
   :class:`~repro.experiments.runner.ScenarioResult` objects through one
-  dispatch loop that runs each attempt either in a killable child
-  process (at most ``max_workers`` live) or in-process, with results
-  bit-identical either way (determinism is a property of the work
-  units, not of scheduling; verified by ``tests/test_parallel.py``).
+  dispatch loop that runs each attempt in a killable child process
+  (at most ``max_workers`` live), in-process, or as a lease served to
+  remote workers, with results bit-identical every way (determinism
+  is a property of the work units, not of scheduling; verified by
+  ``tests/test_parallel.py`` and ``tests/test_distributed.py``).
 * ``Executor(cache=dir)`` keeps results in a
   :class:`~repro.experiments.checkpoint.ScenarioJournal` store keyed by
   :func:`cache_key`, a stable hash of the scenario parameters, the
@@ -38,7 +39,6 @@ import json
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
 import random
 import signal
 import threading
@@ -343,13 +343,17 @@ class Executor:
     distributed:
         Optional
         :class:`~repro.experiments.distributed.protocol.DistributedSpec`.
-        When set, pending units are served to ``repro-noc worker``
-        processes over HTTP leases by an embedded coordinator instead
-        of running locally (see :mod:`repro.experiments.distributed`);
+        When set, every attempt is a lease served to ``repro-noc
+        worker`` processes by an embedded coordinator instead of
+        running locally (see :mod:`repro.experiments.distributed`);
         results are committed idempotently through ``checkpoint`` the
         moment they arrive, so worker crashes, partitions and
-        coordinator kills compose with ``--resume``.  Call
-        :meth:`close` when done (stops the coordinator).
+        coordinator kills compose with ``--resume``.  A failed remote
+        attempt is retried on the ``retry_backoff`` schedule until the
+        spec's poison rule settles it, so ``timeout``, ``retries`` and
+        ``governor`` (which remote workers cannot enforce) are
+        rejected beside it.  Call :meth:`close` when done (stops the
+        coordinator).
     governor:
         Optional :class:`~repro.experiments.governor.ScenarioGovernor`
         (or a :class:`~repro.experiments.governor.GovernorSpec`, which
@@ -359,11 +363,12 @@ class Executor:
         child); budget breaches become typed failures and repeat
         offenders are quarantined instead of retried.
 
-    An attempt runs in a killable child process when isolation is
-    asked for (:meth:`map_robust`, ``timeout`` or ``governor``) or there
-    is parallelism to exploit (``max_workers > 1`` and several pending
-    units), otherwise in-process.  A child that cannot be started
-    switches the rest of the run to in-process (``stats.fallbacks``).
+    Without ``distributed``, an attempt runs in a killable child
+    process when isolation is asked for (:meth:`map_robust`,
+    ``timeout`` or ``governor``) or there is parallelism to exploit
+    (``max_workers > 1`` and several pending units), otherwise
+    in-process.  A child that cannot be started switches the rest of
+    the run to in-process (``stats.fallbacks``).
 
     Results are returned in work-unit order regardless of completion
     order, and are bit-identical whichever way an attempt ran: a unit's
@@ -405,6 +410,15 @@ class Executor:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if retry_backoff < 0:
             raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
+        if distributed is not None and (
+            timeout is not None or retries or governor is not None
+        ):
+            # Remote workers install no budgets and the poison rule is
+            # their retry limit: accepting these would enforce nothing.
+            raise ValueError(
+                "distributed execution (--port) cannot be combined with "
+                "--timeout, --retries or --budget*"
+            )
         self.max_workers = max_workers
         if cache is not None and not isinstance(cache, ScenarioJournal):
             cache = ScenarioJournal.store(cache)
@@ -543,9 +557,7 @@ class Executor:
                 )
             self.stats.cache_corrupt = self.cache.torn
 
-        if pending and self.distributed is not None:
-            self._map_distributed(units, pending, results)
-        elif pending:
+        if pending:
             in_process = not (
                 isolate
                 or self.timeout is not None
@@ -584,19 +596,36 @@ class Executor:
         errors: Dict[int, BaseException],
         in_process: bool,
     ) -> None:
-        """The dispatch loop: at most ``max_workers`` live attempts.
+        """The dispatch loop: one attempt runner, one retry schedule.
 
-        The scheduler multiplexes three event sources: result pipes
-        becoming readable, per-attempt deadlines expiring, and backoff
-        delays elapsing for queued retries.  Attempts run in killable
-        child processes, or inline when ``in_process`` (no deadline is
-        enforceable there); the first child that cannot be started
-        switches the rest of the loop to inline attempts.
+        An attempt runs in a killable child process (at most
+        ``max_workers`` live), inline when ``in_process`` (no deadline
+        is enforceable there; the first child that cannot be started
+        switches the rest of the loop to inline attempts), or — with a
+        distributed backend — as a lease on the embedded coordinator,
+        with no local limit on how many are out.  The scheduler
+        multiplexes result pipes and the coordinator's event pipe
+        becoming readable, per-attempt deadlines and lease expiry, and
+        backoff delays elapsing for queued retries.  Units that share a
+        cache key go out as one lease: the first one's outcome settles
+        the rest.
         """
         ctx = multiprocessing.get_context()
+        server = None if self.distributed is None else self._ensure_server()
+        keys: Dict[int, str] = {}  # unit index -> cache key of its lease
+        followers: Dict[int, List[int]] = {}
+        if server is not None:
+            leaders: Dict[str, int] = {}
+            for index in pending:
+                leader = leaders.setdefault(cache_key(*units[index]), index)
+                if leader != index:
+                    followers.setdefault(leader, []).append(index)
+            keys = {index: key for key, index in leaders.items()}
+            pending = list(keys)
         # (unit index, attempt number, earliest monotonic start time)
         queue: List[Tuple[int, int, float]] = [(i, 1, 0.0) for i in pending]
         running: dict = {}  # receiving pipe end -> task record
+        leased: Dict[str, Tuple[int, int]] = {}  # key -> (index, attempt)
         unit_started = {i: time.perf_counter() for i in pending}
         # Per-unit resource budget and effective wall limit (the tighter
         # of the budget's wall cap and the executor timeout).  Without a
@@ -609,6 +638,13 @@ class Executor:
             i: self.timeout if budget is None else budget.deadline(self.timeout)
             for i, budget in budgets.items()
         }
+
+        def has_slot() -> bool:
+            return server is not None or len(running) < self.max_workers
+
+        def finish(index: int, result: ScenarioResult) -> None:
+            for i in [index, *followers.get(index, ())]:
+                self._finish(i, units[i], result, results)
 
         def spawn(index: int, attempt: int) -> None:
             # The result carries the unit back up the pipe, so an
@@ -638,45 +674,55 @@ class Executor:
                     exc=exc,
                 )
             else:
-                self._finish(index, units[index], result, results)
+                finish(index, result)
 
         def retry_or_fail(index: int, attempt: int, error_type: str,
                           message: str, timed_out: bool,
                           traceback: Optional[str] = None,
                           kind: Optional[str] = None,
-                          exc: Optional[BaseException] = None) -> None:
+                          exc: Optional[BaseException] = None,
+                          identity: Optional[str] = None) -> None:
             if kind is None:
                 kind = classify_failure_kind(error_type, timed_out=timed_out)
-            quarantined, budget_info = self._note_breach(
-                units[index], kind, time.perf_counter() - unit_started[index]
-            )
-            # A quarantined unit stops retrying immediately: the budget
-            # verdict is final, remaining attempts would just burn the
-            # same budget again.
-            if not quarantined and attempt <= self.retries:
+            if identity is None:
+                quarantined, budget_info = self._note_breach(
+                    units[index], kind, time.perf_counter() - unit_started[index]
+                )
+                # A quarantined unit stops retrying immediately: the
+                # budget verdict is final, remaining attempts would just
+                # burn the same budget again.
+                retry = not quarantined and attempt <= self.retries
+            else:
+                # A remote attempt retries until the poison rule
+                # settles its key.
+                quarantined = server.ledger.record(keys[index], identity)
+                budget_info = None
+                retry = not quarantined
+            if retry:
                 self.stats.retries += 1
                 backoff = self._backoff.delay(attempt)
                 queue.append((index, attempt + 1, time.monotonic() + backoff))
                 return
             if exc is not None:
                 errors[index] = exc
-            self._fail(
-                index,
-                ScenarioFailure(
-                    scenario=units[index][0],
-                    iteration=units[index][1],
-                    error_type=error_type,
-                    message=message,
-                    attempts=attempt,
-                    timed_out=timed_out,
-                    wall_seconds=time.perf_counter() - unit_started[index],
-                    traceback=traceback,
-                    kind=kind,
-                    quarantined=quarantined,
-                    budget=budget_info,
-                ),
-                results,
+            failure = ScenarioFailure(
+                scenario=units[index][0],
+                iteration=units[index][1],
+                error_type=error_type,
+                message=message,
+                attempts=attempt,
+                timed_out=timed_out,
+                wall_seconds=time.perf_counter() - unit_started[index],
+                traceback=traceback,
+                kind=kind,
+                quarantined=quarantined,
+                budget=budget_info,
             )
+            self._fail(index, failure, results)
+            for i in followers.get(index, ()):
+                self._fail(i, dataclasses.replace(
+                    failure, scenario=units[i][0], iteration=units[i][1]
+                ), results)
 
         def reap(conn, task, timed_out: bool) -> None:
             proc = task["proc"]
@@ -699,7 +745,7 @@ class Executor:
                     f"attempt exceeded {wall_limits[index]}s", timed_out=True,
                 )
             elif message is not None and message[0] == "ok":
-                self._finish(index, units[index], message[1], results)
+                finish(index, message[1])
             elif message is not None and message[0] == "error":
                 try:
                     exc = pickle.loads(message[4]) if message[4] else None
@@ -720,20 +766,42 @@ class Executor:
                     kind=classify_failure_kind("WorkerDied", exitcode=proc.exitcode),
                 )
 
+        def settle_lease(kind: str, key: str, payload) -> None:
+            if key not in leased:
+                return  # not this map's (a straggler of an earlier one)
+            index, attempt = leased.pop(key)
+            if kind == "result":
+                finish(index, payload)
+            elif kind == "failed":
+                error = payload.error
+                retry_or_fail(
+                    index, attempt, str(error.get("error_type")),
+                    str(error.get("message", "")), timed_out=False,
+                    traceback=error.get("traceback"), kind=error.get("kind"),
+                    identity=payload.identity,
+                )
+            else:  # "error": the durable commit failed
+                raise payload
+
         try:
             # Draining stops new launches; the loop then only reaps what
             # is already in flight (still bounded by per-attempt
-            # deadlines) and leaves the queue for the resume run.
-            while running or (queue and not self._drain.is_set()):
+            # deadlines and lease expiry) and leaves the queue for the
+            # resume run.
+            while running or leased or (queue and not self._drain.is_set()):
                 now = time.monotonic()
                 # Launch every due queued attempt while slots are free.
-                while len(running) < self.max_workers and not self._drain.is_set():
+                while has_slot() and not self._drain.is_set():
                     due = next(
                         (k for k, item in enumerate(queue) if item[2] <= now), None
                     )
                     if due is None:
                         break
                     index, attempt, _ = queue.pop(due)
+                    if server is not None:
+                        leased[keys[index]] = (index, attempt)
+                        server.submit([(keys[index], units[index])])
+                        continue
                     if not in_process:
                         try:
                             spawn(index, attempt)
@@ -750,30 +818,51 @@ class Executor:
                 # Sleep until the next event could possibly happen.  A
                 # queued attempt is such an event only while a slot is
                 # free to launch it; otherwise its (possibly past) start
-                # time would turn the wait into a busy poll.
+                # time would turn the wait into a busy poll.  Leases are
+                # scanned for expiry every poll interval.
                 horizons = [
                     t["deadline"] for t in running.values() if t["deadline"] is not None
                 ]
-                if len(running) < self.max_workers and not self._drain.is_set():
+                if has_slot() and not self._drain.is_set():
                     horizons.extend(item[2] for item in queue)
+                if leased:
+                    horizons.append(time.monotonic() + self.distributed.poll_interval)
                 wait_for = (
                     None if not horizons
                     else max(0.0, min(horizons) - time.monotonic())
                 )
-                if running:
-                    ready = connection_wait(list(running), timeout=wait_for)
+                waitables = list(running)
+                if server is not None:
+                    waitables.append(server.events)
+                if waitables:
+                    ready = connection_wait(waitables, timeout=wait_for)
                     now = time.monotonic()
                     for conn in ready:
-                        reap(conn, running.pop(conn), timed_out=False)
+                        if conn in running:
+                            reap(conn, running.pop(conn), timed_out=False)
+                            continue
+                        while conn.poll():
+                            settle_lease(*conn.recv())
                     for conn in [
                         c for c, t in running.items()
                         if t["deadline"] is not None and now >= t["deadline"]
                     ]:
                         reap(conn, running.pop(conn), timed_out=True)
+                    if leased:
+                        for failure in server.expire_leases():
+                            settle_lease("failed", failure.key, failure)
                 elif wait_for:
                     time.sleep(wait_for)
+                if server is not None and self._drain.is_set():
+                    # Scenarios no worker has picked up go back to the
+                    # queue; leased ones finish or expire.
+                    for key in server.drain():
+                        if key in leased:
+                            queue.append((*leased.pop(key), 0.0))
             if self._drain.is_set() and queue:
-                raise CampaignInterrupted(len(queue))
+                raise CampaignInterrupted(
+                    sum(1 + len(followers.get(i, ())) for i, _, _ in queue)
+                )
         finally:
             for conn, task in running.items():
                 task["proc"].terminate()
@@ -787,9 +876,10 @@ class Executor:
             # Imported lazily: distributed/ depends on this module.
             from repro.experiments.distributed.coordinator import CoordinatorServer
 
-            self._server = CoordinatorServer(
-                self.distributed, commit=self._commit_remote
-            )
+            # Commits run on the coordinator's handler threads: a
+            # worker's completion is acked only once it is journaled
+            # here, so the write-ahead property extends across hosts.
+            self._server = CoordinatorServer(self.distributed, commit=self._store)
             self._server.start()
             host, port = self._server.address
             self._report_line(f"distributed coordinator serving on {host}:{port}")
@@ -800,85 +890,6 @@ class Executor:
         if self.distributed is None:
             raise RuntimeError("executor has no distributed backend configured")
         return self._ensure_server().address
-
-    def _commit_remote(self, key: str, result: ScenarioResult) -> None:
-        """Durably journal a remote completion before it is acked.
-
-        Runs on coordinator handler threads (the write-ahead property
-        then extends across hosts: a worker's completion is acked only
-        once it is fsync'd here).
-        """
-        self._store(key, result)
-
-    def _map_distributed(
-        self,
-        units: Sequence[WorkUnit],
-        pending: Sequence[int],
-        results: List[Optional[Outcome]],
-    ) -> None:
-        """Serve pending units to remote workers via the lease coordinator.
-
-        Completions and poison verdicts arrive on the server's event
-        queue (producer: HTTP handler threads / expiry scans) and are
-        folded into ``results`` here on the calling thread, so journal,
-        cache and stats bookkeeping stay single-threaded.  A drain
-        request stops new lease grants; in-flight leases either complete
-        (and are committed) or expire, bounded by the lease timeout.
-        """
-        from repro.experiments.distributed.coordinator import POISON_ERROR_TYPE
-
-        server = self._ensure_server()
-        key_indices: Dict[str, List[int]] = {}
-        batch = []
-        submitted = time.perf_counter()
-        for index in pending:
-            key = cache_key(*units[index])
-            slots = key_indices.setdefault(key, [])
-            if not slots:
-                batch.append((key, units[index]))
-            slots.append(index)
-        server.submit(batch)
-        outstanding = set(key_indices)
-
-        while outstanding:
-            if self._drain.is_set():
-                server.drain()
-            server.expire_leases()
-            try:
-                kind, key, payload = server.events.get(
-                    timeout=self.distributed.poll_interval
-                )
-            except queue_module.Empty:
-                if (
-                    self._drain.is_set()
-                    and server.table.active_leases() == 0
-                    and server.events.empty()
-                ):
-                    break
-                continue
-            if key not in outstanding:
-                continue  # stale event for an already-settled key
-            outstanding.discard(key)
-            for index in key_indices[key]:
-                if kind == "result":
-                    self._finish(index, units[index], payload, results)
-                else:
-                    error_type = payload.get("error_type") or POISON_ERROR_TYPE
-                    failure = ScenarioFailure(
-                        scenario=units[index][0],
-                        iteration=units[index][1],
-                        error_type=error_type,
-                        message=payload.get("message", "poisoned scenario"),
-                        attempts=int(payload.get("attempts") or 0),
-                        timed_out=False,
-                        wall_seconds=time.perf_counter() - submitted,
-                        traceback=payload.get("traceback"),
-                        kind=payload.get("kind") or classify_failure_kind(error_type),
-                        quarantined=kind == "poisoned",
-                    )
-                    self._fail(index, failure, results)
-        if outstanding:
-            raise CampaignInterrupted(len(outstanding))
 
     def close(self) -> None:
         """Stop the embedded coordinator and close the ``cache`` store

@@ -100,7 +100,6 @@ class TestGovernanceFlags:
             ])
             assert args.budget_cpu == 2.0
             assert args.poison_threshold == 2
-        assert parser.parse_args(["health", "--connect", "h:1"]).command == "health"
 
     def test_no_budget_flags_means_no_governor(self):
         from repro.cli import _make_governor
@@ -138,6 +137,27 @@ class TestGovernanceFlags:
         assert spec.poison_threshold == 5
         assert spec.port == 0
 
+    def test_port_with_budget_or_timeout_is_a_usage_error(self, tmp_path):
+        from repro.cli import _executing
+
+        # Remote workers enforce none of these: refused up front, not
+        # silently dropped.
+        for extra in (
+            ["--budget-cpu", "2", "--timeout", "60"],
+            ["--budget"],
+            ["--timeout", "60"],
+            ["--retries", "1"],
+        ):
+            args = self._args(["fault-campaign", "--port", "0", *extra])
+            with pytest.raises(SystemExit) as info:
+                with _executing(args, None):
+                    pass
+            assert info.value.code == 2
+        # Without --port the same flags build a governed local executor.
+        args = self._args(["fault-campaign", "--budget-cpu", "2", "--timeout", "60"])
+        with _executing(args, None) as executor:
+            assert executor.governor is not None and executor.timeout == 60.0
+
     def test_no_port_means_local_execution(self):
         from repro.cli import _make_distributed
 
@@ -146,38 +166,3 @@ class TestGovernanceFlags:
         # spawns none itself.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "--workers", "2"])
-
-
-class TestHealthCommand:
-    def test_unreachable_coordinator_exits_2(self, capsys):
-        # A port nothing listens on: connection refused, not a hang.
-        assert main(["health", "--connect", "127.0.0.1:9", "--timeout", "2"]) == 2
-
-    def test_healthy_coordinator_exits_0(self, capsys):
-        from repro.experiments.distributed import CoordinatorServer, DistributedSpec
-
-        server = CoordinatorServer(DistributedSpec(bind="127.0.0.1", port=0))
-        server.start()
-        try:
-            host, port = server.address
-            assert main(["health", "--connect", f"{host}:{port}"]) == 0
-            out = capsys.readouterr().out
-            assert '"status": "ok"' in out
-            assert '"verdict": "ok"' in out
-        finally:
-            server.close()
-
-    def test_degraded_coordinator_exits_1(self, capsys):
-        from repro.experiments.distributed import CoordinatorServer, DistributedSpec
-
-        server = CoordinatorServer(
-            DistributedSpec(bind="127.0.0.1", port=0, queue_limit=1)
-        )
-        server.start()
-        try:
-            server.events.put(("noise", "", None))  # saturate the queue
-            host, port = server.address
-            assert main(["health", "--connect", f"{host}:{port}"]) == 1
-            assert '"verdict": "shed"' in capsys.readouterr().out
-        finally:
-            server.close()

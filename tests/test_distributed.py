@@ -4,18 +4,19 @@ Layered like the implementation:
 
 * ``LeaseTable`` unit tests with an injected fake clock — grant /
   heartbeat / complete / fail / expire transitions, dedup by key, late
-  acceptance, poison quarantine, backoff windows;
+  acceptance, the failure-ledger identities poison quarantine counts;
 * wire-protocol tests — the journal's CRC-guarded JSON records for
   units, spec validation;
 * HTTP-level tests against a live ``CoordinatorServer`` — the
   durability ordering on ``/complete`` (commit before ack, reopen on
   commit failure), corrupt and foreign upload rejection, lease expiry
   and reassignment over the wire, late duplicates dropped
-  idempotently;
+  idempotently, and the events the executor's dispatch loop consumes;
 * in-process integration — a real ``Executor`` with worker threads
   running the real ``run_worker`` loop, asserting distributed results
-  are identical to serial and poison scenarios surface as
-  ``ScenarioFailure`` records;
+  are identical to serial, poison scenarios surface as
+  ``ScenarioFailure`` records (also on a one-worker fleet) and a
+  failed durable commit stops the map;
 * chaos tests — a subprocess coordinator (``--port 0``) and the
   ``repro-noc worker --connect`` processes the test spawns, one
   SIGKILL'd mid-campaign, requiring byte-identical campaign JSON vs an
@@ -50,17 +51,11 @@ from repro.experiments.distributed import (
     LeaseTable,
     run_worker,
 )
-from repro.experiments.distributed.lease import (
-    COMMITTED,
-    DUPLICATE,
-    QUARANTINED,
-    REQUEUED,
-    UNKNOWN,
-)
+from repro.experiments.distributed.lease import COMMITTED, DUPLICATE, UNKNOWN
 from repro.experiments.distributed.protocol import get_json, post_json
+from repro.experiments.governor import FailureLedger, GovernorSpec
 from repro.experiments.parallel import (
     Executor,
-    RetryBackoff,
     ScenarioFailure,
     WorkUnit,
     _execute_unit,
@@ -115,13 +110,32 @@ class FakeClock:
         return self.now
 
 
-def make_table(clock, lease_timeout=10.0, poison_threshold=3, backoff_base=1.0):
-    return LeaseTable(
-        lease_timeout=lease_timeout,
-        backoff=RetryBackoff(backoff_base, jitter=0.0),
-        poison_threshold=poison_threshold,
-        clock=clock,
+def make_table(clock, lease_timeout=10.0, poison_threshold=3):
+    return LeaseTable(lease_timeout, FailureLedger(poison_threshold), clock)
+
+
+def leased_count(table):
+    return table.snapshot()["states"]["leased"]
+
+
+def remaining(table):
+    states = table.snapshot()["states"]
+    return states["pending"] + states["leased"]
+
+
+def fail_attempt(table, worker, key, error_type="E"):
+    """One attempt of ``key`` on ``worker`` that fails, filed in the
+    ledger and reloaded the way the executor's dispatch loop does;
+    returns whether the key settled."""
+    grant, payload, crc = table.grant(worker)
+    assert grant.key == key
+    failure = table.fail(
+        grant.lease_id, key, worker, {"error_type": error_type, "message": "m"}
     )
+    settled = table.ledger.record(key, failure.identity)
+    if not settled:
+        table.load([(key, payload, crc)])
+    return settled
 
 
 class TestLeaseTable:
@@ -134,10 +148,10 @@ class TestLeaseTable:
         assert grant.worker == "w1"
         assert grant.deadline == clock.now + 10.0
         assert (payload, crc) == ("payload", 7)
-        assert table.active_leases() == 1
+        assert leased_count(table) == 1
 
         assert table.complete(grant.lease_id, "k1", "w1") == COMMITTED
-        assert table.remaining() == 0
+        assert remaining(table) == 0
         assert table.counters["committed"] == 1
         # Nothing left to grant.
         assert table.grant("w1") is None
@@ -155,7 +169,7 @@ class TestLeaseTable:
     def test_unknown_key_rejected(self):
         table = make_table(FakeClock())
         assert table.complete("lease", "nope", "w1") == UNKNOWN
-        assert table.fail("lease", "nope", "w1") == UNKNOWN
+        assert table.fail("lease", "nope", "w1") is None
 
     def test_load_is_idempotent(self):
         table = make_table(FakeClock())
@@ -175,36 +189,39 @@ class TestLeaseTable:
         assert table.heartbeat(grant.lease_id)
         clock.now += 8.0  # 16s since grant, 8s since heartbeat: alive
         assert table.expire() == []
-        assert table.active_leases() == 1
+        assert leased_count(table) == 1
         assert not table.heartbeat("no-such-lease")
 
-    def test_expiry_requeues_with_backoff_window(self):
+    def test_expiry_fails_the_attempt_until_reloaded(self):
         clock = FakeClock()
-        table = make_table(clock, lease_timeout=10.0, backoff_base=2.0)
+        table = make_table(clock, lease_timeout=10.0)
         table.load([("k1", "p", 0)])
         table.grant("w1")
         clock.now += 11.0
         (expired,) = table.expire()
         assert expired.key == "k1"
         assert expired.worker == "w1"
-        assert not expired.poisoned
+        assert expired.identity == "w1"
         assert expired.error["error_type"] == "LeaseExpired"
         assert table.counters["expiries"] == 1
-        assert table.counters["requeued"] == 1
-        # Inside the backoff window nothing is granted...
+        assert table.counters["failed"] == 1
+        # Parked: retrying is the executor's call, so nothing is
+        # granted (and a straggler's upload is not taken)...
         assert table.grant("w2") is None
-        # ...after it the scenario is reassigned.
-        clock.now += 2.0
+        assert table.complete("stale", "k1", "w1") == UNKNOWN
+        # ...until it loads the scenario again.
+        table.load([("k1", "p", 0)])
         grant, _, _ = table.grant("w2")
         assert grant.key == "k1"
 
     def test_late_completion_accepted_when_undone(self):
         clock = FakeClock()
-        table = make_table(clock, lease_timeout=10.0, backoff_base=0.0)
+        table = make_table(clock, lease_timeout=10.0)
         table.load([("k1", "p", 0)])
         stale, _, _ = table.grant("w1")
         clock.now += 11.0
         table.expire()
+        table.load([("k1", "p", 0)])  # the executor's retry
         live, _, _ = table.grant("w2")
         # The partitioned worker's upload lands first: kept.
         assert table.complete(stale.lease_id, "k1", "w1") == COMMITTED
@@ -220,38 +237,53 @@ class TestLeaseTable:
         assert table.complete(grant.lease_id, "k1", "w1") == COMMITTED
         table.reopen("k1")
         assert table.counters["committed"] == 0
-        assert table.remaining() == 1
+        assert remaining(table) == 1
         regrant, _, _ = table.grant("w2")
         assert regrant.key == "k1"
 
     def test_poison_needs_distinct_workers(self):
         clock = FakeClock()
-        table = make_table(clock, poison_threshold=2, backoff_base=0.0)
+        table = make_table(clock, poison_threshold=2)
+        assert table.grant("w2") is None  # w2 is live (it polled)
         table.load([("k1", "p", 0)])
-        # The same worker failing twice is not poison evidence.
+        # The same worker failing twice is not poison evidence while
+        # another live worker has not tried the scenario.
         for _ in range(2):
-            grant, _, _ = table.grant("w1")
-            assert table.fail(grant.lease_id, "k1", "w1", {"error_type": "E", "message": "m"}) == REQUEUED
-        assert table.counters["poisoned"] == 0
+            assert fail_attempt(table, "w1", "k1") is False
+        assert table.ledger.count("k1") == 1
         # A second distinct worker is.
-        grant, _, _ = table.grant("w2")
-        assert (
-            table.fail(grant.lease_id, "k1", "w2", {"error_type": "E", "message": "m"})
-            == QUARANTINED
-        )
-        assert table.counters["poisoned"] == 1
-        assert table.remaining() == 0
-        error = table.error_of("k1")
-        assert error["workers"] == ["w1", "w2"]
-        assert error["attempts"] == 3
+        assert fail_attempt(table, "w2", "k1") is True
+        assert table.ledger.failed("k1", "w1") and table.ledger.failed("k1", "w2")
+        assert table.counters["failed"] == 3
+
+    def test_lone_worker_repeat_failures_settle(self):
+        # No other worker is live: every repeat is new evidence, so a
+        # fleet smaller than the threshold still settles the key.
+        clock = FakeClock()
+        table = make_table(clock, poison_threshold=3)
+        table.load([("k1", "p", 0)])
+        assert [fail_attempt(table, "w1", "k1") for _ in range(3)] == [
+            False, False, True,
+        ]
+        # The same holds once every live worker has failed it.
+        table = make_table(clock, poison_threshold=3)
+        table.load([("k1", "p", 0)])
+        assert fail_attempt(table, "w1", "k1") is False
+        assert fail_attempt(table, "w2", "k1") is False
+        assert fail_attempt(table, "w1", "k1") is True
+        # A worker that went quiet for a lease timeout is not live.
+        table = make_table(clock, poison_threshold=2)
+        assert table.grant("w2") is None
+        clock.now += 11.0
+        table.load([("k1", "p", 0)])
+        assert fail_attempt(table, "w1", "k1") is False
+        assert fail_attempt(table, "w1", "k1") is True
 
     def test_grant_prefers_unfailed_scenarios(self):
         clock = FakeClock()
-        table = make_table(clock, backoff_base=0.0)
+        table = make_table(clock)
         table.load([("kA", "a", 0), ("kB", "b", 0)])
-        grant, _, _ = table.grant("w1")
-        assert grant.key == "kA"
-        table.fail(grant.lease_id, "kA", "w1", None)
+        assert fail_attempt(table, "w1", "kA") is False
         # w1 already failed kA, so it gets kB first; kA waits for w2.
         grant_b, _, _ = table.grant("w1")
         assert grant_b.key == "kB"
@@ -260,33 +292,34 @@ class TestLeaseTable:
 
     def test_grant_falls_back_to_failed_scenario_when_alone(self):
         clock = FakeClock()
-        table = make_table(clock, backoff_base=0.0, poison_threshold=3)
+        table = make_table(clock, poison_threshold=3)
         table.load([("kA", "a", 0)])
-        grant, _, _ = table.grant("w1")
-        table.fail(grant.lease_id, "kA", "w1", None)
+        assert fail_attempt(table, "w1", "kA") is False
         # Nothing else to hand out: w1 may retry its own failure.
         regrant, _, _ = table.grant("w1")
         assert regrant.key == "kA"
 
     def test_stale_failure_does_not_steal_live_lease(self):
         clock = FakeClock()
-        table = make_table(clock, lease_timeout=10.0, backoff_base=0.0)
+        table = make_table(clock, lease_timeout=10.0)
         table.load([("k1", "p", 0)])
         stale, _, _ = table.grant("w1")
         clock.now += 11.0
         table.expire()
+        table.load([("k1", "p", 0)])
         live, _, _ = table.grant("w2")
-        assert table.fail(stale.lease_id, "k1", "w1", None) == DUPLICATE
+        assert table.fail(stale.lease_id, "k1", "w1", None) is None
         # The live lease still stands and can complete.
         assert table.complete(live.lease_id, "k1", "w2") == COMMITTED
 
     def test_pause_stops_grants(self):
         table = make_table(FakeClock())
-        table.load([("k1", "p", 0)])
-        table.pause()
-        assert table.grant("w1") is None
-        table.resume_granting()
-        assert table.grant("w1") is not None
+        table.load([("k1", "p", 0), ("k2", "p", 0)])
+        held, _, _ = table.grant("w1")
+        # The scenario nobody holds is withdrawn; the lease stands.
+        assert table.pause() == ["k2"]
+        assert table.grant("w2") is None
+        assert table.complete(held.lease_id, "k1", "w1") == COMMITTED
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +369,7 @@ class TestProtocol:
 def _spec(**overrides):
     base = dict(
         bind="127.0.0.1", port=0, lease_timeout=30.0, poll_interval=0.05,
-        requeue_backoff=0.0, requeue_jitter=0.0, poison_threshold=2,
+        poison_threshold=2,
         shutdown_grace=0.0,  # HTTP tests drive fake workers by hand
     )
     base.update(overrides)
@@ -358,6 +391,20 @@ class _LiveCoordinator:
     def __exit__(self, *exc):
         self.server.close()
 
+    def event(self):
+        """The next event posted for the dispatch loop."""
+        assert self.server.events.poll(10.0), "no event posted"
+        return self.server.events.recv()
+
+    def retry(self, unit):
+        """What the dispatch loop does with a failed attempt: file it
+        in the ledger and load the scenario again; returns the failure."""
+        kind, key, failure = self.event()
+        assert (kind, key) == ("failed", cache_key(*unit))
+        self.server.ledger.record(key, failure.identity)
+        self.server.submit([(key, unit)])
+        return failure
+
 
 class TestCoordinatorHTTP:
     def test_lease_complete_commit_ordering(self):
@@ -375,8 +422,7 @@ class TestCoordinatorHTTP:
             assert ack["status"] == "committed"
             # The durable commit ran before the ack was sent.
             assert committed == [(key, result)]
-            kind, event_key, event_result = live.server.events.get_nowait()
-            assert (kind, event_key, event_result) == ("result", key, result)
+            assert live.event() == ("result", key, result)
 
     def test_late_duplicate_dropped_idempotently(self):
         committed = []
@@ -387,6 +433,10 @@ class TestCoordinatorHTTP:
             live.server.submit([(key, unit)])
             stale = post_json(live.url + "/lease", {"worker": "w1"})
             time.sleep(0.3)  # w1 partitioned: no heartbeats
+            # The dispatch loop's expiry scan, then its retry.
+            (expired,) = live.server.expire_leases()
+            assert expired.error["error_type"] == "LeaseExpired"
+            live.server.submit([(key, unit)])
             fresh = post_json(live.url + "/lease", {"worker": "w2"})
             assert fresh["status"] == "lease"
             assert fresh["key"] == key
@@ -411,7 +461,8 @@ class TestCoordinatorHTTP:
             ack = post_json(live.url + "/complete", dict(body, crc=body["crc"] ^ 1))
             assert ack["status"] == "rejected"
             assert committed == []
-            # The scenario went back in the queue for a clean run.
+            # The attempt failed; retried, the scenario gets a clean run.
+            assert live.retry(unit).error["error_type"] == "CorruptUpload"
             retry = post_json(live.url + "/lease", {"worker": "w2"})
             assert retry["status"] == "lease" and retry["key"] == key
             ack = post_json(live.url + "/complete", completion("w2", retry["lease"], unit))
@@ -432,7 +483,9 @@ class TestCoordinatorHTTP:
             assert ack["status"] == "rejected"
             assert "another scenario" in ack["reason"]
             assert committed == []
-            assert live.server.events.empty()
+            # Only the failed attempt is posted, never a result.
+            assert live.retry(unit).error["error_type"] == "CorruptUpload"
+            assert not live.server.events.poll()
             retry = post_json(live.url + "/lease", {"worker": "w2"})
             assert retry["status"] == "lease" and retry["key"] == key
             ack = post_json(live.url + "/complete", completion("w2", retry["lease"], unit))
@@ -465,7 +518,8 @@ class TestCoordinatorHTTP:
         key = cache_key(*unit)
         with _LiveCoordinator(_spec(poison_threshold=2)) as live:
             live.server.submit([(key, unit)])
-            for worker, expected in (("w1", "requeued"), ("w2", "poisoned")):
+            settled = []
+            for worker in ("w1", "w2"):
                 lease = post_json(live.url + "/lease", {"worker": worker})
                 reply = post_json(
                     live.url + "/fail",
@@ -473,12 +527,24 @@ class TestCoordinatorHTTP:
                      "error_type": "ValueError", "message": "cursed",
                      "traceback": "tb"},
                 )
-                assert reply["status"] == expected
-            kind, event_key, error = live.server.events.get_nowait()
-            assert kind == "poisoned"
-            assert event_key == key
-            assert error["error_type"] == "ValueError"
-            assert "2 distinct worker(s)" in error["message"]
+                assert reply["status"] == "failed"
+                kind, event_key, failure = live.event()
+                assert (kind, event_key) == ("failed", key)
+                assert failure.identity == worker
+                assert failure.error["error_type"] == "ValueError"
+                assert failure.error["traceback"] == "tb"
+                settled.append(live.server.ledger.record(key, failure.identity))
+                live.server.submit([(key, unit)])
+            # Poisoned once the second distinct worker failed it.
+            assert settled == [False, True]
+            # A report for a lease that is no longer live changes nothing.
+            reply = post_json(
+                live.url + "/fail",
+                {"worker": "w1", "lease": "stale", "key": key,
+                 "error_type": "ValueError", "message": "late"},
+            )
+            assert reply["status"] == "ignored"
+            assert not live.server.events.poll()
 
     def test_status_endpoint_and_unknown_routes(self):
         with _LiveCoordinator(_spec()) as live:
@@ -518,6 +584,10 @@ def _cursed_execute(unit):
     if scenario.policy == "rr-no-sensor":
         raise ValueError("cursed policy")
     return tiny_result(unit)
+
+
+def _always_fail_execute(unit):
+    raise ValueError("always fails")
 
 
 def _filed_under(result):
@@ -568,10 +638,8 @@ class TestExecutorDistributed:
     def test_poison_becomes_failure_record_in_map_robust(self):
         units = tiny_units(3)  # policies baseline, rr-no-sensor, sensor-wise
         executor = Executor(
-            max_workers=1,
-            distributed=_spec(
-                poison_threshold=2, requeue_backoff=0.01, shutdown_grace=2.0
-            ),
+            max_workers=1, retry_backoff=0.01,
+            distributed=_spec(poison_threshold=2, shutdown_grace=2.0),
         )
         threads = _worker_threads(executor, 2, _cursed_execute)
         try:
@@ -593,10 +661,8 @@ class TestExecutorDistributed:
     def test_plain_map_raises_on_poison(self):
         units = tiny_units(2)[1:2]  # just the cursed rr-no-sensor unit
         executor = Executor(
-            max_workers=1,
-            distributed=_spec(
-                poison_threshold=1, requeue_backoff=0.01, shutdown_grace=2.0
-            ),
+            max_workers=1, retry_backoff=0.01,
+            distributed=_spec(poison_threshold=1, shutdown_grace=2.0),
         )
         threads = _worker_threads(executor, 1, _cursed_execute)
         try:
@@ -651,6 +717,85 @@ class TestExecutorDistributed:
             assert 1 <= info.value.pending <= 5
         finally:
             _reap(executor, threads)
+
+
+    def test_eight_workers_commit_every_unit_once(self):
+        # More workers than cores, with frequent thread switches: the
+        # event pipe, the lease table and the commit lock must lose no
+        # completion and commit none twice.  A fleet this size never
+        # needed admission control to make progress.
+        units = [
+            (scenario.replace(seed=seed), iteration)
+            for seed in range(8) for scenario, iteration in tiny_units(3)
+        ]
+        executor = Executor(max_workers=1, distributed=_spec(shutdown_grace=2.0))
+        interval = sys.getswitchinterval()
+        threads = _worker_threads(executor, 8, _echo_execute)
+        try:
+            sys.setswitchinterval(1e-5)
+            results = executor.map(units)
+        finally:
+            sys.setswitchinterval(interval)
+            _reap(executor, threads)
+        assert [_filed_under(r) + (r.scenario.seed,) for r in results] == [
+            (s.policy, i, s.seed) for s, i in units
+        ]
+        assert f"distributed: {len(units)} committed" in executor.summary()
+
+    def test_single_worker_poison_settles(self):
+        # One worker and poison_threshold 3: the lone worker's repeat
+        # failures are the only evidence there can be, so the scenario
+        # is quarantined after 3 attempts instead of retrying forever.
+        executor = Executor(
+            max_workers=1, retry_backoff=0.01,
+            distributed=_spec(poison_threshold=3, shutdown_grace=2.0),
+        )
+        outcome = []
+        threads = _worker_threads(executor, 1, _always_fail_execute)
+        mapper = threading.Thread(
+            target=lambda: outcome.extend(executor.map_robust(tiny_units(1))),
+            daemon=True,
+        )
+        started = time.monotonic()
+        try:
+            mapper.start()
+            mapper.join(timeout=30.0)
+            assert not mapper.is_alive(), "poison never settled"
+        finally:
+            _reap(executor, threads)
+        assert time.monotonic() - started < 30.0
+        (failure,) = outcome
+        assert isinstance(failure, ScenarioFailure)
+        assert failure.quarantined
+        assert failure.attempts == 3
+        assert failure.error_type == "ValueError"
+
+    def test_failed_commit_stops_the_map(self):
+        executor = Executor(max_workers=1, distributed=_spec(shutdown_grace=2.0))
+
+        def broken_store(key, result):
+            raise OSError("disk full")
+
+        executor._store = broken_store  # what the coordinator commits through
+        threads = _worker_threads(executor, 1, _echo_execute)
+        try:
+            # Raised out of the map, as a failing local store would be;
+            # the completion was rejected, never acked.
+            with pytest.raises(OSError, match="disk full"):
+                executor.map(tiny_units(2))
+            counters = executor._server.table.snapshot()["counters"]
+            assert counters["committed"] == 0
+        finally:
+            _reap(executor, threads)
+
+    def test_unenforceable_knobs_rejected(self):
+        spec = _spec()
+        for knobs in (
+            dict(timeout=60.0), dict(retries=1),
+            dict(governor=GovernorSpec(cpu_seconds=2.0)),
+        ):
+            with pytest.raises(ValueError, match="--timeout, --retries or --budget"):
+                Executor(distributed=spec, **knobs)
 
 
 # ----------------------------------------------------------------------
@@ -798,7 +943,7 @@ class TestChaos:
 
 
 # ----------------------------------------------------------------------
-# Overload protection: spec knobs, /healthz, backpressure, breaker
+# Spec validation and typed failure kinds
 # ----------------------------------------------------------------------
 class TestGovernanceSpecValidation:
     def test_heartbeat_interval_must_fit_inside_the_lease(self):
@@ -812,19 +957,20 @@ class TestGovernanceSpecValidation:
         assert DistributedSpec(lease_timeout=10.0, heartbeat_interval=9.0)
 
     def test_requeue_backoff_and_jitter_must_be_nonnegative(self):
+        # A failed lease is requeued on the executor's retry backoff.
         with pytest.raises(ValueError):
-            DistributedSpec(requeue_backoff=-0.1)
+            Executor(retry_backoff=-0.1, distributed=_spec())
         with pytest.raises(ValueError):
-            DistributedSpec(requeue_jitter=-0.1)
-        assert DistributedSpec(requeue_backoff=0.0, requeue_jitter=0.0)
+            Executor(retry_jitter=-0.1, distributed=_spec())
+        assert Executor(retry_backoff=0.0, retry_jitter=0.0, distributed=_spec())
 
-    def test_overload_knobs_validated(self):
-        with pytest.raises(ValueError):
-            DistributedSpec(max_inflight=0)
-        with pytest.raises(ValueError):
-            DistributedSpec(queue_limit=0)
-        with pytest.raises(ValueError):
-            DistributedSpec(commit_breaker_threshold=0)
+    def test_retry_and_admission_knobs_are_not_spec_fields(self):
+        # Retries use the executor's backoff; there is no admission
+        # control or commit breaker to tune.
+        assert [f.name for f in dataclasses.fields(DistributedSpec)] == [
+            "bind", "port", "lease_timeout", "heartbeat_interval",
+            "poll_interval", "poison_threshold", "port_file", "shutdown_grace",
+        ]
 
 
 class TestLeaseFailureKinds:
@@ -833,11 +979,11 @@ class TestLeaseFailureKinds:
         table = make_table(clock)
         table.load([("k1", "p", 0)])
         grant, _, _ = table.grant("w1")
-        table.fail(
+        failure = table.fail(
             grant.lease_id, "k1", "w1",
             {"error_type": "MemoryError", "message": "oom", "traceback": None},
         )
-        assert table.error_of("k1")["kind"] == "oom"
+        assert failure.error["kind"] == "oom"
 
     def test_expiry_is_typed_timeout(self):
         clock = FakeClock()
@@ -848,131 +994,6 @@ class TestLeaseFailureKinds:
         (expired,) = table.expire()
         assert expired.error["kind"] == "timeout"
         assert expired.error["error_type"] == "LeaseExpired"
-
-
-class TestOverloadProtection:
-    def test_healthz_reports_ok_when_idle(self):
-        with _LiveCoordinator(_spec()) as live:
-            blob = get_json(live.url + "/healthz")
-            assert blob["status"] == "ok"
-            assert blob["verdict"] == "ok"
-            assert blob["queue_depth"] == 0
-            assert blob["queue_limit"] == 1024
-            assert blob["max_inflight"] == 32
-            assert blob["memory_rss_bytes"] > 0
-            assert blob["commit_breaker"]["open"] is False
-            assert set(blob["lease_churn"]) == {
-                "leases_granted", "expiries", "requeued", "poisoned",
-                "committed",
-            }
-
-    def test_saturated_lease_sheds_with_503_and_retry_after(self):
-        import urllib.error
-        import urllib.request
-
-        unit = tiny_units(1)[0]
-        with _LiveCoordinator(_spec(queue_limit=2)) as live:
-            live.server.submit([(cache_key(*unit), unit)])
-            for _ in range(2):  # results nobody folded in yet: overload
-                live.server.events.put(("noise", "", None))
-            body = json.dumps({"worker": "w1"}).encode("utf-8")
-            request = urllib.request.Request(
-                live.url + "/lease", data=body,
-                headers={"Content-Type": "application/json"},
-            )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request, timeout=10)
-            error = excinfo.value
-            assert error.code == 503
-            assert int(error.headers["Retry-After"]) >= 1
-            reply = json.loads(error.read().decode("utf-8"))
-            assert reply["status"] == "busy"
-            assert reply["retry_after"] > 0
-            # Shed means *no lease granted*, and the health probe says
-            # why — while still answering (degraded, never a hang).
-            assert live.server.table.snapshot()["counters"]["leases_granted"] == 0
-            health = get_json(live.url + "/healthz")
-            assert health["status"] == "degraded"
-            assert health["verdict"] == "shed"
-            assert live.server.guard.counters["sheds"] == 1
-            assert "1 lease(s) shed" in live.server.summary()
-
-    def test_brownout_defers_new_grants(self):
-        unit = tiny_units(1)[0]
-        with _LiveCoordinator(_spec(queue_limit=4)) as live:
-            live.server.submit([(cache_key(*unit), unit)])
-            for _ in range(3):  # 0.75 of the queue limit: brownout
-                live.server.events.put(("noise", "", None))
-            reply = post_json(live.url + "/lease", {"worker": "w1"})
-            assert reply["status"] == "wait"
-            assert reply["reason"] == "brownout"
-            assert get_json(live.url + "/healthz")["verdict"] == "brownout"
-            # Pressure released: the same worker gets its lease.
-            for _ in range(3):
-                live.server.events.get_nowait()
-            assert post_json(live.url + "/lease", {"worker": "w1"})["status"] == "lease"
-
-    def test_worker_rides_out_backpressure_and_completes(self):
-        spec = _spec(queue_limit=1, poll_interval=0.05)
-        with _LiveCoordinator(spec) as live:
-            live.server.events.put(("noise", "", None))  # saturate
-            unit = tiny_units(1)[0]
-            live.server.submit([(cache_key(*unit), unit)])
-            host, port = live.server.address
-            thread = threading.Thread(
-                target=run_worker,
-                args=(f"{host}:{port}",),
-                kwargs=dict(worker_id="bp-worker", poll=0.05,
-                            execute=_echo_execute),
-                daemon=True,
-            )
-            thread.start()
-            time.sleep(0.5)
-            # Saturated the whole time: busy replies, no grants, and
-            # the worker treated them as backpressure, not errors.
-            counters = live.server.table.snapshot()["counters"]
-            assert counters["leases_granted"] == 0
-            assert live.server.guard.counters["sheds"] > 0
-            assert thread.is_alive()
-            live.server.events.get_nowait()  # relieve the pressure
-            deadline = time.monotonic() + 20.0
-            while time.monotonic() < deadline:
-                if live.server.table.snapshot()["counters"]["committed"] == 1:
-                    break
-                time.sleep(0.05)
-            assert live.server.table.snapshot()["counters"]["committed"] == 1
-            live.server.state = "shutdown"
-            thread.join(timeout=10.0)
-            assert not thread.is_alive()
-
-    def test_commit_breaker_opens_and_drains(self):
-        def broken_commit(key, result):
-            raise OSError("disk full")
-
-        unit = tiny_units(1)[0]
-        spec = _spec(commit_breaker_threshold=2)
-        with _LiveCoordinator(spec, commit=broken_commit) as live:
-            live.server.submit([(cache_key(*unit), unit)])
-            for attempt in range(2):
-                lease = post_json(live.url + "/lease", {"worker": "w1"})
-                assert lease["status"] == "lease"
-                ack = post_json(
-                    live.url + "/complete", completion("w1", lease["lease"], unit)
-                )
-                assert ack["status"] == "rejected"
-                assert "commit failed" in ack["reason"]
-            # Threshold hit: the breaker opened and the coordinator
-            # drains instead of wedging in a grant/commit-fail loop.
-            assert live.server.breaker.open
-            assert live.server.state == "draining"
-            ack = post_json(live.url + "/complete", completion("w2", "stale", unit))
-            assert ack["status"] == "rejected"
-            assert "commit circuit open" in ack["reason"]
-            assert post_json(live.url + "/lease", {"worker": "w1"})["status"] == "draining"
-            assert "commit breaker tripped 1x" in live.server.summary()
-            health = get_json(live.url + "/healthz")
-            assert health["status"] == "degraded"
-            assert health["commit_breaker"]["open"] is True
 
 
 def _oom_execute(unit):
@@ -986,10 +1007,8 @@ class TestDistributedFailureKinds:
     def test_poisoned_memory_failure_is_typed_oom_and_quarantined(self):
         units = tiny_units(3)  # policies baseline, rr-no-sensor, sensor-wise
         executor = Executor(
-            max_workers=1,
-            distributed=_spec(
-                poison_threshold=2, requeue_backoff=0.01, shutdown_grace=2.0
-            ),
+            max_workers=1, retry_backoff=0.01,
+            distributed=_spec(poison_threshold=2, shutdown_grace=2.0),
         )
         threads = _worker_threads(executor, 2, _oom_execute)
         try:

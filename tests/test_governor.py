@@ -4,9 +4,8 @@ Layered like the implementation:
 
 * pure-logic tests — failure-kind classification, the deterministic
   cost estimator, budget derivation (explicit caps vs adaptive
-  defaults), spec validation, the quarantine ledger riding on the
-  LeaseTable poison rule, OverloadGuard verdicts and the commit
-  CircuitBreaker;
+  defaults), spec validation, the failure ledger and the quarantine
+  riding on it;
 * ``ResourceBudget.install`` probed in a forked child (the kernel-side
   rlimits must never be installed in the test process itself);
 * live governed executors — a CPU-burning worker killed by ``SIGXCPU``
@@ -37,15 +36,11 @@ from repro.experiments.checkpoint import CheckpointManager
 from repro.experiments.config import FaultSpec, ScenarioConfig
 from repro.experiments.governor import (
     BASE_CPU_SECONDS,
-    BROWNOUT,
     BUDGET_KINDS,
-    OK,
-    SHED,
     WALL_SLACK_FACTOR,
     BudgetExceeded,
-    CircuitBreaker,
+    FailureLedger,
     GovernorSpec,
-    OverloadGuard,
     ResourceBudget,
     ScenarioGovernor,
     classify_failure_kind,
@@ -310,8 +305,25 @@ def _install_probe(conn):
 
 
 # ----------------------------------------------------------------------
-# Quarantine ledger (LeaseTable poison rule, evaluated locally)
+# Failure ledger and the governor's quarantine on it
 # ----------------------------------------------------------------------
+class TestFailureLedger:
+    def test_settles_at_threshold_distinct_identities(self):
+        ledger = FailureLedger(2)
+        assert ledger.record("k", "w1") is False
+        # The same identity again is no new evidence.
+        assert ledger.record("k", "w1") is False
+        assert ledger.count("k") == 1
+        assert ledger.record("k", "w2") is True
+        assert ledger.failed("k", "w1") and not ledger.failed("k", "w3")
+        # Keys settle independently.
+        assert ledger.count("other") == 0
+
+    def test_threshold_validated(self):
+        with pytest.raises(ValueError):
+            FailureLedger(0)
+
+
 class TestQuarantine:
     def test_quarantined_after_threshold_breaches(self):
         governor = ScenarioGovernor(GovernorSpec(quarantine_threshold=2))
@@ -382,81 +394,6 @@ class TestBudgetExceeded:
     def test_long_failure_lists_are_elided(self):
         exc = BudgetExceeded([self._failure(seed) for seed in range(5)])
         assert "... 2 more" in str(exc)
-
-
-# ----------------------------------------------------------------------
-# Overload guard + circuit breaker (coordinator-side)
-# ----------------------------------------------------------------------
-class TestOverloadGuard:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OverloadGuard(max_queue_depth=0)
-        with pytest.raises(ValueError):
-            OverloadGuard(max_inflight=0)
-        with pytest.raises(ValueError):
-            OverloadGuard(brownout_fraction=0.0)
-        with pytest.raises(ValueError):
-            OverloadGuard(brownout_fraction=1.5)
-
-    def test_verdict_escalates_with_pressure(self):
-        guard = OverloadGuard(max_queue_depth=100, max_inflight=10)
-        assert guard.verdict(0, 0) == OK
-        assert guard.verdict(50, 2) == OK
-        assert guard.verdict(80, 0) == BROWNOUT  # 0.8 of queue limit
-        assert guard.verdict(0, 8) == BROWNOUT  # 0.8 of inflight limit
-        assert guard.verdict(100, 0) == SHED
-        assert guard.verdict(0, 10) == SHED
-        assert guard.verdict(250, 10) == SHED
-
-    def test_worst_signal_wins(self):
-        guard = OverloadGuard(max_queue_depth=100, max_inflight=10)
-        # Queue healthy, inflight saturated: still shed.
-        assert guard.verdict(1, 10) == SHED
-
-    def test_verdict_is_read_only_and_assess_counts(self):
-        guard = OverloadGuard(max_queue_depth=10, max_inflight=10)
-        guard.verdict(10, 0)
-        guard.verdict(8, 0)
-        assert guard.counters == {"brownouts": 0, "sheds": 0}
-        assert guard.assess(10, 0) == SHED
-        assert guard.assess(8, 0) == BROWNOUT
-        assert guard.assess(0, 0) == OK
-        assert guard.counters == {"brownouts": 1, "sheds": 1}
-
-
-class TestCircuitBreaker:
-    def test_opens_exactly_once_at_threshold(self):
-        breaker = CircuitBreaker(threshold=3)
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is True  # the open transition
-        assert breaker.open
-        assert breaker.record_failure() is False  # already open
-        assert breaker.trips == 1
-
-    def test_any_success_closes(self):
-        breaker = CircuitBreaker(threshold=2)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.open
-        breaker.record_success()
-        assert not breaker.open
-        assert breaker.consecutive_failures == 0
-        # Re-opens after a fresh run of failures.
-        breaker.record_failure()
-        assert breaker.record_failure() is True
-        assert breaker.trips == 2
-
-    def test_snapshot_and_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=0)
-        breaker = CircuitBreaker(threshold=5)
-        breaker.record_failure()
-        snap = breaker.snapshot()
-        assert snap == {
-            "open": False, "consecutive_failures": 1,
-            "threshold": 5, "trips": 0,
-        }
 
 
 # ----------------------------------------------------------------------
