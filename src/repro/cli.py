@@ -508,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pdse = sub.add_parser(
         "dse",
-        help="design-space exploration: factorial screening, surrogate-"
-        "assisted NSGA-II search, Pareto reports",
+        help="design-space exploration: factorial screening, NSGA-II "
+        "search, Pareto reports",
     )
     dse_sub = pdse.add_subparsers(dest="dse_command", required=True)
 
@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     psearch = dse_sub.add_parser(
         "search",
-        help="seeded NSGA-II search with surrogate pre-screening and "
+        help="seeded NSGA-II search with archive dedup and "
         "per-generation checkpoints",
     )
     _add_sim_args(psearch, cycles=4_000)
@@ -555,27 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dse_base_args(psearch)
     psearch.add_argument("--population", type=int, default=12)
     psearch.add_argument("--generations", type=int, default=8)
-    psearch.add_argument(
-        "--offspring-multiplier", type=int, default=3,
-        help="candidates proposed per population slot; the surrogate "
-        "pre-screen keeps the predicted-best population-sized subset",
-    )
     psearch.add_argument("--crossover-rate", type=float, default=0.9)
     psearch.add_argument(
         "--mutation-rate", type=float, default=None,
         help="per-gene mutation probability (default 1/num_parameters)",
-    )
-    psearch.add_argument(
-        "--no-surrogate", action="store_true",
-        help="disable the surrogate pre-screen (every offspring is simulated)",
-    )
-    psearch.add_argument(
-        "--surrogate-min-samples", type=int, default=12,
-        help="archived evaluations required before the surrogate may gate",
-    )
-    psearch.add_argument(
-        "--surrogate-min-r2", type=float, default=0.5,
-        help="cross-validated R² every objective model must clear",
     )
     psearch.add_argument(
         "--out", default="dse_report.json",
@@ -1061,10 +1044,6 @@ def _dispatch_dse(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "crossover_rate": args.crossover_rate,
             "mutation_rate": args.mutation_rate,
-            "offspring_multiplier": args.offspring_multiplier,
-            "use_surrogate": not args.no_surrogate,
-            "surrogate_min_samples": args.surrogate_min_samples,
-            "surrogate_min_r2": args.surrogate_min_r2,
         }
         checkpoint = _make_checkpoint(args, blob)
         if args.resume is not None:
@@ -1072,7 +1051,8 @@ def _dispatch_dse(args: argparse.Namespace) -> int:
             space, objectives = _dse_setup(blob)
         try:
             config = GAConfig(**blob["ga"])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
+            # TypeError: a resumed journal names a retired GAConfig field.
             log.error("%s", exc)
             return 2
         with _executing(args, checkpoint) as executor:
@@ -1094,8 +1074,6 @@ def _dispatch_dse(args: argparse.Namespace) -> int:
             result = DSEResult.from_archive(
                 space, objectives, engine.archive,
                 counters=engine.counters,
-                savings=engine.evaluations_saved(),
-                surrogate_scores=engine.surrogate_scores,
             )
             emit(result.format())
             result.write_json(args.out)

@@ -1,4 +1,4 @@
-"""Design-space exploration: screening → surrogates → seeded GA → Pareto.
+"""Design-space exploration: screening → seeded GA → Pareto.
 
 The ``repro-noc dse`` pipeline answers the question the paper leaves
 open — *which* sensor-wise configuration to build — by searching the
@@ -8,11 +8,9 @@ configuration space around the paper's design point:
    decode to validated scenarios with cache-stable identity;
 2. :mod:`repro.dse.screening` — two-level fractional-factorial designs
    that rank parameter effects from a handful of corner runs;
-3. :mod:`repro.dse.surrogate` — NumPy-only ridge-regression models that
-   pre-screen GA offspring once cross-validation trusts them;
-4. :mod:`repro.dse.ga` — the seeded NSGA-II loop, checkpointed per
+3. :mod:`repro.dse.ga` — the seeded NSGA-II loop, checkpointed per
    generation and evaluated through the campaign executor;
-5. :mod:`repro.dse.pareto` / :mod:`repro.dse.report` — exact fronts,
+4. :mod:`repro.dse.pareto` / :mod:`repro.dse.report` — exact fronts,
    hypervolume, knee-point pick, canonical JSON/CSV reports.
 """
 
@@ -42,7 +40,6 @@ from repro.dse.space import (
     default_space,
     parse_param_spec,
 )
-from repro.dse.surrogate import RidgeSurrogate, SurrogateBank
 
 __all__ = [
     "DSEEngine",
@@ -56,9 +53,7 @@ __all__ = [
     "OBJECTIVES",
     "Objective",
     "Parameter",
-    "RidgeSurrogate",
     "ScreeningReport",
-    "SurrogateBank",
     "crowding_distance",
     "default_space",
     "dominates",

@@ -40,7 +40,6 @@ from repro.dse.pareto import (
     non_dominated_sort,
 )
 from repro.dse.space import DesignSpace, DesignSpaceError, Genome
-from repro.dse.surrogate import SurrogateBank
 from repro.experiments.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -60,22 +59,20 @@ from repro.telemetry.metrics import MetricsRegistry
 log = get_logger("dse")
 
 #: ``ga.state.json`` layout version (bump on incompatible change).
-GA_STATE_SCHEMA = 1
+GA_STATE_SCHEMA = 2
 
 GA_STATE_FILENAME = "ga.state.json"
+
+#: Contestants per parent pick: the binary tournament of NSGA-II.
+TOURNAMENT_SIZE = 2
 
 
 @dataclasses.dataclass(frozen=True)
 class GAConfig:
     """Knobs of the evolutionary search (all deterministic given ``seed``).
 
-    ``mutation_rate`` of ``None`` selects the NSGA-II default of
-    ``1/num_parameters``.  ``offspring_multiplier`` is how many
-    candidates the GA *proposes* per population slot; the surrogate
-    pre-screen sends only the predicted-best ``population`` of them to
-    the simulator once its cross-validated R² clears
-    ``surrogate_min_r2`` on every objective (before that, exactly
-    ``population`` offspring are proposed — the model never gates blind).
+    Each generation proposes ``population`` offspring.  ``mutation_rate``
+    of ``None`` selects the NSGA-II default of ``1/num_parameters``.
     """
 
     population: int = 12
@@ -83,25 +80,12 @@ class GAConfig:
     seed: int = 7
     crossover_rate: float = 0.9
     mutation_rate: Optional[float] = None
-    tournament_size: int = 2
-    offspring_multiplier: int = 3
-    use_surrogate: bool = True
-    surrogate_min_samples: int = 12
-    surrogate_min_r2: float = 0.5
 
     def __post_init__(self) -> None:
         if self.population < 2:
             raise ValueError(f"population must be >= 2, got {self.population}")
         if self.generations < 1:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
-        if self.offspring_multiplier < 1:
-            raise ValueError(
-                f"offspring_multiplier must be >= 1, got {self.offspring_multiplier}"
-            )
-        if self.tournament_size < 1:
-            raise ValueError(
-                f"tournament_size must be >= 1, got {self.tournament_size}"
-            )
 
 
 class DSEEngine:
@@ -143,18 +127,15 @@ class DSEEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: genome -> oriented objective vector, for every evaluated point.
         self.archive: Dict[Genome, Tuple[float, ...]] = {}
-        #: Proposal/evaluation accounting (feeds BENCH_dse.json).
+        #: Proposal/evaluation accounting: proposed == simulated + archive_hits.
         self.counters: Dict[str, int] = {
             "proposed": 0,          # candidate genomes the GA generated
             "archive_hits": 0,      # proposals already evaluated (dedup)
-            "surrogate_skipped": 0,  # proposals pruned by the pre-screen
             "simulated": 0,         # units actually sent to the harness
             "failed": 0,            # evaluations lost to ScenarioFailure
             "invalid": 0,           # offspring rejected before evaluation
             "generations_done": 0,
         }
-        self.surrogate_scores: Dict[str, float] = {}
-        self.surrogate_active = False
         self._population: List[Genome] = []
         self._next_generation = 0
         self._rate = (
@@ -206,10 +187,6 @@ class DSEEngine:
                 for genome, values in sorted(self.archive.items())
             ],
             "counters": dict(sorted(self.counters.items())),
-            "surrogate": {
-                "active": self.surrogate_active,
-                "scores": dict(sorted(self.surrogate_scores.items())),
-            },
         }
         atomic_write_json(path, blob)
 
@@ -241,11 +218,6 @@ class DSEEngine:
         }
         for key, value in blob.get("counters", {}).items():
             self.counters[key] = int(value)
-        surrogate = blob.get("surrogate", {})
-        self.surrogate_active = bool(surrogate.get("active", False))
-        self.surrogate_scores = {
-            k: float(v) for k, v in surrogate.get("scores", {}).items()
-        }
         return True
 
     # -- evaluation -----------------------------------------------------
@@ -317,9 +289,9 @@ class DSEEngine:
     def _tournament(
         self, rng: random.Random, pool: Sequence[Tuple[Genome, int, float]]
     ) -> Genome:
-        """Binary (k-ary) tournament on (rank, crowding)."""
+        """Binary tournament on (rank, crowding)."""
         best = None
-        for _ in range(self.config.tournament_size):
+        for _ in range(TOURNAMENT_SIZE):
             index = rng.randrange(len(pool))
             candidate = pool[index]
             if best is None or _fitter(candidate, best):
@@ -367,64 +339,6 @@ class DSEEngine:
             # Constraint-heavy spaces: fall back to rejection sampling.
             offspring.append(self.space.random_genome(rng))
         return offspring
-
-    def _surrogate_prescreen(
-        self, generation: int, candidates: List[Genome]
-    ) -> Tuple[List[Genome], bool]:
-        """Keep the predicted-best ``population`` candidates.
-
-        Returns ``(chosen, screened)``.  ``screened`` is False when the
-        model bank was not consulted (disabled, too few samples, or
-        unreliable) — the caller then counts only the evaluated prefix
-        as proposed, so the savings metric never credits candidates that
-        were merely truncated rather than actually model-pruned.
-        """
-        keep = self.config.population
-        if len(candidates) <= keep:
-            return candidates, False
-        # Sorted, not insertion, order: a resumed run restores the
-        # archive from ga.state.json in sorted order, and both the CV
-        # fold assignment and float summation are order-sensitive —
-        # canonicalizing keeps live and resumed fits bit-identical.
-        archive_genomes = sorted(self.archive)
-        if (
-            not self.config.use_surrogate
-            or len(archive_genomes) < self.config.surrogate_min_samples
-        ):
-            self.surrogate_active = False
-            return candidates[:keep], False
-        bank = SurrogateBank(
-            self.space,
-            [o.name for o in self.objectives],
-            min_r2=self.config.surrogate_min_r2,
-        )
-        bank.fit(archive_genomes, [self.archive[g] for g in archive_genomes])
-        self.surrogate_scores = bank.scores()
-        self.surrogate_active = bank.reliable
-        if not bank.reliable:
-            log.info(
-                "generation %d: surrogate unreliable (%s); evaluating the "
-                "leading %d candidates unscreened",
-                generation,
-                ", ".join(
-                    f"{n}={v:.2f}" for n, v in sorted(self.surrogate_scores.items())
-                ),
-                keep,
-            )
-            return candidates[:keep], False
-        predicted = bank.predict(candidates)
-        order: List[int] = []
-        for front in non_dominated_sort(predicted):
-            crowd = crowding_distance([predicted[i] for i in front])
-            order.extend(
-                index
-                for index, _ in sorted(
-                    zip(front, crowd), key=lambda item: (-item[1], item[0])
-                )
-            )
-        chosen = sorted(order[:keep])
-        self.counters["surrogate_skipped"] += len(candidates) - keep
-        return [candidates[i] for i in chosen], True
 
     def _select_next(self, parents: Sequence[Genome], offspring: Sequence[Genome]) -> List[Genome]:
         """NSGA-II environmental selection over parents + offspring."""
@@ -481,18 +395,14 @@ class DSEEngine:
                 # accounting back to the last completed generation, so a
                 # resumed run replays the identical counter sequence and
                 # the final report stays byte-identical.
-                snapshot = (
-                    dict(self.counters),
-                    dict(self.surrogate_scores),
-                    self.surrogate_active,
-                )
+                snapshot = dict(self.counters)
                 self._run_generation(generation)
                 self.counters["generations_done"] = generation + 1
                 self._next_generation = generation + 1
                 self._write_state("running")
         except CampaignInterrupted:
             if snapshot is not None:
-                self.counters, self.surrogate_scores, self.surrogate_active = snapshot
+                self.counters = snapshot
             self._write_state("interrupted")
             raise
         self._write_state("complete")
@@ -510,18 +420,10 @@ class DSEEngine:
                     "no evaluated genomes survive generation "
                     f"{generation - 1}; cannot select parents"
                 )
-            want = self.config.population * (
-                self.config.offspring_multiplier
-                if self.config.use_surrogate
-                else 1
-            )
-            candidates = self._offspring(generation, pool, want)
-            chosen, screened = self._surrogate_prescreen(generation, candidates)
-            self.counters["proposed"] += (
-                len(candidates) if screened else len(chosen)
-            )
-            self._evaluate(chosen)
-            survivors = self._select_next(self._population, chosen)
+            offspring = self._offspring(generation, pool, self.config.population)
+            self.counters["proposed"] += len(offspring)
+            self._evaluate(offspring)
+            survivors = self._select_next(self._population, offspring)
         if not survivors:
             raise DesignSpaceError(
                 f"generation {generation}: every evaluation failed"
@@ -539,49 +441,21 @@ class DSEEngine:
         self.metrics.set(
             "dse.simulated_total", float(self.counters["simulated"])
         )
-        self.metrics.set(
-            "dse.surrogate_skipped_total",
-            float(self.counters["surrogate_skipped"]),
-        )
         log.info(
             "generation %d: %d in population, front=%d, archive=%d, "
-            "simulated=%d, dedup=%d, surrogate_skipped=%d%s",
+            "simulated=%d, dedup=%d",
             generation,
             len(self._population),
             front_size,
             len(self.archive),
             self.counters["simulated"],
             self.counters["archive_hits"],
-            self.counters["surrogate_skipped"],
-            (
-                " (model R²: "
-                + ", ".join(
-                    f"{n}={v:.2f}" for n, v in sorted(self.surrogate_scores.items())
-                )
-                + ")"
-                if self.surrogate_scores
-                else ""
-            ),
         )
 
     # -- results --------------------------------------------------------
     @property
     def population(self) -> List[Genome]:
         return list(self._population)
-
-    def evaluations_saved(self) -> Dict[str, float]:
-        """The BENCH_dse accounting: how much simulator time the archive
-        dedup + surrogate pre-screen avoided, vs evaluating every
-        proposed genome."""
-        proposed = self.counters["proposed"]
-        simulated = self.counters["simulated"]
-        saved = max(proposed - simulated, 0)
-        return {
-            "proposed": float(proposed),
-            "simulated": float(simulated),
-            "saved": float(saved),
-            "saved_fraction": (saved / proposed) if proposed else 0.0,
-        }
 
 
 def _fitter(a: Tuple[Genome, int, float], b: Tuple[Genome, int, float]) -> bool:

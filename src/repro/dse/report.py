@@ -1,8 +1,8 @@
 """Pareto reports: the durable, human- and machine-readable DSE output.
 
 :class:`DSEResult` snapshots a finished (or interrupted) campaign —
-archive, exact non-dominated front, hypervolume, knee pick, savings
-accounting — and serializes it three ways:
+archive, exact non-dominated front, hypervolume, knee pick, proposal
+counters — and serializes it three ways:
 
 * ``to_json()`` — canonical JSON (sorted keys, fixed separators, LF
   newline).  Byte-identical across runs with the same seed; this string
@@ -65,8 +65,6 @@ class DSEResult:
     evaluated: int
     space_size: int
     counters: Dict[str, int]
-    savings: Dict[str, float]
-    surrogate_scores: Dict[str, float]
     status: str = "complete"
 
     @classmethod
@@ -76,8 +74,6 @@ class DSEResult:
         objectives: Sequence[Objective],
         archive: Dict[Genome, Tuple[float, ...]],
         counters: Optional[Dict[str, int]] = None,
-        savings: Optional[Dict[str, float]] = None,
-        surrogate_scores: Optional[Dict[str, float]] = None,
         status: str = "complete",
     ) -> "DSEResult":
         """Distill an engine archive into the report.
@@ -116,8 +112,6 @@ class DSEResult:
             evaluated=len(archive),
             space_size=space.size,
             counters=dict(counters or {}),
-            savings=dict(savings or {}),
-            surrogate_scores=dict(surrogate_scores or {}),
             status=status,
         )
 
@@ -132,11 +126,6 @@ class DSEResult:
             "evaluated": self.evaluated,
             "space_size": self.space_size,
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "savings": {k: self.savings[k] for k in sorted(self.savings)},
-            "surrogate_scores": {
-                k: self.surrogate_scores[k]
-                for k in sorted(self.surrogate_scores)
-            },
         }
 
     def to_json(self) -> str:
@@ -166,7 +155,11 @@ class DSEResult:
 
     @classmethod
     def from_dict(cls, blob: Dict[str, object]) -> "DSEResult":
-        """Rehydrate a report written by :meth:`write_json`."""
+        """Rehydrate a report written by :meth:`write_json`.
+
+        Keys an older report carries that this version no longer writes
+        (its pre-screen accounting) are ignored.
+        """
         if blob.get("schema") != DSE_REPORT_SCHEMA:
             raise ValueError(
                 f"unsupported DSE report schema {blob.get('schema')!r} "
@@ -190,11 +183,6 @@ class DSEResult:
             evaluated=int(blob["evaluated"]),
             space_size=int(blob["space_size"]),
             counters={k: int(v) for k, v in blob.get("counters", {}).items()},
-            savings={k: float(v) for k, v in blob.get("savings", {}).items()},
-            surrogate_scores={
-                k: float(v)
-                for k, v in blob.get("surrogate_scores", {}).items()
-            },
             status=str(blob.get("status", "complete")),
         )
 
@@ -231,18 +219,11 @@ class DSEResult:
         )
         table = render_table(headers, rows, title=title)
         extras: List[str] = []
-        if self.savings.get("proposed"):
+        if self.counters.get("proposed"):
             extras.append(
-                f"evaluations saved: {self.savings['saved']:.0f}"
-                f"/{self.savings['proposed']:.0f} "
-                f"({100.0 * self.savings['saved_fraction']:.0f}%)"
+                f"proposals served by dedup: {self.counters['archive_hits']}"
+                f"/{self.counters['proposed']}"
             )
-        if self.surrogate_scores:
-            scores = ", ".join(
-                f"{name}={value:.2f}"
-                for name, value in sorted(self.surrogate_scores.items())
-            )
-            extras.append(f"surrogate CV R²: {scores}")
         if self.status != "complete":
             extras.append(f"status: {self.status}")
         if extras:

@@ -51,8 +51,8 @@ class Parameter:
 
     ``name`` must be a :class:`ScenarioConfig` field; ``levels`` holds
     the admissible values in search order.  ``numeric`` marks axes whose
-    levels carry magnitude (int ranges, rates) — surrogate models encode
-    those as scaled scalars and everything else one-hot.
+    levels carry magnitude (int ranges, rates) rather than naming
+    categories; it is part of the space's description and digest.
     """
 
     name: str

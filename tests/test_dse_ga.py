@@ -51,8 +51,7 @@ def run_engine(config, **kwargs):
 def report_of(engine):
     return DSEResult.from_archive(
         engine.space, engine.objectives, engine.archive,
-        counters=engine.counters, savings=engine.evaluations_saved(),
-        surrogate_scores=engine.surrogate_scores,
+        counters=engine.counters,
     )
 
 
@@ -62,17 +61,13 @@ class TestGAConfig:
             GAConfig(population=1)
         with pytest.raises(ValueError):
             GAConfig(generations=0)
-        with pytest.raises(ValueError):
-            GAConfig(offspring_multiplier=0)
 
 
 class TestDeterminism:
     def test_same_seed_byte_identical_pareto_json(self):
         """Satellite invariant: the whole report is a pure function of
         the seed (and the space/config), byte for byte."""
-        config = GAConfig(
-            population=4, generations=3, seed=11, surrogate_min_samples=6,
-        )
+        config = GAConfig(population=4, generations=3, seed=11)
         first = report_of(run_engine(config)).to_json()
         second = report_of(run_engine(config)).to_json()
         assert first == second
@@ -113,7 +108,7 @@ class TestDedup:
         simulator invocations (mutation off => offspring clone parents)."""
         config = GAConfig(
             population=4, generations=2, seed=3,
-            mutation_rate=0.0, crossover_rate=0.0, use_surrogate=False,
+            mutation_rate=0.0, crossover_rate=0.0,
         )
         executor = Executor(max_workers=1)
         engine = run_engine(config, executor=executor)
@@ -128,9 +123,7 @@ class TestDedup:
     def test_shared_cache_rerun_is_100_percent_cache_hits(self, tmp_path):
         """Satellite invariant: re-running the same search against the
         same result cache reports 100% cache hits via ExecutorStats."""
-        config = GAConfig(
-            population=4, generations=2, seed=3, surrogate_min_samples=6,
-        )
+        config = GAConfig(population=4, generations=2, seed=3)
         cache_dir = tmp_path / "cache"
         first = Executor(max_workers=1, cache=str(cache_dir))
         engine_one = run_engine(config, executor=first)
@@ -146,19 +139,15 @@ class TestDedup:
         assert report_of(engine_one).to_json() == report_of(engine_two).to_json()
 
     def test_savings_accounting(self):
-        config = GAConfig(
-            population=4, generations=4, seed=9,
-            surrogate_min_samples=6, offspring_multiplier=3,
-        )
+        """Every proposal is either simulated or served by dedup, and
+        each generation proposes exactly ``population`` genomes."""
+        config = GAConfig(population=4, generations=4, seed=9)
         engine = run_engine(config)
-        savings = engine.evaluations_saved()
-        assert savings["proposed"] >= savings["simulated"]
-        assert savings["saved"] == savings["proposed"] - savings["simulated"]
-        counted = (
-            engine.counters["archive_hits"]
-            + engine.counters["surrogate_skipped"]
+        counters = engine.counters
+        assert counters["proposed"] == (
+            counters["simulated"] + counters["archive_hits"]
         )
-        assert savings["saved"] <= counted
+        assert counters["proposed"] == config.population * config.generations
 
 
 class TestCheckpointing:
@@ -223,9 +212,10 @@ class TestCheckpointing:
         path.write_text("{not json")
         ok, summary = verify_ga_state(path)
         assert not ok
-        path.write_text(json.dumps({"schema": 999}))
-        ok, summary = verify_ga_state(path)
-        assert not ok and "schema" in summary
+        for schema in (999, 1):  # 1: the layout before GA_STATE_SCHEMA 2
+            path.write_text(json.dumps({"schema": schema}))
+            ok, summary = verify_ga_state(path)
+            assert not ok and "schema" in summary
 
 
 class TestReport:
@@ -249,6 +239,14 @@ class TestReport:
         result.write_json(path)
         loaded = DSEResult.load(path)
         assert loaded.to_json() == result.to_json()
+
+    def test_report_with_retired_savings_block_still_loads(self):
+        """A schema-1 report written before the single proposal path
+        carried a ``savings`` block; loading ignores it."""
+        result = report_of(run_engine(GAConfig(population=4, generations=2, seed=7)))
+        blob = result.to_dict()
+        blob["savings"] = {"proposed": 8.0, "saved": 1.0}
+        assert DSEResult.from_dict(blob).to_json() == result.to_json()
 
     def test_csv_export(self, tmp_path):
         config = GAConfig(population=4, generations=2, seed=7)

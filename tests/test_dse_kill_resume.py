@@ -45,7 +45,7 @@ SEARCH_ARGS = [
     "dse", "search",
     "--nodes", "2", "--cycles", "2500", "--warmup", "300",
     "--population", "6", "--generations", "4",
-    "--surrogate-min-samples", "6", "--seed", "13",
+    "--seed", "13",
 ]
 
 
@@ -141,9 +141,7 @@ class TestInProcessDrainResume:
         )
 
     def config(self):
-        return GAConfig(
-            population=4, generations=3, seed=3, surrogate_min_samples=6,
-        )
+        return GAConfig(population=4, generations=3, seed=3)
 
     def run_to_completion(self, checkpoint=None, executor=None):
         engine = DSEEngine(
@@ -153,8 +151,7 @@ class TestInProcessDrainResume:
         engine.run(resume=checkpoint is not None)
         return DSEResult.from_archive(
             engine.space, engine.objectives, engine.archive,
-            counters=engine.counters, savings=engine.evaluations_saved(),
-            surrogate_scores=engine.surrogate_scores,
+            counters=engine.counters,
         )
 
     def test_drain_mid_generation_then_resume_byte_identical(self, tmp_path):
