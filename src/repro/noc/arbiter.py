@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 
 class RoundRobinArbiter:
@@ -15,13 +15,13 @@ class RoundRobinArbiter:
     Example
     -------
     >>> arb = RoundRobinArbiter(3)
-    >>> arb.grant([True, True, True])
+    >>> arb.grant([0, 1, 2])
     0
-    >>> arb.grant([True, True, True])
+    >>> arb.grant([0, 1, 2])
     1
-    >>> arb.grant([False, False, True])
+    >>> arb.grant([2])
     2
-    >>> arb.grant([False, False, False]) is None
+    >>> arb.grant([]) is None
     True
     """
 
@@ -38,29 +38,32 @@ class RoundRobinArbiter:
         """Index with the highest priority at the next grant."""
         return self._pointer
 
-    def grant(self, requests: Sequence[bool]) -> Optional[int]:
+    def grant(self, requesters: Iterable[int]) -> Optional[int]:
         """Grant the first requester at or after the pointer; advance it.
 
-        Returns the granted index, or ``None`` when nobody requests.
+        ``requesters`` are the indexes of the requesting lines in
+        ascending order.  Returns the granted index, or ``None`` when
+        nobody requests.  This is the only pointer walk: every VA and SA
+        stage, the NI send stage and VC allocation arbitrate through it.
         """
+        pointer = self._pointer
+        first = None
+        for idx in requesters:
+            if idx >= pointer:
+                break
+            if first is None:
+                first = idx
+        else:
+            # Nobody at or after the pointer: wrap to the lowest index.
+            if first is None:
+                return None
+            idx = first
         size = self.size
-        if len(requests) != size:
-            raise ValueError(
-                f"expected {size} request lines, got {len(requests)}"
-            )
-        # Branchy wrap instead of modulo: grant sits on the SA/VA hot
-        # path and the pointer invariant (always < size) makes a single
-        # compare per probe sufficient.
-        idx = self._pointer
-        for _ in range(size):
-            if idx >= size:
-                idx -= size
-            if requests[idx]:
-                nxt = idx + 1
-                self._pointer = nxt if nxt < size else 0
-                return idx
-            idx += 1
-        return None
+        if not 0 <= idx < size:
+            raise ValueError(f"requester {idx} out of range [0, {size})")
+        nxt = idx + 1
+        self._pointer = nxt if nxt < size else 0
+        return idx
 
     def reset(self) -> None:
         """Return the pointer to index 0."""

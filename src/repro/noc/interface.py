@@ -22,6 +22,10 @@ from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.flit import Flit, Packet
 from repro.noc.input_unit import InputUnit
 from repro.noc.output_unit import UpstreamPort
+from repro.noc.policy_api import OutVCState
+
+#: Hot-loop constant for the inlined credit check in phase_send.
+_ACTIVE = OutVCState.ACTIVE
 
 
 class EjectionRecord:
@@ -143,13 +147,20 @@ class NetworkInterface:
     def phase_send(self, cycle: int) -> None:
         """Send at most one flit into the router (the NI's ST stage)."""
         port = self.injection_port
-        requests = []
+        entries = port.entries
+        ready = None
         for vc, queue in enumerate(self._send_queues):
-            ready = bool(queue) and queue[0][0] <= cycle and port.can_send(vc)
-            requests.append(ready)
-        vc = self._send_arbiter.grant(requests)
-        if vc is None:
+            if queue and queue[0][0] <= cycle:
+                # Inlined UpstreamPort.can_send.
+                entry = entries[vc]
+                if entry.state is _ACTIVE and entry.credits > 0:
+                    if ready is None:
+                        ready = [vc]
+                    else:
+                        ready.append(vc)
+        if ready is None:
             return
+        vc = self._send_arbiter.grant(ready)
         _, flit = self._send_queues[vc].popleft()
         port.send_flit(vc, flit, cycle)
         self.flits_injected += 1

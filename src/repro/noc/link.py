@@ -86,11 +86,6 @@ class DelayLine(Generic[T]):
         queue = self._queue
         return queue[0][0] if queue else None
 
-    def peek_ready(self, cycle: int) -> bool:
-        """Whether at least one item is deliverable at ``cycle``."""
-        queue = self._queue
-        return bool(queue) and queue[0][0] <= cycle
-
     @property
     def in_flight(self) -> int:
         """Number of items currently travelling on the line."""

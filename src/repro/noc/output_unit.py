@@ -627,7 +627,7 @@ class UpstreamPort:
                 self._mark_allocated(preferred, packet_id, engine)
                 return preferred
         granted_local = engine._alloc_arbiter.grant(
-            [self.allocatable(engine.start + i, cycle) for i in range(engine.count)]
+            [i for i in range(engine.count) if self.allocatable(engine.start + i, cycle)]
         )
         if granted_local is None:
             return None

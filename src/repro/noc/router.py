@@ -20,10 +20,10 @@ keeps the mesh deadlock-free.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.noc.arbiter import RoundRobinArbiter
-from repro.noc.input_unit import InputUnit
+from repro.noc.input_unit import InputUnit, InputVC
 from repro.noc.link import Channel
 from repro.noc.output_unit import UpstreamPort
 from repro.noc.policy_api import OutVCState
@@ -83,11 +83,10 @@ class Router:
         self.total_vcs = num_vcs * num_vnets
         self.input_ports: List[int] = sorted(inputs)
         self.output_ports: List[int] = sorted(outputs)
-        #: Hot-path scan order: (port id, input unit) pairs, saving the
-        #: per-cycle wiring-dict lookups in the VA/SA phases.
-        self._unit_scan: List[Tuple[int, InputUnit]] = [
-            (p, inputs[p].unit) for p in self.input_ports
-        ]
+        #: Output port id -> its upstream port (hot-path lookup).
+        self._upstreams: Dict[int, UpstreamPort] = {
+            p: outputs[p].upstream for p in self.output_ports
+        }
         #: Per-(output port, vnet) count of resident packets still
         #: awaiting VA — the paper's ``is_new_traffic_outport_x()`` in
         #: O(1), kept per message class.
@@ -99,9 +98,22 @@ class Router:
             for p in self.output_ports
             for vn in range(num_vnets)
         }
+        #: Hot-path VA scan order: ((output port, vnet), the port's
+        #: va_pending list, vnet, upstream port, VA arbiter).
+        self._va_scan: List[tuple] = [
+            (key, self.va_pending[key[0]], key[1], self._upstreams[key[0]], arbiter)
+            for key, arbiter in self._va_arbiters.items()
+        ]
         self._sa_input_arbiters: Dict[int, RoundRobinArbiter] = {
             p: RoundRobinArbiter(self.total_vcs) for p in self.input_ports
         }
+        #: Hot-path scan order: (input index, input unit, SA input
+        #: arbiter), saving the per-cycle wiring-dict lookups in the
+        #: VA/SA phases.
+        self._unit_scan: List[Tuple[int, InputUnit, RoundRobinArbiter]] = [
+            (i, inputs[p].unit, self._sa_input_arbiters[p])
+            for i, p in enumerate(self.input_ports)
+        ]
         self._sa_output_arbiters: Dict[int, RoundRobinArbiter] = {
             p: RoundRobinArbiter(len(self.input_ports)) for p in self.output_ports
         }
@@ -157,52 +169,56 @@ class Router:
         Returns True when some request is still pending afterwards (the
         event-directed engine uses this to keep or drop the router from
         its VA work set; the dense engine ignores it)."""
-        width = self.total_vcs
-        num_inputs = len(self.input_ports)
         remaining = False
-        for port in self.output_ports:
-            pending = self.va_pending[port]
-            upstream = self.outputs[port].upstream
-            for vnet in range(self.num_vnets):
-                if pending[vnet] <= 0:
-                    continue
-                if not upstream.has_allocatable(cycle, vnet):
-                    remaining = True
-                    continue
-                requests = [False] * (num_inputs * width)
-                requesters: Dict[int, InputVC] = {}
-                for in_idx, (in_port, unit) in enumerate(self._unit_scan):
-                    if unit.busy_count == 0:
-                        # No resident packet => no VC can want VA here.
-                        continue
-                    for vc, ivc in enumerate(unit.vcs):
-                        if (
-                            ivc.wants_va
-                            and ivc.outport == port
-                            and ivc.vnet == vnet
-                            and not ivc.buffer.is_empty
-                            # BW+RC is stage 1: the head may request VA
-                            # the cycle *after* it was written.
-                            and ivc.buffer.front().arrived_cycle < cycle
-                        ):
-                            flat = in_idx * width + vc
-                            requests[flat] = True
-                            requesters[flat] = ivc
-                granted = self._va_arbiters[(port, vnet)].grant(requests)
-                if granted is None:
-                    remaining = True
-                    continue
-                ivc = requesters[granted]
-                out_vc = upstream.allocate_vc(cycle, packet_id=ivc.packet_id, vnet=vnet)
-                if out_vc is None:
-                    remaining = True
-                    continue
-                ivc.out_vc = out_vc
-                ivc.sa_ready_at = cycle + 1
-                pending[vnet] -= 1
-                if pending[vnet] > 0:
-                    remaining = True
+        requesters = None
+        for key, pending, vnet, upstream, arbiter in self._va_scan:
+            if pending[vnet] <= 0:
+                continue
+            if not upstream.has_allocatable(cycle, vnet):
+                remaining = True
+                continue
+            if requesters is None:
+                # One scan serves every (port, vnet): a grant only takes
+                # its own requester out of the running.
+                requesters = self._va_requesters(cycle)
+            group = requesters.get(key)
+            if group is None:
+                remaining = True
+                continue
+            ivc = group[arbiter.grant(group)]
+            out_vc = upstream.allocate_vc(cycle, packet_id=ivc.packet_id, vnet=vnet)
+            if out_vc is None:
+                remaining = True
+                continue
+            ivc.out_vc = out_vc
+            ivc.sa_ready_at = cycle + 1
+            pending[vnet] -= 1
+            if pending[vnet] > 0:
+                remaining = True
         return remaining
+
+    def _va_requesters(self, cycle: int) -> Dict[Tuple[int, int], Dict[int, InputVC]]:
+        """VA requesters per (output port, vnet): flat arbiter index ->
+        input VC, in ascending index order."""
+        groups: Dict[Tuple[int, int], Dict[int, InputVC]] = {}
+        width = self.total_vcs
+        base = 0
+        for _, unit, _ in self._unit_scan:
+            if unit.busy_count:  # no resident packet => no VA request
+                for vc, ivc in enumerate(unit.vcs):
+                    if ivc.busy and ivc.out_vc is None:
+                        flits = ivc.buffer._flits
+                        # BW+RC is stage 1: the head may request VA the
+                        # cycle *after* it was written.
+                        if flits and flits[0].arrived_cycle < cycle:
+                            key = (ivc.outport, ivc.vnet)
+                            group = groups.get(key)
+                            if group is None:
+                                groups[key] = {base + vc: ivc}
+                            else:
+                                group[base + vc] = ivc
+            base += width
+        return groups
 
     # ------------------------------------------------------------------
     # Phase 3: switch allocation + switch/link traversal
@@ -213,66 +229,84 @@ class Router:
         Returns the number of flits traversed (the event-directed engine
         uses 0 as the trigger to re-check whether the router still holds
         resident packets; the dense engine ignores it)."""
-        # Stage 1: each input port nominates one eligible VC.  Ports with
-        # no resident packet are skipped outright.
-        # in_port -> (vc, out_port, unit)
-        nominations: Dict[int, Tuple[int, int, InputUnit]] = {}
-        targeted = set()
-        outputs = self.outputs
-        input_ports = self.input_ports
-        for in_port, unit in self._unit_scan:
+        # Stage 1: each input port nominates one eligible VC.  A VC
+        # competes for the switch when it holds an allocated output VC,
+        # its SA hold-off has elapsed, its front flit arrived on an
+        # earlier cycle (BW+RC is stage 1), and the upstream has a
+        # credit (UpstreamPort.can_send, inlined).  Ports with no
+        # resident packet are skipped outright.
+        upstreams = self._upstreams
+        nominations = None  # (out port, input index, unit, vc), inputs ascending
+        for in_idx, unit, arbiter in self._unit_scan:
             if unit.busy_count == 0:
                 continue
-            # A VC competes for the switch when it holds an allocated
-            # output VC, its SA hold-off has elapsed, its front flit
-            # arrived on an earlier cycle (BW+RC is stage 1), and the
-            # upstream has a credit.  Cheap disqualifiers run first so
-            # the credit check only fires for real contenders.
-            requests = []
-            any_eligible = False
-            for ivc in unit.vcs:
+            eligible = None
+            for vc, ivc in enumerate(unit.vcs):
                 out_vc = ivc.out_vc
                 if out_vc is None or ivc.sa_ready_at > cycle:
-                    requests.append(False)
                     continue
-                front = ivc.buffer.front()
-                if front is None or front.arrived_cycle >= cycle:
-                    requests.append(False)
+                flits = ivc.buffer._flits
+                if not flits or flits[0].arrived_cycle >= cycle:
                     continue
-                # Inlined UpstreamPort.can_send (hot: every contender
-                # VC on every SA cycle).
-                entry = outputs[ivc.outport].upstream.entries[out_vc]
-                ok = entry.state is _ACTIVE and entry.credits > 0
-                requests.append(ok)
-                if ok:
-                    any_eligible = True
-            if not any_eligible:
-                continue
-            vc = self._sa_input_arbiters[in_port].grant(requests)
-            if vc is not None:
-                out_port = unit.vcs[vc].outport
-                nominations[in_port] = (vc, out_port, unit)
-                targeted.add(out_port)
-        if not targeted:
+                entry = upstreams[ivc.outport].entries[out_vc]
+                if entry.state is _ACTIVE and entry.credits > 0:
+                    if eligible is None:
+                        eligible = [vc]
+                    else:
+                        eligible.append(vc)
+            if eligible is not None:
+                vc = arbiter.grant(eligible)
+                nomination = (unit.vcs[vc].outport, in_idx, unit, vc)
+                if nominations is None:
+                    nominations = [nomination]
+                else:
+                    nominations.append(nomination)
+        if nominations is None:
             return 0
         # Stage 2: each targeted output port accepts one nomination.
-        moved = 0
-        for out_port in targeted if len(targeted) == 1 else sorted(targeted):
-            candidates = [
-                p in nominations and nominations[p][1] == out_port
-                for p in input_ports
+        arbiters = self._sa_output_arbiters
+        if len(nominations) == 1:
+            winners = nominations
+            out_port, in_idx, _, _ = nominations[0]
+            arbiters[out_port].grant((in_idx,))
+        else:
+            # out port -> {input index: nomination}, in port order.
+            targets: Dict[int, Dict[int, tuple]] = {}
+            for nomination in nominations:
+                group = targets.get(nomination[0])
+                if group is None:
+                    targets[nomination[0]] = {nomination[1]: nomination}
+                else:
+                    group[nomination[1]] = nomination
+            winners = [
+                group[arbiters[out_port].grant(group)]
+                for out_port, group in sorted(targets.items())
             ]
-            winner_idx = self._sa_output_arbiters[out_port].grant(candidates)
-            if winner_idx is None:
-                continue
-            in_port = input_ports[winner_idx]
-            vc, _, unit = nominations[in_port]
-            out_vc = unit.vcs[vc].out_vc
-            flit = unit.pop_flit(vc, cycle)
+        # The winners traverse the switch and the link.  Each nomination
+        # checked its entry's state and credit this very cycle, and no
+        # other input can send on that entry, so send_flit's guards hold.
+        for out_port, _, unit, vc in winners:
+            ivc = unit.vcs[vc]
+            out_vc = ivc.out_vc
+            # Inlined InputUnit.pop_flit ...
+            flit = ivc.buffer._flits.popleft()
+            unit.credit_channel.send(vc, cycle)
+            tail = flit.is_tail
+            if tail:
+                ivc.release()
+                unit.busy_count -= 1
             flit.hops += 1
-            outputs[out_port].upstream.send_flit(out_vc, flit, cycle)
-            self.flits_routed += 1
-            moved += 1
+            # ... and UpstreamPort.send_flit.
+            upstream = upstreams[out_port]
+            entry = upstream.entries[out_vc]
+            entry.credits -= 1
+            upstream.data_channel.send((out_vc, flit), cycle)
+            if tail:
+                # The release waits for the last credit (on_credit): a
+                # send always leaves one outstanding.
+                entry.tail_sent = True
+        moved = len(winners)
+        self.flits_routed += moved
         return moved
 
     # ------------------------------------------------------------------

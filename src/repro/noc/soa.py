@@ -23,8 +23,9 @@ engine's.
 it has work, components tell the engine when they will:
 
 * every delay line notifies the engine of its next delivery cycle
-  (:attr:`DelayLine.on_send`), so the delivery phase visits only
-  channels that actually hold due items, in exactly the order-
+  (:attr:`DelayLine.on_send`), which files the channel in a delivery
+  calendar (due cycle -> channel records), so the delivery phase visits
+  only channels that actually hold due items, in exactly the order-
   insensitive groups the dense phases process them in;
 * every policy engine notifies on memo busts
   (:attr:`VnetEngine.on_invalidate`), so ``run_policy`` runs exactly
@@ -58,9 +59,9 @@ detaches.
 
 Whenever every activity structure is empty the engine jumps the clock
 to the next pinned event: the end of the span, the next scheduled
-delivery or watchdog event, the traffic generator's next scouted
-injection, the next sensor sample or bank fault event, or a declared
-policy epoch boundary.
+delivery or watchdog event (the calendar's smallest due cycle), the
+traffic generator's next scouted injection, the next sensor sample or
+bank fault event, or a declared policy epoch boundary.
 
 Correctness contract
 --------------------
@@ -89,13 +90,16 @@ randomized scenarios, policies and traffic patterns.
 from __future__ import annotations
 
 import contextlib
-import heapq
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.nbti.duty_cycle import duty_cycles_percent_arrays
 from repro.noc.buffer import PowerState, VCBuffer
+
+#: Hot-loop constant for the inlined buffer write of router data.
+_ON = PowerState.ON
 
 # Channel-record kinds (index 0 of each record tuple).
 _CTRL = 0   # Up_Down gate/wake commands into an input unit
@@ -295,12 +299,11 @@ class SoAEngine:
         self._periods = [p for p, _ in self._period_ports]
 
         # --- channel records ------------------------------------------
-        # Built grouped by ASCENDING kind constant: the scheduling heap
-        # keys on (due, idx) and every due item is drained on exactly
-        # its due cycle, so same-cycle pops come out idx-ascending —
-        # with this grouping that is already the dense phase order and
-        # ``_deliver`` needs no sort (cross-unit order within one kind
-        # is immaterial; handlers only touch their own unit/port).
+        # Built grouped by ASCENDING kind constant: the delivery calendar
+        # maps each due cycle to the record indexes due then, and a
+        # sorted bucket is idx-ascending — with this grouping that is
+        # already the dense phase order (cross-unit order within one
+        # kind is immaterial; handlers only touch their own unit/port).
         self._chan_records: List[Tuple] = []
 
         def add(kind, chan, *ctx) -> None:
@@ -343,7 +346,10 @@ class SoAEngine:
         }
 
         # --- live scheduling state ------------------------------------
-        self._heap: List[Tuple[int, int]] = []
+        #: Delivery calendar: due cycle -> record indexes.  ``_sched``
+        #: holds each record's live due cycle; a bucket entry that no
+        #: longer matches it was superseded by an earlier due.
+        self._calendar: Dict[int, List[int]] = defaultdict(list)
         self._sched: List[Optional[int]] = [None] * len(self._chan_records)
         self._waking: Dict[object, None] = {}
         self._dirty: Dict[int, None] = {}
@@ -367,14 +373,14 @@ class SoAEngine:
     # Hook plumbing
     # ------------------------------------------------------------------
     def _make_notify(self, idx: int):
-        heap = self._heap
+        calendar = self._calendar
         sched = self._sched
 
         def notify(due: int) -> None:
             cur = sched[idx]
             if cur is None or due < cur:
                 sched[idx] = due
-                heapq.heappush(heap, (due, idx))
+                calendar[due].append(idx)
 
         return notify
 
@@ -537,7 +543,7 @@ class SoAEngine:
 
     def _loop(self, cycle: int, end: int) -> None:
         net = self.net
-        heap = self._heap
+        calendar = self._calendar
         waking = self._waking
         dirty = self._dirty
         va_routers = self._va_routers
@@ -552,8 +558,6 @@ class SoAEngine:
         sched = self._sched
         records = self._chan_records
         rport_idx = self._rport_idx
-        pop = heapq.heappop
-        push = heapq.heappush
         tick_waking = self._tick_waking
         dense_traffic = traffic is not None and not self._scout
         # Loop-local mirrors of the rare-transition scalars; every
@@ -570,29 +574,19 @@ class SoAEngine:
             # unit/port); the per-unit control -> tick -> data order is
             # preserved.  Inlined into the loop (one call per active
             # cycle) so the dispatch shares the hoisted locals.
-            if heap and heap[0][0] <= cycle:
-                due_idxs = []
-                late = False
-                while heap and heap[0][0] <= cycle:
-                    due, idx = pop(heap)
-                    if sched[idx] != due:
-                        continue  # superseded entry
-                    sched[idx] = None
-                    if due != cycle:
-                        late = True
-                    due_idxs.append(idx)
-                if late and len(due_idxs) > 1:
-                    # Same-cycle pops ascend by idx, which by
-                    # record-construction grouping is already the dense
-                    # phase order (ctrl < data < credits < Down_Up).  A
-                    # stale (pre-`cycle`) due can only appear if a due
-                    # cycle was somehow skipped; restore phase order
-                    # defensively rather than assert (idx order == phase
-                    # order, so a plain integer sort suffices).
-                    due_idxs.sort()
+            # Every due handed to the calendar is at or after the cycle
+            # running when it is handed over (link latency >= 1; watchdog
+            # and next_due events lie ahead), so each bucket is drained
+            # on exactly its own cycle.
+            bucket = calendar.pop(cycle, None)
+            if bucket is not None:
+                bucket.sort()
                 ticked = False
                 eject = None
-                for idx in due_idxs:
+                for idx in bucket:
+                    if sched[idx] != cycle:
+                        continue  # superseded, or a duplicate just handled
+                    sched[idx] = None
                     rec = records[idx]
                     kind = rec[0]
                     if not ticked and kind > _CTRL:
@@ -610,11 +604,35 @@ class SoAEngine:
                     if kind == _DATA_R:
                         chan_q = rec[2]._queue
                         unit, router = rec[3], rec[4]
+                        vcs = unit.vcs
                         while chan_q and chan_q[0][0] <= cycle:
                             vc, flit = chan_q.popleft()[1]
-                            unit.receive_flit(vc, flit, cycle)
-                            if flit.is_head:
-                                outport = unit.vcs[vc].outport
+                            ivc = vcs[vc]
+                            buf = ivc.buffer
+                            flits = buf._flits
+                            head = flit.is_head
+                            if buf._state is _ON and len(flits) < buf.capacity and (
+                                not ivc.busy if head
+                                else ivc.busy and ivc.packet_id == flit.packet_id
+                            ):
+                                # Inlined InputUnit.receive_flit and
+                                # VCBuffer.push for a legal write.
+                                flit.arrived_cycle = cycle
+                                if head:
+                                    ivc.busy = True
+                                    ivc.packet_id = flit.packet_id
+                                    ivc.outport = unit.route_fn(flit.dst)
+                                    ivc.vnet = flit.vnet
+                                    unit.busy_count += 1
+                                flits.append(flit)
+                                unit.flits_received += 1
+                            else:
+                                # Packet mixing or overflow raises there;
+                                # a non-ON buffer raises or takes its
+                                # fault hook's emergency wake.
+                                unit.receive_flit(vc, flit, cycle)
+                            if head:
+                                outport = ivc.outport
                                 pending = router.va_pending[outport]
                                 vnet = flit.vnet
                                 if pending[vnet] == 0:
@@ -639,8 +657,17 @@ class SoAEngine:
                     elif kind == _CRED:
                         chan_q = rec[2]._queue
                         upstream = rec[3]
+                        entries = upstream.entries
                         while chan_q and chan_q[0][0] <= cycle:
-                            upstream.on_credit(chan_q.popleft()[1])
+                            # Inlined UpstreamPort.on_credit.
+                            vc = chan_q.popleft()[1]
+                            entry = entries[vc]
+                            credits = entry.credits + 1
+                            entry.credits = credits
+                            if credits > entry.max_credits:
+                                raise RuntimeError(f"credit overflow on vc {vc}")
+                            if entry.tail_sent and credits == entry.max_credits:
+                                upstream._release(vc, entry)
                         nxt = chan_q[0][0] if chan_q else None
                     elif kind == _CTRL:
                         chan, unit = rec[2], rec[3]
@@ -673,7 +700,7 @@ class SoAEngine:
                         cur = sched[idx]
                         if cur is None or nxt < cur:
                             sched[idx] = nxt
-                            push(heap, (nxt, idx))
+                            calendar[nxt].append(idx)
                 if not ticked and waking:
                     tick_waking()
                 if eject is not None:
@@ -784,9 +811,13 @@ class SoAEngine:
                     or ni_va or ni_send or waking or cycle >= end:
                 continue
             # Scheduled deliveries and watchdog events bound the jump.
-            target = heap[0][0] if heap else end
-            if target <= cycle:
-                continue
+            if calendar:
+                target = min(calendar)
+                assert target >= cycle, f"calendar holds past cycle {target}"
+                if target == cycle:
+                    continue
+            else:
+                target = end
             if target > end:
                 target = end
             if next_inject is not None and next_inject < target:

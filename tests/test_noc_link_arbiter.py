@@ -43,13 +43,6 @@ class TestDelayLine:
         line.pop_ready(4)
         assert line.in_flight == 1
 
-    def test_peek_ready(self):
-        line = DelayLine(latency=1)
-        assert not line.peek_ready(0)
-        line.send("a", 0)
-        assert not line.peek_ready(0)
-        assert line.peek_ready(1)
-
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             DelayLine(latency=-1)
@@ -74,31 +67,46 @@ class TestDelayLine:
         assert line.in_flight == 0
 
 
+def list_scan(size, pointer, requests):
+    """Reference round-robin scan over one request bool per line: the
+    first requesting line at or after ``pointer``, wrapping; returns
+    (granted index or None, pointer after)."""
+    for offset in range(size):
+        idx = (pointer + offset) % size
+        if requests[idx]:
+            return idx, (idx + 1) % size
+    return None, pointer
+
+
 class TestRoundRobinArbiter:
     def test_rotates_through_requesters(self):
         arb = RoundRobinArbiter(3)
-        grants = [arb.grant([True, True, True]) for _ in range(6)]
+        grants = [arb.grant([0, 1, 2]) for _ in range(6)]
         assert grants == [0, 1, 2, 0, 1, 2]
 
     def test_skips_non_requesters(self):
         arb = RoundRobinArbiter(4)
-        assert arb.grant([False, False, True, False]) == 2
-        assert arb.grant([True, False, True, False]) == 0  # pointer at 3 wraps
+        assert arb.grant([2]) == 2
+        assert arb.grant([0, 2]) == 0  # pointer at 3 wraps
 
     def test_no_request_no_grant(self):
         arb = RoundRobinArbiter(2)
-        assert arb.grant([False, False]) is None
+        assert arb.grant([]) is None
 
     def test_pointer_unchanged_on_no_grant(self):
         arb = RoundRobinArbiter(3)
-        arb.grant([True, False, False])
+        arb.grant([0])
         before = arb.pointer
-        arb.grant([False, False, False])
+        arb.grant([])
         assert arb.pointer == before
 
     def test_wrong_width_rejected(self):
+        """A granted index outside the arbiter's lines is refused, so
+        the pointer never leaves [0, size)."""
+        arb = RoundRobinArbiter(3)
         with pytest.raises(ValueError):
-            RoundRobinArbiter(3).grant([True])
+            arb.grant([3])
+        assert arb.pointer == 0
 
     def test_size_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -106,7 +114,7 @@ class TestRoundRobinArbiter:
 
     def test_reset(self):
         arb = RoundRobinArbiter(3)
-        arb.grant([True, True, True])
+        arb.grant([0, 1, 2])
         arb.reset()
         assert arb.pointer == 0
 
@@ -114,10 +122,9 @@ class TestRoundRobinArbiter:
         """A persistent requester is granted within `size` arbitrations,
         whatever the other requesters do."""
         arb = RoundRobinArbiter(4)
-        pattern = [[True, True, True, True]] * 100
         waits = {i: 0 for i in range(4)}
-        for requests in pattern:
-            g = arb.grant(requests)
+        for _ in range(100):
+            g = arb.grant([0, 1, 2, 3])
             for i in range(4):
                 if i == g:
                     waits[i] = 0
@@ -133,16 +140,35 @@ class TestRoundRobinArbiter:
     def test_grant_is_always_a_requester(self, size, data):
         arb = RoundRobinArbiter(size)
         for _ in range(20):
-            requests = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
-            g = arb.grant(requests)
-            if any(requests):
-                assert g is not None and requests[g]
+            requesters = sorted(data.draw(
+                st.sets(st.integers(min_value=0, max_value=size - 1))
+            ))
+            g = arb.grant(requesters)
+            if requesters:
+                assert g in requesters
             else:
                 assert g is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+    )
+    def test_index_grant_matches_list_scan(self, size, data):
+        """``grant`` over ascending requester indexes picks the same
+        line, and leaves the same pointer, as the reference scan over
+        request bools."""
+        arb = RoundRobinArbiter(size)
+        arb._pointer = data.draw(st.integers(min_value=0, max_value=size - 1))
+        for _ in range(8):
+            requests = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            expected = list_scan(size, arb.pointer, requests)
+            granted = arb.grant([i for i, req in enumerate(requests) if req])
+            assert (granted, arb.pointer) == expected
 
     def test_fairness_under_full_load(self):
         arb = RoundRobinArbiter(5)
         counts = {i: 0 for i in range(5)}
         for _ in range(100):
-            counts[arb.grant([True] * 5)] += 1
+            counts[arb.grant(range(5))] += 1
         assert set(counts.values()) == {20}

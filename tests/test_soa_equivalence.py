@@ -258,8 +258,9 @@ DIRECTED_CASES = [
     # 3x3 mesh: pins multi-hop XY routes where same-cycle data and
     # credit events interleave across routers.
     ("nine_node_mesh", "sensor-wise", 0.02, 2500, 5, {"num_nodes": 9}),
-    # 4 VCs: pins the ordering of same-cycle channel events popped from
-    # the SoA heap (must replay in the stepped engine's phase order).
+    # 4 VCs: pins the ordering of same-cycle channel events drained
+    # from one SoA delivery-calendar bucket (must replay in the stepped
+    # engine's phase order).
     ("four_vcs", "rr-no-sensor", 0.1, 1500, 5, {"num_vcs": 4}),
     # Non-unit wake and link latency: pins power-gating wake ticks that
     # span quiescence-jump boundaries.
@@ -273,6 +274,12 @@ DIRECTED_CASES = [
     # (flush anchors must land exactly on sample cycles).
     ("short_sample_period", "sensor-wise", 0.05, 1500, 13,
      {"sensor_sample_period": 64}),
+    # 8x8 mesh at the benchmark's shape (no other case runs 64 nodes):
+    # three-way same-cycle VA contention for one output.  At 0.2 four
+    # requesters contend for one output's VA in the same cycle; at 0.1
+    # that takes longer than a few hundred cycles.
+    ("mesh64_loaded", "sensor-wise", 0.1, 400, 1, {"num_nodes": 64}),
+    ("mesh64_contended", "sensor-wise", 0.2, 400, 1, {"num_nodes": 64}),
 ]
 
 
