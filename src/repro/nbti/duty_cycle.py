@@ -21,7 +21,9 @@ class DutyCycleCounter:
     """Accumulates stress and recovery cycles for one device.
 
     The counter is deliberately tiny — one is instantiated per VC buffer
-    per router port, and it is bumped every simulated cycle.
+    per router port.  Its buffer books whole intervals into it at power
+    transitions, sensor samples and harvest (``VCBuffer.nbti_flush``),
+    not one cycle at a time.
 
     Example
     -------
@@ -148,22 +150,3 @@ class WindowedDutyCycle:
 def duty_cycles_percent(counters: Iterable[DutyCycleCounter]) -> List[float]:
     """Duty cycles (percent) for an iterable of counters, in order."""
     return [c.duty_cycle for c in counters]
-
-
-def duty_cycles_percent_arrays(stress, recovery) -> List[float]:
-    """Vectorized :func:`duty_cycles_percent` over struct-of-arrays tallies.
-
-    ``stress`` and ``recovery`` are equal-length integer NumPy arrays
-    (the SoA engine's accounting store).  The result matches
-    :attr:`DutyCycleCounter.duty_cycle` element-wise — including the
-    100.0 convention for unobserved devices — and, because each percent
-    is computed as ``100.0 * stress / total`` in double precision just
-    like the scalar property, the floats are bit-identical.
-    """
-    import numpy as np
-
-    total = stress + recovery
-    out = np.full(len(total), 100.0)
-    observed = total > 0
-    out[observed] = 100.0 * stress[observed] / total[observed]
-    return [float(v) for v in out]

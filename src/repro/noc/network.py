@@ -384,7 +384,7 @@ class Network:
         """Advance the network ``cycles`` cycles; return the violation count.
 
         Eligible networks (see :meth:`_soa_eligible`) run on the
-        struct-of-arrays engine (:mod:`repro.noc.soa`), which skips
+        event-directed SoA engine (:mod:`repro.noc.soa`), which skips
         provably idle components and cycles; everything else steps
         densely with :meth:`step`, the oracle the SoA engine reproduces
         byte for byte.  :attr:`force_engine` overrides the choice.
@@ -453,7 +453,7 @@ class Network:
             self.step()
 
     def _soa_eligible(self) -> bool:
-        """Check struct-of-arrays engine eligibility (see ``noc/soa.py``).
+        """Check SoA engine eligibility (see ``noc/soa.py``).
 
         Ineligible networks step densely.  Eligibility requires every
         recovery policy to be *stable*, with an untraced cycle-free

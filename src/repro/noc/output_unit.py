@@ -661,8 +661,6 @@ class UpstreamPort:
         if flit.is_tail:
             entry.tail_sent = True
         self.data_channel.send((vc, flit), cycle)
-        if entry.tail_sent and entry.credits == entry.max_credits:
-            self._release(vc, entry)
 
     def on_credit(self, vc: int) -> None:
         """Handle a returning credit from the downstream input port."""
@@ -679,8 +677,11 @@ class UpstreamPort:
 
         Called when the tail has been sent *and* every credit is back —
         at that point the downstream buffer is provably empty, so the VC
-        is safe to gate or to hand to a new packet.  (Callers inline the
-        drain check: it fails on all but the final credit/tail event.)
+        is safe to gate or to hand to a new packet.  Only a returning
+        credit can complete the drain (a send always leaves one credit
+        outstanding), so :meth:`on_credit` and its inlined copies are
+        the only callers; they inline the drain check, which fails on
+        all but the final credit.
         """
         entry.state = OutVCState.IDLE
         entry.tail_sent = False

@@ -1,26 +1,19 @@
-"""Struct-of-arrays, event-directed cycle engine (the dense-stepping core).
+"""Event-directed cycle engine (the dense-stepping core).
 
 The default :meth:`Network.step` loop touches every router, port, unit
 and delay line every cycle, which costs O(network) even when nothing is
 happening — and "nothing is happening" describes the overwhelming
 majority of cycle x component pairs at the paper's injection rates.
-This module replaces that loop for eligible runs with an engine built
-around two ideas:
+This module replaces that loop for eligible runs with an engine that
+books NBTI stress and recovery into the devices' own
+:class:`~repro.nbti.duty_cycle.DutyCycleCounter` objects, exactly as
+stepping does, and skips the work no component has.  The "SoA"
+(struct-of-arrays) name is historical; it stays because
+``force_engine="soa"``, :class:`SoAEngine` and the perfbench layer
+names use it.
 
-**Struct-of-arrays accounting.**  The NBTI stress/recovery tallies of
-every tracked VC buffer are hoisted out of the per-object
-:class:`~repro.nbti.duty_cycle.DutyCycleCounter` instances into NumPy
-``int64`` arrays batched across all routers/ports/VCs
-(:class:`NbtiArrays`).  Power-transition writes go through thin index
-views (:class:`ArrayDutyCycleCounter`), and the bulk operations — the
-interval flush at every sensor sample boundary and the duty-cycle
-harvest — become single vectorized kernels instead of per-buffer loops.
-The views return plain Python ints, so every float derived from the
-tallies (duty cycles, Vth readings) is bit-identical to the per-object
-engine's.
-
-**Event-directed stepping.**  Instead of asking every component whether
-it has work, components tell the engine when they will:
+Instead of asking every component whether it has work, components tell
+the engine when they will:
 
 * every delay line notifies the engine of its next delivery cycle
   (:attr:`DelayLine.on_send`), which files the channel in a delivery
@@ -93,9 +86,6 @@ import contextlib
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.nbti.duty_cycle import duty_cycles_percent_arrays
 from repro.noc.buffer import PowerState, VCBuffer
 
 #: Hot-loop constant for the inlined buffer write of router data.
@@ -109,146 +99,26 @@ _CRED = 3   # credits back to an upstream port
 _DUP = 4    # Down_Up most-degraded reports to an upstream port
 
 
-class ArrayDutyCycleCounter:
-    """A :class:`DutyCycleCounter`-compatible view into :class:`NbtiArrays`.
-
-    Installed as ``device.counter`` while the SoA engine drives a run:
-    scalar reads/writes (power-transition flushes, sensor reads) hit the
-    backing arrays, and bulk flush/harvest become vectorized kernels.
-    All reads return plain Python ints so derived float math is
-    bit-identical to the per-object counters.
-    """
-
-    __slots__ = ("_store", "_i")
-
-    def __init__(self, store: "NbtiArrays", index: int) -> None:
-        self._store = store
-        self._i = index
-
-    @property
-    def stress_cycles(self) -> int:
-        return int(self._store.stress[self._i])
-
-    @stress_cycles.setter
-    def stress_cycles(self, value: int) -> None:
-        self._store.stress[self._i] = value
-
-    @property
-    def recovery_cycles(self) -> int:
-        return int(self._store.recovery[self._i])
-
-    @recovery_cycles.setter
-    def recovery_cycles(self, value: int) -> None:
-        self._store.recovery[self._i] = value
-
-    def record(self, stressed: bool, cycles: int = 1) -> None:
-        if cycles < 0:
-            raise ValueError(f"cycles must be non-negative, got {cycles}")
-        if stressed:
-            self._store.stress[self._i] += cycles
-        else:
-            self._store.recovery[self._i] += cycles
-
-    @property
-    def total_cycles(self) -> int:
-        return int(self._store.stress[self._i] + self._store.recovery[self._i])
-
-    @property
-    def duty_cycle(self) -> float:
-        total = self.total_cycles
-        if total == 0:
-            return 100.0
-        return 100.0 * self.stress_cycles / total
-
-    @property
-    def alpha(self) -> float:
-        return self.duty_cycle / 100.0
-
-    def reset(self) -> None:
-        self._store.stress[self._i] = 0
-        self._store.recovery[self._i] = 0
-
-    def snapshot(self) -> Tuple[int, int]:
-        return (self.stress_cycles, self.recovery_cycles)
-
-    def __repr__(self) -> str:
-        return (
-            f"ArrayDutyCycleCounter(stress={self.stress_cycles}, "
-            f"recovery={self.recovery_cycles})"
-        )
-
-
 class NbtiArrays:
-    """Struct-of-arrays store for NBTI interval accounting.
-
-    One slot per *tracked* VC buffer (router input buffers; ejection
-    buffers are excluded exactly as in the per-object engine), in the
-    network's canonical build order.
-    """
+    """Tracked VC buffers; perfbench's ``soa.flush_all`` wraps this class."""
 
     def __init__(self, buffers: List[VCBuffer]) -> None:
+        # Ejection buffers carry no device and are not tracked.
         self.buffers = [
             b for b in buffers if b.device is not None and b.track_nbti
         ]
-        n = len(self.buffers)
-        self.stress = np.zeros(n, dtype=np.int64)
-        self.recovery = np.zeros(n, dtype=np.int64)
-        self._saved = []
-
-    def attach(self) -> None:
-        """Copy counter state into the arrays and install the views."""
-        self._saved = []
-        for i, buf in enumerate(self.buffers):
-            counter = buf.device.counter
-            self._saved.append(counter)
-            self.stress[i] = counter.stress_cycles
-            self.recovery[i] = counter.recovery_cycles
-            buf.device.counter = ArrayDutyCycleCounter(self, i)
-
-    def detach(self) -> None:
-        """Write the arrays back and restore the original counters."""
-        for i, buf in enumerate(self.buffers):
-            counter = self._saved[i]
-            counter.stress_cycles = int(self.stress[i])
-            counter.recovery_cycles = int(self.recovery[i])
-            buf.device.counter = counter
-        self._saved = []
 
     def flush_all(self, cycle: int) -> None:
-        """Vectorized interval flush: book every buffer's unaccounted
-        ``[anchor, cycle)`` interval in its current power state.
+        """Book every buffer's unaccounted ``[anchor, cycle)`` interval
+        in its current power state.
 
         Flushing is semantics-preserving at any point (each interval is
         booked in the state it was actually in; transitions flush
         themselves), so flushing *all* buffers at a sample boundary is
         equivalent to the dense engine's per-due-unit flushes.
         """
-        bufs = self.buffers
-        if not bufs:
-            return
-        n = len(bufs)
-        anchors = np.fromiter(
-            (b._nbti_anchor for b in bufs), dtype=np.int64, count=n
-        )
-        delta = cycle - anchors
-        pending = delta > 0
-        if pending.any():
-            gated = np.fromiter(
-                (b._state is PowerState.GATED for b in bufs),
-                dtype=bool,
-                count=n,
-            )
-            stress_mask = pending & ~gated
-            recov_mask = pending & gated
-            self.stress[stress_mask] += delta[stress_mask]
-            self.recovery[recov_mask] += delta[recov_mask]
-            for b in bufs:
-                if b._nbti_anchor < cycle:
-                    b._nbti_anchor = cycle
-
-    def duty_cycles(self) -> List[float]:
-        """Vectorized per-buffer duty cycles in percent (flushed state)."""
-        return duty_cycles_percent_arrays(self.stress, self.recovery)
+        for buf in self.buffers:
+            buf.nbti_flush(cycle)
 
 
 class SoAEngine:
@@ -358,8 +228,8 @@ class SoAEngine:
         self._ni_va: Dict[object, None] = {}
         self._ni_send: Dict[object, None] = {}
 
-        # --- SoA accounting store -------------------------------------
-        self.arrays = NbtiArrays(
+        # --- tracked buffers, flushed at every sample boundary ---------
+        self._nbti = NbtiArrays(
             [ivc.buffer for unit in net._nbti_units for ivc in unit.vcs]
         )
         self._faulted_banks = [b for b in net._sensor_banks if b.fault is not None]
@@ -451,7 +321,6 @@ class SoAEngine:
                 self._ni_va[ni] = None
             if any(ni._send_queues):
                 self._ni_send[ni] = None
-        self.arrays.attach()
         self._next_sample = self._compute_next_sample(cycle)
         traffic = net.traffic
         self._rng_cycle = cycle
@@ -484,7 +353,6 @@ class SoAEngine:
             upstream.book_degraded(end)
             for engine in upstream.engines:
                 engine.on_invalidate = None
-        self.arrays.detach()
 
     def _compute_next_sample(self, now: int) -> float:
         nxt = float("inf")
@@ -798,7 +666,7 @@ class SoAEngine:
                         del ni_send[ni]
             # --- phase 7: NBTI aging + sensor sampling ----------------
             if cycle == next_sample:
-                self.arrays.flush_all(cycle + 1)
+                self._nbti.flush_all(cycle + 1)
                 for router in routers:
                     router.phase_nbti(cycle)
                 next_sample = self._next_sample = self._compute_next_sample(

@@ -18,7 +18,7 @@ tracer) and ``trace_id`` (its track) attributes that default to
 ``None``/0, so the telemetry-off cost is one attribute test on the few
 event-driven paths — per-cycle hot loops are never touched.  It does
 not change the engine choice: a traced fault-free run takes the
-struct-of-arrays engine like an untraced one (see :mod:`repro.noc.soa`).
+event-directed SoA engine like an untraced one (see :mod:`repro.noc.soa`).
 """
 
 from __future__ import annotations

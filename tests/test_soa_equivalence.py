@@ -1,4 +1,4 @@
-"""Differential tests: the struct-of-arrays engine vs the per-object oracle.
+"""Differential tests: the event-directed SoA engine vs the stepped oracle.
 
 The SoA engine (``repro.noc.soa``) promises *bit-identical* simulation:
 any observable difference from the seed's per-object stepped engine is a
@@ -45,6 +45,7 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.faults import FAULT_KINDS, FaultInjector, FaultSpec, FaultyChannel
 from repro.noc.network import Network
+from repro.noc.router import Router
 from repro.noc.topology import LOCAL, port_id
 from repro.noc.validation import validate_network
 from repro.traffic.synthetic import HotspotTraffic, SyntheticTraffic
@@ -186,11 +187,15 @@ def run_with_engine(mode, policy, rate, cycles, seed, segments=4,
     The run is split into segments so the engines are also exercised
     mid-stream: resuming from an arbitrary cycle must not change the
     outcome (the SoA engine re-attaches its work sets from live object
-    state on every ``run`` call).  With ``validate_every`` each segment
-    sweeps the invariants every N cycles and raises on any violation.
-    ``faults`` are applied before the first cycle.
+    state on every ``run`` call).  Mode ``"alternating"`` runs the
+    segments on SoA and stepped in turn, SoA first, so each engine
+    resumes on the counters and anchors the other left.  With
+    ``validate_every`` each segment sweeps the invariants every N cycles
+    and raises on any violation.  ``faults`` are applied before the
+    first cycle.
     """
-    with forced_engine(mode):
+    engines = ("soa", "stepped") if mode == "alternating" else (mode,)
+    with forced_engine(engines[0]):
         net = build_small_network(
             policy=policy, flit_rate=rate, seed=seed, traffic=traffic,
             **config_kwargs,
@@ -198,9 +203,10 @@ def run_with_engine(mode, policy, rate, cycles, seed, segments=4,
         if faults:
             FaultInjector(faults, master_seed=seed).apply(net)
         seg = cycles // segments
-        for _ in range(segments):
-            net.run(seg, validate_every=validate_every)
-        net.run(cycles - seg * segments, validate_every=validate_every)
+        lengths = [seg] * segments + [cycles - seg * segments]
+        for i, length in enumerate(lengths):
+            Network.force_engine = engines[i % len(engines)]
+            net.run(length, validate_every=validate_every)
         net.flush_nbti()
     return net
 
@@ -222,7 +228,7 @@ def assert_engines_agree(policy, rate, cycles, seed,
     prints = {}
     for mode in engines:
         net = run_with_engine(mode, policy, rate, cycles, seed, **kw)
-        if mode == "soa":
+        if mode != "stepped":
             assert_invariants(net)
         prints[mode] = fingerprint(net)
     reference = engines[0]
@@ -343,6 +349,68 @@ def test_validated_soa_matches_stepped(policy, rate, validate_every):
     """Validated runs advance the SoA engine chunk by chunk (segments end
     mid-chunk) and must match the validated stepped oracle."""
     assert_engines_agree(policy, rate, 1077, 5, validate_every=validate_every)
+
+
+@pytest.mark.parametrize("policy, rate, cycles, seed, kw", [
+    ("sensor-wise", 0.1, 1500, 7, {"sensor_sample_period": 64}),
+    ("rr-no-sensor", 0.05, 2000, 3, {}),
+    ("sensor-wise", 0.02, 2500, 5, {"num_nodes": 9, "wake_latency": 3}),
+])
+def test_engines_alternating_on_one_network(policy, rate, cycles, seed, kw):
+    """SoA, stepped and SoA segments in turn on one network end where an
+    all-stepped run does: both engines book into the same counters."""
+    assert_engines_agree(policy, rate, cycles, seed,
+                         engines=("stepped", "alternating"), **kw)
+
+
+def test_soa_books_into_the_device_counters(monkeypatch):
+    """Every device keeps its own DutyCycleCounter before, during (at
+    every sensor sample) and after an SoA run, so sensors, policies and
+    harvest read the counters the engine books into."""
+    with forced_engine("soa"):
+        net = build_small_network(policy="sensor-wise", flit_rate=0.1, seed=1)
+        counters = {key: d.counter for key, d in net.devices.items()}
+
+        def same_counters() -> bool:
+            return all(
+                d.counter is counters[key] for key, d in net.devices.items()
+            )
+
+        samples = []
+        phase_nbti = Router.phase_nbti
+
+        def spy(router, cycle):
+            samples.append(same_counters())
+            phase_nbti(router, cycle)
+
+        monkeypatch.setattr(Router, "phase_nbti", spy)
+        net.run(600)
+    assert samples and all(samples)
+    assert same_counters()
+
+
+def test_soa_run_raising_mid_span_leaves_counters_bookable(monkeypatch):
+    """An SoA run that raises mid-span leaves every interval in the
+    counters or behind its anchor: a flush then books every device up
+    to the cycle the run stopped at."""
+    phase_va = Router.phase_va
+
+    def spy(router, cycle):
+        if cycle >= 333:
+            raise RuntimeError(f"spy stop at {cycle}")
+        return phase_va(router, cycle)
+
+    monkeypatch.setattr(Router, "phase_va", spy)
+    with forced_engine("soa"):
+        net = build_small_network(
+            policy="sensor-wise", flit_rate=0.1, seed=1,
+            sensor_sample_period=64,
+        )
+        with pytest.raises(RuntimeError, match="spy stop"):
+            net.run(1000)
+    assert 333 <= net.cycle < 1000
+    net.flush_nbti()
+    assert_invariants(net, validate=False)
 
 
 def test_force_soa_rejects_ineligible_network():
