@@ -21,6 +21,11 @@ Per seed it records:
 * **dominated** — distinct objective vectors of the reported front that
   some genome of the space dominates in truth.
 
+From the same table it records each axis's exact **main effect** per
+objective (the range of the axis's level means over every evaluated
+genome) and its **strength**: the largest effect normalised by that
+objective's strongest axis.  Costs no extra simulation.
+
 The gate is mean recall >= 0.9 and mean hypervolume ratio >= 0.99 over
 the ten seeds.  The search and the simulator are deterministic, so the
 figures are machine-independent; wall-clock time is recorded for
@@ -86,6 +91,35 @@ def exhaustive_archive(space, objectives, store, jobs):
             continue
         archive[genome] = evaluate_objectives(objectives, scenario, outcome)
     return archive, failed
+
+
+def main_effects(space, objectives, archive):
+    """Exact main effect of every axis on every (raw) objective: the
+    range of the axis's level means over the evaluated genomes."""
+    effects = {}
+    for column, objective in enumerate(objectives):
+        effects[objective.name] = {}
+        for axis, parameter in enumerate(space.parameters):
+            levels = {}
+            for genome, vector in archive.items():
+                levels.setdefault(genome[axis], []).append(
+                    objective.raw(vector[column])
+                )
+            means = [statistics.fmean(values) for values in levels.values()]
+            effects[objective.name][parameter.name] = max(means) - min(means)
+    return effects
+
+
+def axis_strengths(effects):
+    """Per axis, the largest effect over objectives, each normalised by
+    that objective's strongest axis."""
+    strength = {}
+    for per_axis in effects.values():
+        peak = max(per_axis.values())
+        for name, effect in per_axis.items():
+            share = effect / peak if peak > 0 else 0.0
+            strength[name] = max(strength.get(name, 0.0), share)
+    return strength
 
 
 def search(space, objectives, store, seed):
@@ -156,6 +190,7 @@ def main() -> int:
           f"hypervolume ratio {mean_ratio:.4f} (gate {MIN_HV_RATIO})")
 
     if output:
+        effects = main_effects(space, objectives, truth)
         genomes_by_vector = {}
         for genome, vector in sorted(truth.items()):
             if vector in true_front:
@@ -179,6 +214,8 @@ def main() -> int:
                 for vector in true_front
             ],
             "exhaustive_hypervolume": true_volume,
+            "main_effects": effects,
+            "axis_strength": axis_strengths(effects),
             "runs": runs,
             "mean_recall": mean_recall,
             "mean_hypervolume_ratio": mean_ratio,

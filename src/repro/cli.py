@@ -24,7 +24,6 @@ Examples
     repro-noc campaign --budget-cpu 120 --budget-rss 8192  # explicit caps
     repro-noc cache verify --cache-dir .repro-cache  # scan cache for rot
     repro-noc cache verify --checkpoint-dir out/     # scan journal for rot
-    repro-noc dse screen --jobs 4                    # factorial effect ranking
     repro-noc dse search --generations 8 --jobs 4    # NSGA-II Pareto search
     repro-noc dse search --checkpoint-dir dse/ --resume dse/
     repro-noc dse report dse_report.json             # re-render a saved front
@@ -97,10 +96,6 @@ def _add_exec_args(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="write-ahead scenario journal + campaign.state.json: a killed "
         "run re-pointed at the same directory resumes from the journal",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="collect per-scenario timing distributions into the summary",
     )
     parser.add_argument(
         "--port", type=int, default=serve_port, metavar="PORT",
@@ -258,7 +253,6 @@ def _executing(args: argparse.Namespace, checkpoint):
                 progress=log.info,
                 timeout=getattr(args, "timeout", None),
                 retries=getattr(args, "retries", 0),
-                profile=args.profile,
                 checkpoint=checkpoint,
                 distributed=_make_distributed(args),
                 governor=_make_governor(args),
@@ -299,7 +293,9 @@ def _dse_setup(blob: dict):
 
     Rebuilding from the blob — not from live argparse values — is what
     makes ``--resume`` restore the original space even when the retyped
-    flags disagree.
+    flags disagree.  The blob's ``seed`` is the GA's: every search
+    simulates a genome under the same traffic, so searches at different
+    seeds can share one ``--cache-dir``.
     """
     from repro.dse import default_space, parse_param_spec, resolve_objectives
     from repro.dse.space import DesignSpace
@@ -308,7 +304,7 @@ def _dse_setup(blob: dict):
     base = ScenarioConfig(
         num_nodes=blob["nodes"], num_vcs=blob["vcs"],
         injection_rate=blob["rate"], traffic=blob["traffic"],
-        cycles=blob["cycles"], warmup=blob["warmup"], seed=blob["seed"],
+        cycles=blob["cycles"], warmup=blob["warmup"],
         regime=blob.get("regime", "fresh"),  # pre-regime journals resume
     )
     if blob["params"]:
@@ -508,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pdse = sub.add_parser(
         "dse",
-        help="design-space exploration: factorial screening, NSGA-II "
-        "search, Pareto reports",
+        help="design-space exploration: NSGA-II search, Pareto reports",
     )
     dse_sub = pdse.add_subparsers(dest="dse_command", required=True)
 
@@ -530,20 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="search this ScenarioConfig field over the listed levels "
             "(repeatable; default: the stock sensor-wise space)",
         )
-
-    pscreen = dse_sub.add_parser(
-        "screen",
-        help="two-level fractional-factorial screening: rank parameter "
-        "effects from a handful of corner runs",
-    )
-    _add_sim_args(pscreen, cycles=4_000)
-    _add_exec_args(pscreen)
-    _add_dse_base_args(pscreen)
-    pscreen.add_argument(
-        "--threshold", type=float, default=0.05,
-        help="normalized-effect floor below which an axis is reported prunable",
-    )
-    pscreen.add_argument("--json", default=None, help="write the effects report here")
 
     psearch = dse_sub.add_parser(
         "search",
@@ -987,11 +968,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _dispatch_dse(args: argparse.Namespace) -> int:
-    """The ``repro-noc dse`` command group (screen / search / report)."""
+    """The ``repro-noc dse`` command group (search / report)."""
     from repro.dse import DesignSpaceError
 
-    # Distinct meta commands keep a screening journal from being resumed
-    # as a search (and make the resume hint print the real invocation).
+    # The meta command names the subcommand, so a journal of another
+    # command is refused on resume (and the resume hint prints the real
+    # invocation).
     args.command = f"dse {args.dse_command}"
 
     if args.dse_command == "report":
@@ -1008,82 +990,59 @@ def _dispatch_dse(args: argparse.Namespace) -> int:
             emit(f"wrote {args.csv}")
         return 0
 
+    from repro.dse import DSEEngine, DSEResult, GAConfig
+    from repro.experiments.checkpoint import CampaignInterrupted
+
+    blob = _dse_blob(args)
     try:
-        space, objectives = _dse_setup(_dse_blob(args))
+        space, objectives = _dse_setup(blob)
     except (DesignSpaceError, ValueError) as exc:
         log.error("%s", exc)
         return 2
-
-    if args.dse_command == "screen":
-        from repro.dse import run_screening
-
-        checkpoint = _make_checkpoint(args, _dse_blob(args))
-        with _executing(args, checkpoint) as executor:
-            report = run_screening(space, objectives, executor=executor)
-            emit(report.format())
-            prunable = report.prune(args.threshold)
-            if prunable:
-                emit(
-                    f"prunable below {args.threshold:.2f}: {', '.join(prunable)}"
-                )
-            if args.json:
-                from repro.experiments.checkpoint import atomic_write_json
-
-                atomic_write_json(args.json, report.to_dict())
-                log.info("effects JSON written to %s", args.json)
-        return 0
-
-    if args.dse_command == "search":
-        from repro.dse import DSEEngine, DSEResult, GAConfig
-        from repro.experiments.checkpoint import CampaignInterrupted
-
-        blob = _dse_blob(args)
-        blob["ga"] = {
-            "population": args.population,
-            "generations": args.generations,
-            "seed": args.seed,
-            "crossover_rate": args.crossover_rate,
-            "mutation_rate": args.mutation_rate,
-        }
-        checkpoint = _make_checkpoint(args, blob)
-        if args.resume is not None:
-            blob = checkpoint.meta["config"]
-            space, objectives = _dse_setup(blob)
+    blob["ga"] = {
+        "population": args.population,
+        "generations": args.generations,
+        "seed": args.seed,
+        "crossover_rate": args.crossover_rate,
+        "mutation_rate": args.mutation_rate,
+    }
+    checkpoint = _make_checkpoint(args, blob)
+    if args.resume is not None:
+        blob = checkpoint.meta["config"]
+        space, objectives = _dse_setup(blob)
+    try:
+        config = GAConfig(**blob["ga"])
+    except (TypeError, ValueError) as exc:
+        # TypeError: a resumed journal names a retired GAConfig field.
+        log.error("%s", exc)
+        return 2
+    with _executing(args, checkpoint) as executor:
+        engine = DSEEngine(
+            space, objectives, config,
+            executor=executor, checkpoint=checkpoint,
+        )
+        failures = executor.failure_records if executor is not None else ()
         try:
-            config = GAConfig(**blob["ga"])
-        except (TypeError, ValueError) as exc:
-            # TypeError: a resumed journal names a retired GAConfig field.
-            log.error("%s", exc)
-            return 2
-        with _executing(args, checkpoint) as executor:
-            engine = DSEEngine(
-                space, objectives, config,
-                executor=executor, checkpoint=checkpoint,
-            )
-            failures = executor.failure_records if executor is not None else ()
-            try:
-                engine.run(resume=checkpoint is not None)
-            except CampaignInterrupted as exc:
-                if checkpoint is not None:
-                    checkpoint.write_state(
-                        "interrupted", pending=exc.pending, failures=failures
-                    )
-                raise
+            engine.run(resume=checkpoint is not None)
+        except CampaignInterrupted as exc:
             if checkpoint is not None:
-                checkpoint.write_state("complete", failures=failures)
-            result = DSEResult.from_archive(
-                space, objectives, engine.archive,
-                counters=engine.counters,
-            )
-            emit(result.format())
-            result.write_json(args.out)
-            emit(f"report written to {args.out}")
-            if args.csv:
-                result.write_csv(args.csv)
-                emit(f"wrote {args.csv}")
-        return 0
-
-    raise AssertionError(f"unhandled dse command {args.dse_command!r}")
+                checkpoint.write_state(
+                    "interrupted", pending=exc.pending, failures=failures
+                )
+            raise
+        if checkpoint is not None:
+            checkpoint.write_state("complete", failures=failures)
+        result = DSEResult.from_archive(
+            space, objectives, engine.archive,
+            counters=engine.counters,
+        )
+        emit(result.format())
+        result.write_json(args.out)
+        emit(f"report written to {args.out}")
+        if args.csv:
+            result.write_csv(args.csv)
+            emit(f"wrote {args.csv}")
+    return 0
 
 
 if __name__ == "__main__":

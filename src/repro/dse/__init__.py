@@ -1,4 +1,4 @@
-"""Design-space exploration: screening → seeded GA → Pareto.
+"""Design-space exploration: seeded GA → Pareto.
 
 The ``repro-noc dse`` pipeline answers the question the paper leaves
 open — *which* sensor-wise configuration to build — by searching the
@@ -6,11 +6,9 @@ configuration space around the paper's design point:
 
 1. :mod:`repro.dse.space` — declarative parameter spaces whose genomes
    decode to validated scenarios with cache-stable identity;
-2. :mod:`repro.dse.screening` — two-level fractional-factorial designs
-   that rank parameter effects from a handful of corner runs;
-3. :mod:`repro.dse.ga` — the seeded NSGA-II loop, checkpointed per
+2. :mod:`repro.dse.ga` — the seeded NSGA-II loop, checkpointed per
    generation and evaluated through the campaign executor;
-4. :mod:`repro.dse.pareto` / :mod:`repro.dse.report` — exact fronts,
+3. :mod:`repro.dse.pareto` / :mod:`repro.dse.report` — exact fronts,
    hypervolume, knee-point pick, canonical JSON/CSV reports.
 """
 
@@ -31,7 +29,6 @@ from repro.dse.pareto import (
     reference_point,
 )
 from repro.dse.report import DSEResult, FrontMember
-from repro.dse.screening import ScreeningReport, run_screening, two_level_design
 from repro.dse.space import (
     DesignSpace,
     DesignSpaceError,
@@ -53,7 +50,6 @@ __all__ = [
     "OBJECTIVES",
     "Objective",
     "Parameter",
-    "ScreeningReport",
     "crowding_distance",
     "default_space",
     "dominates",
@@ -65,6 +61,4 @@ __all__ = [
     "parse_param_spec",
     "reference_point",
     "resolve_objectives",
-    "run_screening",
-    "two_level_design",
 ]

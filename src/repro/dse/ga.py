@@ -258,8 +258,8 @@ class DSEEngine:
 
     # -- GA operators ---------------------------------------------------
     def _initial_population(self) -> List[Genome]:
-        """Seeded start: both screening corners (when valid) + uniform
-        random valid genomes, distinct while the space allows it."""
+        """Seeded start: the all-low and all-high corners (when valid) +
+        uniform random valid genomes, distinct while the space allows it."""
         rng = self._rng(0, "init")
         population: List[Genome] = []
         for corner in (self.space.corner_genome(False), self.space.corner_genome(True)):

@@ -1,7 +1,7 @@
 """Declarative design spaces: parameters, genomes and scenario decoding.
 
 A :class:`DesignSpace` is the contract between the search algorithms
-(factorial screening, the NSGA-II loop) and the simulation harness: it
+(the NSGA-II loop) and the simulation harness: it
 maps *genomes* — tuples of per-parameter level indices — to fully
 validated :class:`~repro.experiments.config.ScenarioConfig` objects.
 
@@ -10,8 +10,8 @@ Design decisions that the rest of ``repro.dse`` leans on:
 * **Every parameter is a finite, ordered tuple of levels.**  Integer
   ranges (optionally log-spaced) are discretized at construction, so a
   genome is always a small tuple of indices: trivially hashable,
-  JSON-serializable (checkpointable), and directly usable by two-level
-  factorial designs (low = first level, high = last level).
+  JSON-serializable (checkpointable), with a well-defined low (first)
+  and high (last) level.
 * **Genome identity == scenario identity.**  ``decode`` goes through
   :meth:`ScenarioConfig.replace`, and :meth:`scenario_hash` is the same
   content hash (:func:`repro.experiments.parallel.cache_key`) the
@@ -241,7 +241,7 @@ class DesignSpace:
         )
 
     def corner_genome(self, high: bool) -> Genome:
-        """The all-low / all-high corner (two-level screening anchors)."""
+        """The all-low / all-high corner (the GA's seeded start)."""
         return tuple((len(p) - 1 if high else 0) for p in self.parameters)
 
     # -- descriptions ---------------------------------------------------

@@ -325,10 +325,6 @@ class Executor:
     worker:
         The unit-executing callable (picklable by name); tests
         substitute hanging/crashing workers.
-    profile:
-        Collect per-scenario timing distributions (build / sim / wall
-        seconds) into :attr:`metrics`; the summary line then reports
-        sim-time percentiles across the campaign.
     log_level:
         Logging level to install in worker processes (defaults to the
         effective level of the ``repro`` logger at construction, so
@@ -392,7 +388,6 @@ class Executor:
         retries: int = 0,
         retry_backoff: float = 0.25,
         worker: Callable[[WorkUnit], ScenarioResult] = _execute_unit,
-        profile: bool = False,
         log_level: Optional[int] = None,
         checkpoint: Optional[CheckpointManager] = None,
         retry_jitter: float = 0.5,
@@ -429,10 +424,10 @@ class Executor:
         self.retry_backoff = retry_backoff
         self.worker = worker
         self.stats = ExecutorStats()
-        #: Campaign-level timing distributions; ``None`` unless profiling.
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if profile else None
-        )
+        #: Campaign-level counters and per-scenario timing distributions
+        #: (build / sim / wall seconds); the summary line reports
+        #: sim-time percentiles from them.
+        self.metrics = MetricsRegistry()
         self.log_level = log_level if log_level is not None else current_log_level()
         self.checkpoint = checkpoint
         if governor is not None and not isinstance(governor, ScenarioGovernor):
@@ -447,7 +442,7 @@ class Executor:
         #: (what campaign.state.json surfaces as the failed-unit list).
         self.failure_records: List[ScenarioFailure] = []
         self._drain = threading.Event()
-        if checkpoint is not None and self.metrics is not None:
+        if checkpoint is not None:
             self.metrics.inc("checkpoint.journal_replayed", checkpoint.journal.replayed)
             self.metrics.inc("checkpoint.journal_torn", checkpoint.journal.torn)
 
@@ -517,13 +512,12 @@ class Executor:
             governor = self.governor.summary()
             if governor is not None:
                 line += f"; {governor}"
-        if self.metrics is not None:
-            sim = self.metrics.histograms.get("scenario.sim_seconds")
-            if sim is not None and sim.count:
-                line += (
-                    f"; sim p50/p95/p99 = "
-                    f"{sim.p50:.2f}/{sim.p95:.2f}/{sim.p99:.2f}s"
-                )
+        sim = self.metrics.histograms.get("scenario.sim_seconds")
+        if sim is not None and sim.count:
+            line += (
+                f"; sim p50/p95/p99 = "
+                f"{sim.p50:.2f}/{sim.p95:.2f}/{sim.p99:.2f}s"
+            )
         return line
 
     # -- dispatch ------------------------------------------------------
@@ -916,10 +910,9 @@ class Executor:
         quarantined = self.governor.record_breach(
             cache_key(scenario, iteration), scenario, iteration, kind, elapsed
         )
-        if self.metrics is not None:
-            self.metrics.inc(f"governor.breach_{kind}")
-            if quarantined:
-                self.metrics.inc("governor.quarantined")
+        self.metrics.inc(f"governor.breach_{kind}")
+        if quarantined:
+            self.metrics.inc("governor.quarantined")
         return quarantined, self.governor.budget_info(scenario, elapsed)
 
     def _fail(
@@ -943,10 +936,9 @@ class Executor:
     ) -> None:
         results[index] = result
         self.stats.serial_seconds += result.wall_seconds
-        if self.metrics is not None:
-            self.metrics.observe("scenario.build_seconds", result.build_seconds)
-            self.metrics.observe("scenario.sim_seconds", result.sim_seconds)
-            self.metrics.observe("scenario.wall_seconds", result.wall_seconds)
+        self.metrics.observe("scenario.build_seconds", result.build_seconds)
+        self.metrics.observe("scenario.sim_seconds", result.sim_seconds)
+        self.metrics.observe("scenario.wall_seconds", result.wall_seconds)
         # Write-ahead: the result is durable (fsync'd journal record)
         # before the campaign consumes it.
         if self._stores:
@@ -962,7 +954,7 @@ class Executor:
         with self._commit_lock:
             for store in self._stores:
                 wrote = store.append(key, result)
-                if wrote and store is not self.cache and self.metrics is not None:
+                if wrote and store is not self.cache:
                     self.metrics.inc("checkpoint.journal_appends")
 
     def _report(self, index: int, unit: WorkUnit, result: ScenarioResult, cached: bool) -> None:
@@ -986,15 +978,14 @@ def make_executor(
     progress: Optional[Callable[[str], None]] = None,
     timeout: Optional[float] = None,
     retries: int = 0,
-    profile: bool = False,
     checkpoint: Optional[CheckpointManager] = None,
     distributed=None,
     governor: Optional[Union[ScenarioGovernor, GovernorSpec]] = None,
 ) -> Optional[Executor]:
     """CLI helper: build an :class:`Executor` only when one is wanted.
 
-    ``jobs=1`` with no cache and no robustness/profiling/checkpoint/
-    distributed/governor knobs keeps the historical in-function serial
+    ``jobs=1`` with no cache and no robustness/checkpoint/distributed/
+    governor knobs keeps the historical in-function serial
     path (returns ``None``); ``jobs=0`` auto-detects worker count.
     """
     if (
@@ -1002,7 +993,6 @@ def make_executor(
         and cache_dir is None
         and timeout is None
         and retries == 0
-        and not profile
         and checkpoint is None
         and distributed is None
         and governor is None
@@ -1010,7 +1000,7 @@ def make_executor(
         return None
     return Executor(
         max_workers=jobs, cache=cache_dir, progress=progress,
-        timeout=timeout, retries=retries, profile=profile,
+        timeout=timeout, retries=retries,
         checkpoint=checkpoint, distributed=distributed, governor=governor,
     )
 

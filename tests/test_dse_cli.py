@@ -19,7 +19,6 @@ MICRO_SEARCH = MICRO + [
 class TestParser:
     def test_subcommands_parse(self):
         parser = build_parser()
-        assert parser.parse_args(["dse", "screen"]).dse_command == "screen"
         args = parser.parse_args(
             ["dse", "search", "--population", "6", "--param", "buffer_depth=2,4"]
         )
@@ -50,30 +49,21 @@ class TestParser:
             build_parser().parse_args(["dse", "search", *flag])
         assert info.value.code == 2
 
-
-class TestScreen:
-    def test_screen_prints_ranking_and_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "effects.json"
-        code = main(
-            ["dse", "screen", *MICRO, "--param", "policy=rr-no-sensor,sensor-wise",
-             "--param", "wake_latency=1,4", "--json", str(out)]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "Factorial screening" in printed
-        assert "policy" in printed
-        blob = json.loads(out.read_text())
-        assert blob["runs"] == 4
-        assert set(blob["main_effects"]) == {"md_duty", "p95_latency"}
-
-    def test_unknown_objective_exits_2(self, capsys):
-        assert main(["dse", "screen", *MICRO, "--objectives", "bogus"]) == 2
-
-    def test_bad_param_spec_exits_2(self):
-        assert main(["dse", "screen", *MICRO, "--param", "bogus=1,2"]) == 2
+    def test_retired_screen_subcommand_exits_2(self):
+        """The factorial screen ranked dead axes above live ones against
+        the exhaustive table; its subcommand is gone, not aliased."""
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["dse", "screen"])
+        assert info.value.code == 2
 
 
 class TestSearch:
+    def test_unknown_objective_exits_2(self, capsys):
+        assert main(["dse", "search", *MICRO, "--objectives", "bogus"]) == 2
+
+    def test_bad_param_spec_exits_2(self):
+        assert main(["dse", "search", *MICRO, "--param", "bogus=1,2"]) == 2
+
     def test_search_writes_deterministic_report(self, tmp_path, capsys):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -90,6 +80,40 @@ class TestSearch:
         printed = capsys.readouterr().out
         assert "Pareto front" in printed
         assert first.with_suffix(".csv").read_text().startswith("buffer_depth,")
+
+    def test_ga_seed_does_not_change_the_simulated_traffic(self):
+        """Two DSE blobs differing only in the GA seed decode every genome
+        to the same scenario, so their searches can share a store."""
+        from repro.cli import _dse_blob, _dse_setup
+
+        parser = build_parser()
+        blobs = [
+            _dse_blob(parser.parse_args(["dse", "search", *MICRO, "--seed", seed]))
+            for seed in ("1", "13")
+        ]
+        assert blobs[0]["seed"] != blobs[1]["seed"]
+        spaces = [_dse_setup(blob)[0] for blob in blobs]
+        assert spaces[0].base.seed == spaces[1].base.seed == 1
+        for genome in (spaces[0].corner_genome(False), spaces[0].corner_genome(True)):
+            assert spaces[0].scenario_hash(genome) == spaces[1].scenario_hash(genome)
+
+    def test_search_seed_13_front(self, tmp_path):
+        """Pins a search at a GA seed other than 1: its genomes simulate
+        under the default traffic seed, not under traffic seed 13."""
+        out = tmp_path / "r.json"
+        assert main(
+            ["dse", "search", *MICRO_SEARCH, "--seed", "13", "--out", str(out)]
+        ) == 0
+        blob = json.loads(out.read_text())
+        assert blob["evaluated"] == 8
+        assert [(m["values"], m["objectives"]) for m in blob["front"]] == [
+            (
+                {"buffer_depth": 8, "num_vcs": 4, "policy": "rejuvenation",
+                 "regime": "fresh", "rotation_period": 256,
+                 "sensor_sample_period": 256, "wake_latency": 1},
+                {"md_duty": 0.0, "p95_latency": 16.0},
+            ),
+        ]
 
     def test_search_with_custom_space_and_objectives(self, tmp_path):
         out = tmp_path / "r.json"
@@ -178,10 +202,11 @@ class TestSearch:
         CheckpointManager(tmp_path / "old", meta=meta).close()
         assert main(["dse", "search", "--resume", str(tmp_path / "old")]) == 2
 
-    def test_screen_checkpoint_not_resumable_as_search(self, tmp_path):
+    def test_other_command_checkpoint_not_resumable_as_search(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         assert main(
-            ["dse", "screen", *MICRO, "--checkpoint-dir", str(ckpt)]
+            ["table3", "--cycles", "200", "--warmup", "50",
+             "--checkpoint-dir", str(ckpt)]
         ) == 0
         assert main(["dse", "search", "--resume", str(ckpt)]) == 2
 

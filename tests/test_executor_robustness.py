@@ -33,6 +33,7 @@ class _FakeResult:
 
     payload: str = "ok"
     wall_seconds: float = 0.0
+    build_seconds: float = 0.0
     sim_seconds: float = 0.0
 
 

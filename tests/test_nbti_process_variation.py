@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ALL_POLICIES
+from repro.core.policies import make_policy_factory
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.runner import run_scenario
 from repro.nbti.constants import TECH_32NM, TECH_45NM
 from repro.nbti.process_variation import ProcessVariationModel, scenario_seed
+
+from tests.test_soa_equivalence import forced_engine
 
 
 class TestScenarioSeed:
@@ -120,3 +126,36 @@ class TestSampleChip:
         md1 = model.most_degraded(vths)
         md2 = model.most_degraded(dict(reversed(list(vths.items()))))
         assert md1 == md2
+
+
+class TestSensorlessPoliciesIgnorePV:
+    """A policy with ``uses_sensor = False`` never reads a threshold
+    voltage, so the PV draw moves its reported Vths but none of its
+    buffer duty cycles, on either engine and under a pre-aged regime."""
+
+    SENSORLESS = tuple(
+        name for name in ALL_POLICIES
+        if not make_policy_factory(name)().uses_sensor
+    )
+
+    def test_the_sensorless_set(self):
+        assert self.SENSORLESS == (
+            "baseline", "rejuvenation", "rr-no-sensor",
+            "rr-no-sensor-no-traffic", "static-reserve",
+        )
+
+    @pytest.mark.parametrize("regime", ["fresh", "burn-in"])
+    @pytest.mark.parametrize("policy", SENSORLESS)
+    def test_port_duty_is_pv_invariant(self, policy, regime):
+        for engine in ("soa", "stepped"):
+            results = []
+            with forced_engine(engine):
+                for pv_seed in (7, 8):
+                    results.append(run_scenario(ScenarioConfig(
+                        num_nodes=4, num_vcs=2, injection_rate=0.2,
+                        policy=policy, regime=regime, cycles=400, warmup=100,
+                        pv_seed=pv_seed,
+                    )))
+            first, second = results
+            assert first.port_initial_vths != second.port_initial_vths
+            assert first.port_duty == second.port_duty, (engine, policy)

@@ -235,6 +235,14 @@ class TestProgressAndStats:
         assert "2/2 scenarios" in summary
         assert "serial estimate" in summary
 
+    def test_serial_summary_carries_sim_percentiles(self):
+        """Every executor keeps its timing registry: no switch turns the
+        per-scenario percentiles on."""
+        ex = Executor(max_workers=1)
+        ex.map(small_units()[:2])
+        assert ex.metrics.histograms["scenario.sim_seconds"].count == 2
+        assert "sim p50/p95/p99 = " in ex.summary()
+
     def test_stats_accumulate_across_maps(self):
         ex = Executor(max_workers=1)
         ex.map(small_units()[:1])
