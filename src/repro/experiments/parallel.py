@@ -429,7 +429,9 @@ class Executor:
         #: sim-time percentiles from them.
         self.metrics = MetricsRegistry()
         self.log_level = log_level if log_level is not None else current_log_level()
-        self.checkpoint = checkpoint
+        self.checkpoint: Optional[CheckpointManager] = None
+        if checkpoint is not None:
+            self.attach_checkpoint(checkpoint)
         if governor is not None and not isinstance(governor, ScenarioGovernor):
             governor = ScenarioGovernor(governor)
         self.governor = governor
@@ -442,9 +444,13 @@ class Executor:
         #: (what campaign.state.json surfaces as the failed-unit list).
         self.failure_records: List[ScenarioFailure] = []
         self._drain = threading.Event()
-        if checkpoint is not None:
-            self.metrics.inc("checkpoint.journal_replayed", checkpoint.journal.replayed)
-            self.metrics.inc("checkpoint.journal_torn", checkpoint.journal.torn)
+
+    def attach_checkpoint(self, checkpoint: CheckpointManager) -> None:
+        """Journal through ``checkpoint`` from now on, counting what its
+        journal replay recovered and skipped."""
+        self.checkpoint = checkpoint
+        self.metrics.inc("checkpoint.journal_replayed", checkpoint.journal.replayed)
+        self.metrics.inc("checkpoint.journal_torn", checkpoint.journal.torn)
 
     @property
     def _stores(self) -> List[ScenarioJournal]:
@@ -1019,7 +1025,7 @@ def with_checkpoint(
     if executor is None:
         return Executor(max_workers=1, checkpoint=checkpoint)
     if executor.checkpoint is None:
-        executor.checkpoint = checkpoint
+        executor.attach_checkpoint(checkpoint)
     return executor
 
 

@@ -747,6 +747,35 @@ class TestDriversJournalThroughGivenExecutor:
         assert checkpoint.journal.appended == 0
 
 
+class TestJournalReplayCounters:
+    """An executor counts a resumed journal's replay (results recovered,
+    torn records skipped) exactly once, however the checkpoint was
+    attached to it."""
+
+    @pytest.mark.parametrize("attach", ["driver", "constructor", "both"])
+    def test_resumed_fault_campaign_counts_replay(self, attach, tmp_path):
+        checkpoint = CheckpointManager(tmp_path / "ckpt", meta={"m": 1})
+        _drive_fault_campaign(None, checkpoint, tmp_path)
+        done = len(checkpoint.journal)
+        checkpoint.close()
+        assert done > 0
+        with open(tmp_path / "ckpt" / ScenarioJournal.FILENAME, "a") as fh:
+            fh.write('{"type": "result", "key": "cut short')  # a torn tail
+
+        checkpoint = CheckpointManager(tmp_path / "ckpt", meta={"m": 1})
+        executor = Executor(
+            max_workers=1,
+            checkpoint=None if attach == "driver" else checkpoint,
+        )
+        handed = None if attach == "constructor" else checkpoint
+        _drive_fault_campaign(executor, handed, tmp_path)
+        checkpoint.close()
+        counters = executor.metrics.as_dict()["counters"]
+        assert counters["checkpoint.journal_replayed"] == done
+        assert counters["checkpoint.journal_torn"] == 1
+        assert executor.stats.journal_hits == done
+
+
 # ----------------------------------------------------------------------
 # One store type: the --cache-dir store and the checkpoint journal
 # ----------------------------------------------------------------------

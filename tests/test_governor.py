@@ -64,10 +64,11 @@ def _tiny_unit(seed: int = 1):
 #: A real scenario dense enough to burn well past a 1-second CPU
 #: budget (validate-every-cycle invariant sweeps over a 4x4 mesh).
 def _heavy_unit():
+    # About 1.8 s of CPU on a 2-CPU host: well past a 1 s budget.
     return (
         ScenarioConfig(
             num_nodes=16, num_vcs=4, injection_rate=0.3,
-            cycles=2000, warmup=500, validate_every=1, seed=3,
+            cycles=6000, warmup=500, validate_every=1, seed=3,
         ),
         0,
     )

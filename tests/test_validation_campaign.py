@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.experiments.campaign import CampaignConfig, run_campaign
+from repro.faults.channels import FaultyChannel
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import FaultSpec
+from repro.noc.topology import LOCAL
 from repro.noc.validation import validate_network
 from tests.conftest import build_small_network
 
@@ -53,6 +59,33 @@ class TestValidator:
         net.routers[0].inputs[0].unit.vcs[0].buffer.gate()
         with pytest.raises(RuntimeError, match="invariant violations"):
             net.run(10, validate_every=1)
+
+    def test_sweep_follows_swapped_up_down_channel(self):
+        """A validated run after ``FaultInjector.apply`` sweeps the
+        FaultyChannel now wired in, not the emptied channel it replaced."""
+        net = build_small_network(policy="baseline", flit_rate=0.0, link_latency=32)
+        assert net.run(64, validate_every=16, raise_on_violation=False) == 0
+        FaultInjector([
+            FaultSpec("up-down-drop", router=2, port="local", command="wake"),
+        ]).apply(net)
+        wiring = net.routers[2].inputs[LOCAL]
+        line = wiring.control_channel
+        assert isinstance(line, FaultyChannel)
+        # The upstream gated VC0 and has woken it again; the wake is lost.
+        wiring.unit.vcs[0].buffer.gate()
+        line.send(("wake", 0), net.cycle)
+        assert (line.dropped, line.in_flight) == (1, 0)
+        expected = "router 2 local VC0: upstream gated=False but buffer is gated"
+        with pytest.raises(RuntimeError, match=re.escape(expected)):
+            net.run(16, validate_every=16)
+        # A command still in flight on the line masks the disagreement.
+        line.send(("gate", 1), net.cycle)
+        assert line.in_flight == 1
+        assert net.run(16, validate_every=16, raise_on_violation=False) == 0
+        assert line.in_flight == 1
+        # It lands after the next sweep; the one after sees VC0, and
+        # VC1 now gated behind the upstream's back too.
+        assert net.run(32, validate_every=16, raise_on_violation=False) == 2
 
 
 class TestLatencyPercentiles:
