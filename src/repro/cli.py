@@ -40,7 +40,8 @@ results), ``--cache-dir`` (skip already-computed scenarios) and
 killed run resumes from where it stopped, with byte-identical output).
 
 Exit codes: 0 success, 75 (``EX_TEMPFAIL``) campaign drained after
-SIGINT/SIGTERM with the journal flushed (resumable), 130 hard cancel
+SIGINT/SIGTERM (resumable from its ``--checkpoint-dir`` journal, if
+it has one), 130 hard cancel
 on a second signal, 2 unusable checkpoint directory, 3 resource budget
 exceeded (every other scenario completed and was journaled; re-run
 with a larger ``--budget-*`` to retry the offenders).
@@ -235,39 +236,37 @@ def _executing(args: argparse.Namespace, checkpoint):
     """The executor of one campaign command (``None`` keeps the serial
     path), built from the execution flags around ``checkpoint``.
 
-    The body runs with drain-on-signal handlers installed; the executor
-    and ``checkpoint`` are closed however it ends, and the executor's
-    summary is logged when it ends normally.  Flags the executor cannot
-    honour together (``--port`` with ``--timeout``, ``--retries`` or
-    ``--budget*``) are a usage error.
+    The body runs inside ``with executor`` with drain-on-signal handlers
+    installed: however it ends, the executor writes the checkpoint's
+    ``campaign.state.json`` and closes itself and ``checkpoint``; its
+    summary is logged when the body ends normally.  Flags the executor
+    cannot honour together (``--port`` with ``--timeout``, ``--retries``
+    or ``--budget*``) are a usage error.
     """
     from repro.experiments.checkpoint import graceful_shutdown
     from repro.experiments.parallel import make_executor
 
-    executor = None
     try:
-        try:
-            executor = make_executor(
-                args.jobs,
-                cache_dir=args.cache_dir,
-                progress=log.info,
-                timeout=getattr(args, "timeout", None),
-                retries=getattr(args, "retries", 0),
-                checkpoint=checkpoint,
-                distributed=_make_distributed(args),
-                governor=_make_governor(args),
-            )
-        except ValueError as exc:  # flags that contradict each other
-            build_parser().error(f"{args.command}: {exc}")
-        with graceful_shutdown(executor, notify=log.warning):
-            yield executor
-    finally:
-        if executor is not None:
-            executor.close()
+        executor = make_executor(
+            args.jobs,
+            cache_dir=args.cache_dir,
+            progress=log.info,
+            timeout=getattr(args, "timeout", None),
+            retries=getattr(args, "retries", 0),
+            checkpoint=checkpoint,
+            distributed=_make_distributed(args),
+            governor=_make_governor(args),
+        )
+    except ValueError as exc:  # flags that contradict each other
         if checkpoint is not None:
             checkpoint.close()
-    if executor is not None:
-        log.info(executor.summary())
+        build_parser().error(f"{args.command}: {exc}")
+    if executor is None:
+        yield None
+        return
+    with executor, graceful_shutdown(executor, notify=log.warning):
+        yield executor
+    log.info(executor.summary())
 
 
 def _dse_blob(args: argparse.Namespace) -> dict:
@@ -623,21 +622,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         log.error("%s", exc)
         return 3
     except CampaignInterrupted as exc:
-        directory = getattr(args, "resume", None) or getattr(
-            args, "checkpoint_dir", None
-        )
-        if hasattr(args, "resume"):
-            hint = f"repro-noc {args.command} --resume {directory}"
-        else:
-            hint = f"rerun with --checkpoint-dir {directory}"
         log.warning(
-            "interrupted: %d scenario(s) not run; journal flushed — "
-            "resume with '%s'", exc.pending, hint,
+            "interrupted: %d scenario(s) not run; %s", exc.pending,
+            _resume_hint(args),
         )
         return EXIT_INTERRUPTED
     except KeyboardInterrupt:
         log.error("hard cancel: partial state kept, journal still resumable")
         return EXIT_HARD_CANCEL
+
+
+def _resume_hint(args: argparse.Namespace) -> str:
+    """How a drained run keeps its finished scenarios, and how to rerun."""
+    directory = getattr(args, "resume", None) or getattr(
+        args, "checkpoint_dir", None
+    )
+    if directory is not None:
+        if hasattr(args, "resume"):
+            hint = f"repro-noc {args.command} --resume {directory}"
+        else:
+            hint = f"rerun with --checkpoint-dir {directory}"
+        return f"journal flushed — resume with '{hint}'"
+    if getattr(args, "cache_dir", None) is not None:
+        return (
+            f"finished scenarios are in the result store {args.cache_dir} — "
+            "rerun with the same --cache-dir to skip them"
+        )
+    return (
+        "no journal or result store keeps the finished scenarios — a rerun "
+        "starts over (pass --checkpoint-dir to make runs resumable)"
+    )
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -750,7 +764,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         with _executing(args, checkpoint) as executor:
             result = run_campaign(
                 config, report_path=args.out, json_dir=args.json_dir,
-                executor=executor, checkpoint=checkpoint,
+                executor=executor,
             )
             emit(result.to_markdown())
             emit(f"report written to {args.out} ({result.wall_seconds:.0f}s)")
@@ -839,9 +853,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.resume is not None:
             config = FaultCampaignConfig(**checkpoint.meta["config"])
         with _executing(args, checkpoint) as executor:
-            report = run_fault_campaign(
-                config, executor=executor, checkpoint=checkpoint
-            )
+            report = run_fault_campaign(config, executor=executor)
             emit(report.to_markdown())
             if args.out:
                 atomic_write_text(args.out, report.to_markdown())
@@ -991,7 +1003,6 @@ def _dispatch_dse(args: argparse.Namespace) -> int:
         return 0
 
     from repro.dse import DSEEngine, DSEResult, GAConfig
-    from repro.experiments.checkpoint import CampaignInterrupted
 
     blob = _dse_blob(args)
     try:
@@ -1021,17 +1032,7 @@ def _dispatch_dse(args: argparse.Namespace) -> int:
             space, objectives, config,
             executor=executor, checkpoint=checkpoint,
         )
-        failures = executor.failure_records if executor is not None else ()
-        try:
-            engine.run(resume=checkpoint is not None)
-        except CampaignInterrupted as exc:
-            if checkpoint is not None:
-                checkpoint.write_state(
-                    "interrupted", pending=exc.pending, failures=failures
-                )
-            raise
-        if checkpoint is not None:
-            checkpoint.write_state("complete", failures=failures)
+        engine.run(resume=checkpoint is not None)
         result = DSEResult.from_archive(
             space, objectives, engine.archive,
             counters=engine.counters,

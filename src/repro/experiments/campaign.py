@@ -15,15 +15,10 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.area import compute_overhead_report
-from repro.experiments.checkpoint import (
-    CampaignInterrupted,
-    CheckpointManager,
-    atomic_write_text,
-)
+from repro.experiments.checkpoint import atomic_write_text
 from repro.experiments.config import ScenarioConfig, format_experimental_setup
-from repro.experiments.governor import BudgetExceeded
 from repro.nbti.regime import get_regime
-from repro.experiments.parallel import Executor, with_checkpoint
+from repro.experiments.parallel import Executor
 from repro.experiments.tables import (
     run_cooperation_gain,
     run_real_table,
@@ -136,7 +131,6 @@ def run_campaign(
     report_path: Optional[Union[str, Path]] = None,
     json_dir: Optional[Union[str, Path]] = None,
     executor: Optional[Executor] = None,
-    checkpoint: Optional[CheckpointManager] = None,
 ) -> CampaignResult:
     """Run the full reproduction and optionally persist its artifacts.
 
@@ -155,49 +149,18 @@ def run_campaign(
         Optional :class:`~repro.experiments.parallel.Executor` fanning
         the campaign's independent scenarios across worker processes
         (and/or serving them from its on-disk cache).  Table contents
-        are identical to the serial run.
-    checkpoint:
-        Optional :class:`~repro.experiments.checkpoint.CheckpointManager`
-        journaling every completed scenario (crash-safe resume).  When
-        ``executor`` is ``None`` a serial executor is built around it so
-        journaling works even without ``--jobs``.  On a drain
-        (SIGINT/SIGTERM) the campaign writes ``campaign.state.json``
-        with status ``interrupted`` and re-raises
-        :class:`~repro.experiments.checkpoint.CampaignInterrupted`; on
-        success the status is ``complete``.
+        are identical to the serial run.  For a crash-safe campaign,
+        give the executor a checkpoint and run inside its ``with``
+        block::
+
+            with Executor(checkpoint=CheckpointManager(directory)) as ex:
+                run_campaign(config, executor=ex)
+
+        Every completed scenario is then journaled, and the block's end
+        writes ``campaign.state.json`` (``complete``, ``interrupted``
+        on a drain, ``budget-exceeded``).
     """
     config = config if config is not None else CampaignConfig()
-    executor = with_checkpoint(executor, checkpoint)
-    failures = executor.failure_records if executor is not None else ()
-    try:
-        result = _run_campaign_body(config, report_path, json_dir, executor)
-    except CampaignInterrupted as exc:
-        if checkpoint is not None:
-            checkpoint.write_state(
-                "interrupted", pending=exc.pending, failures=failures
-            )
-        raise
-    except BudgetExceeded as exc:
-        # Every other scenario completed and is journaled; the state
-        # file names the offenders (typed kind + predicted vs actual
-        # cost) so users can re-run with a larger --budget-*.
-        if checkpoint is not None:
-            checkpoint.write_state(
-                "budget-exceeded", pending=len(exc.failures), failures=failures
-            )
-        raise
-    if checkpoint is not None:
-        # Artifacts are on disk: the journal's work is done.
-        checkpoint.write_state("complete", failures=failures)
-    return result
-
-
-def _run_campaign_body(
-    config: CampaignConfig,
-    report_path: Optional[Union[str, Path]],
-    json_dir: Optional[Union[str, Path]],
-    executor: Optional[Executor],
-) -> CampaignResult:
     started = time.perf_counter()
     # The stress regime rides into every scenario the campaign builds;
     # the default ("fresh") keeps all artifacts byte-identical.

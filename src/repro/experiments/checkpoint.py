@@ -22,9 +22,10 @@ into the final JSON.  Three cooperating pieces make campaigns durable:
   instead of aborting.
 * :class:`CheckpointManager` — owns one journal plus the
   ``campaign.state.json`` summary (done/pending/failed counts and
-  per-failure tracebacks), and is what
-  :class:`~repro.experiments.parallel.Executor` consults before
-  dispatching a unit and notifies after finishing one.
+  per-failure tracebacks).  It is handed to one
+  :class:`~repro.experiments.parallel.Executor`, which consults it
+  before dispatching a unit, journals each finished one, and writes the
+  state summary when its ``with`` block ends.
 
 Resume contract: replayed results decode ``==`` to the originals, with
 the same types and dict order, so a campaign resumed with ``--resume
@@ -32,10 +33,11 @@ the same types and dict order, so a campaign resumed with ``--resume
 (``tests/test_kill_resume.py``).
 
 Graceful shutdown: :func:`graceful_shutdown` installs SIGINT/SIGTERM
-handlers that *drain* — stop dispatching new units, let in-flight
-workers finish (still bounded by the per-unit timeout), flush the
-journal, write the state summary — and exit with
-:data:`EXIT_INTERRUPTED`.  A second signal hard-cancels.
+handlers that *drain* — stop dispatching new units and let in-flight
+workers finish (still bounded by the per-unit timeout) and be
+journaled; the executor's ``with`` block then writes the state summary
+and the CLI exits with :data:`EXIT_INTERRUPTED`.  A second signal
+hard-cancels.
 """
 
 from __future__ import annotations
@@ -66,8 +68,9 @@ PathLike = Union[str, Path]
 JOURNAL_SCHEMA_VERSION = 2
 
 #: Exit code of a campaign that drained cleanly after SIGINT/SIGTERM:
-#: the journal is flushed and the run is resumable (EX_TEMPFAIL — "try
-#: again later").  Distinct from 130 (hard cancel on a second signal).
+#: finished scenarios are in its journal, if it has one, and the run is
+#: resumable from it (EX_TEMPFAIL — "try again later").  Distinct from
+#: 130 (hard cancel on a second signal).
 EXIT_INTERRUPTED = 75
 
 #: Exit code after a second signal forced a hard cancel (128 + SIGINT).
@@ -677,12 +680,13 @@ def _expect(ok: bool, tp: Any, value: Any) -> None:
 class CheckpointManager:
     """One campaign's durable state: journal + ``campaign.state.json``.
 
-    The manager is what gets threaded through the harness:
-    :class:`~repro.experiments.parallel.Executor` looks each unit up in
-    :attr:`journal` before dispatching it and appends it the moment it
-    completes; campaign drivers call :meth:`write_state` on completion
-    and on drain.  ``meta`` describes the campaign (command + config);
-    its digest gates resume compatibility (see :class:`ScenarioJournal`).
+    The manager is handed to one
+    :class:`~repro.experiments.parallel.Executor`, which owns it: the
+    executor looks each unit up in :attr:`journal` before dispatching it,
+    appends it the moment it completes, and calls :meth:`write_state`
+    when its ``with`` block ends (complete, drained or over budget).
+    ``meta`` describes the campaign (command + config); its digest gates
+    resume compatibility (see :class:`ScenarioJournal`).
     """
 
     STATE_FILENAME = "campaign.state.json"
@@ -721,7 +725,11 @@ class CheckpointManager:
 
     # -- state summary -------------------------------------------------
     def write_state(
-        self, status: str, pending: int = 0, failures: Iterable[object] = ()
+        self,
+        status: str,
+        pending: int = 0,
+        failures: Iterable[object] = (),
+        summary: Optional[str] = None,
     ) -> None:
         """Atomically publish the done/pending/failed summary.
 
@@ -729,12 +737,14 @@ class CheckpointManager:
         :class:`~repro.experiments.parallel.ScenarioFailure` records
         (duck-typed), whose full tracebacks survive into the file so a
         dead campaign can be diagnosed without re-running it.
+        ``summary`` is the executor's one-line accounting.
         """
         blob = {
             "status": status,
             "done": self.completed(),
             "pending": int(pending),
             "failed": [_failure_to_dict(failure) for failure in failures],
+            "summary": summary,
             "journal": self.counters(),
             "config_digest": self.journal.digest,
             "code_version": __version__,
@@ -807,10 +817,10 @@ def graceful_shutdown(
 
     First SIGINT/SIGTERM: ``executor.request_drain()`` — no new units
     are dispatched, in-flight workers finish (bounded by the per-unit
-    timeout), the journal is flushed, and the campaign raises
-    :class:`CampaignInterrupted` for the caller to exit with
-    :data:`EXIT_INTERRUPTED`.  A second signal raises
-    ``KeyboardInterrupt`` immediately (hard cancel).
+    timeout) and land in the executor's journal or result store, if it
+    has one, and the campaign raises :class:`CampaignInterrupted` for
+    the caller to exit with :data:`EXIT_INTERRUPTED`.  A second signal
+    raises ``KeyboardInterrupt`` immediately (hard cancel).
 
     No-op when ``executor`` is ``None`` or when not running in the
     main thread (signal handlers cannot be installed there).
@@ -826,9 +836,14 @@ def graceful_shutdown(
         if seen["count"] == 1:
             executor.request_drain()
             if notify is not None:
+                store = executor.results_kept_in()
+                kept = (
+                    "but no journal or result store keeps them" if store is None
+                    else f"and are kept in {store}"
+                )
                 notify(
                     f"received {name}: draining — in-flight scenarios finish "
-                    "and the journal is flushed; signal again to hard-cancel"
+                    f"{kept}; signal again to hard-cancel"
                 )
         else:
             raise KeyboardInterrupt(f"hard cancel ({name} x{seen['count']})")

@@ -377,6 +377,10 @@ class Executor:
     then the map call raises
     :class:`~repro.experiments.checkpoint.CampaignInterrupted` carrying
     the pending count.
+
+    A campaign runs inside ``with executor:``.  When the block ends the
+    executor publishes its checkpoint's ``campaign.state.json`` (see
+    :meth:`__exit__`), then calls :meth:`close`.
     """
 
     def __init__(
@@ -424,14 +428,14 @@ class Executor:
         self.retry_backoff = retry_backoff
         self.worker = worker
         self.stats = ExecutorStats()
-        #: Campaign-level counters and per-scenario timing distributions
-        #: (build / sim / wall seconds); the summary line reports
-        #: sim-time percentiles from them.
+        #: Per-scenario sim-time distribution; the summary line reports
+        #: its percentiles.
         self.metrics = MetricsRegistry()
         self.log_level = log_level if log_level is not None else current_log_level()
-        self.checkpoint: Optional[CheckpointManager] = None
-        if checkpoint is not None:
-            self.attach_checkpoint(checkpoint)
+        self.checkpoint = checkpoint
+        journal = None if checkpoint is None else checkpoint.journal
+        #: Every store a unit is looked up in (in this order) and appended to.
+        self._stores = [store for store in (journal, cache) if store is not None]
         if governor is not None and not isinstance(governor, ScenarioGovernor):
             governor = ScenarioGovernor(governor)
         self.governor = governor
@@ -445,19 +449,44 @@ class Executor:
         self.failure_records: List[ScenarioFailure] = []
         self._drain = threading.Event()
 
-    def attach_checkpoint(self, checkpoint: CheckpointManager) -> None:
-        """Journal through ``checkpoint`` from now on, counting what its
-        journal replay recovered and skipped."""
-        self.checkpoint = checkpoint
-        self.metrics.inc("checkpoint.journal_replayed", checkpoint.journal.replayed)
-        self.metrics.inc("checkpoint.journal_torn", checkpoint.journal.torn)
+    def __enter__(self) -> "Executor":
+        return self
 
-    @property
-    def _stores(self) -> List[ScenarioJournal]:
-        """Every store a unit is looked up in (in this order) and
-        appended to; follows a checkpoint attached after construction."""
-        journal = None if self.checkpoint is None else self.checkpoint.journal
-        return [store for store in (journal, self.cache) if store is not None]
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        """Publish the checkpoint's ``campaign.state.json``, then close.
+
+        The status says how the block ended: ``complete`` when it ran
+        through, ``interrupted`` on a drain, ``budget-exceeded`` when
+        the only failures were budget breaches (every other unit is
+        journaled).  Any other exception leaves the previous state file
+        as it was.  Without a checkpoint this only closes.
+        """
+        try:
+            if self.checkpoint is None:
+                return
+            if exc is None:
+                status, pending = "complete", 0
+            elif isinstance(exc, CampaignInterrupted):
+                status, pending = "interrupted", exc.pending
+            elif isinstance(exc, BudgetExceeded):
+                status, pending = "budget-exceeded", len(exc.failures)
+            else:
+                return
+            self.checkpoint.write_state(
+                status, pending=pending, failures=self.failure_records,
+                summary=self.summary(),
+            )
+        finally:
+            self.close()
+
+    def results_kept_in(self) -> Optional[str]:
+        """The store finished units survive in, in words (``None``: none
+        does, so a rerun starts over)."""
+        if self.checkpoint is not None:
+            return f"the journal {self.checkpoint.journal.path}"
+        if self.cache is not None:
+            return f"the result store {self.cache.path}"
+        return None
 
     def request_drain(self) -> None:
         """Stop dispatching new units; in-flight ones finish and are
@@ -893,13 +922,15 @@ class Executor:
 
     def close(self) -> None:
         """Stop the embedded coordinator and close the ``cache`` store
-        (safe to call repeatedly)."""
+        and the ``checkpoint`` (safe to call repeatedly)."""
         if self._server is not None:
             self._distributed_summary = self._server.summary()
             self._server.close()
             self._server = None
         if self.cache is not None:
             self.cache.close()
+        if self.checkpoint is not None:
+            self.checkpoint.close()
 
     def _note_breach(
         self, unit: WorkUnit, kind: str, elapsed: float
@@ -916,9 +947,6 @@ class Executor:
         quarantined = self.governor.record_breach(
             cache_key(scenario, iteration), scenario, iteration, kind, elapsed
         )
-        self.metrics.inc(f"governor.breach_{kind}")
-        if quarantined:
-            self.metrics.inc("governor.quarantined")
         return quarantined, self.governor.budget_info(scenario, elapsed)
 
     def _fail(
@@ -942,9 +970,7 @@ class Executor:
     ) -> None:
         results[index] = result
         self.stats.serial_seconds += result.wall_seconds
-        self.metrics.observe("scenario.build_seconds", result.build_seconds)
         self.metrics.observe("scenario.sim_seconds", result.sim_seconds)
-        self.metrics.observe("scenario.wall_seconds", result.wall_seconds)
         # Write-ahead: the result is durable (fsync'd journal record)
         # before the campaign consumes it.
         if self._stores:
@@ -959,9 +985,7 @@ class Executor:
         """
         with self._commit_lock:
             for store in self._stores:
-                wrote = store.append(key, result)
-                if wrote and store is not self.cache:
-                    self.metrics.inc("checkpoint.journal_appends")
+                store.append(key, result)
 
     def _report(self, index: int, unit: WorkUnit, result: ScenarioResult, cached: bool) -> None:
         if self.progress is None:
@@ -1009,24 +1033,6 @@ def make_executor(
         timeout=timeout, retries=retries,
         checkpoint=checkpoint, distributed=distributed, governor=governor,
     )
-
-
-def with_checkpoint(
-    executor: Optional[Executor], checkpoint: Optional[CheckpointManager]
-) -> Optional[Executor]:
-    """The executor a campaign driver runs on when handed ``checkpoint``.
-
-    ``executor`` journaling through ``checkpoint`` (unless it already
-    journals through one), or a serial executor built around it when
-    ``executor`` is ``None``; without a checkpoint, ``executor`` as is.
-    """
-    if checkpoint is None:
-        return executor
-    if executor is None:
-        return Executor(max_workers=1, checkpoint=checkpoint)
-    if executor.checkpoint is None:
-        executor.attach_checkpoint(checkpoint)
-    return executor
 
 
 def execute_units(

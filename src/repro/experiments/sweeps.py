@@ -13,9 +13,9 @@ import dataclasses
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.experiments.checkpoint import CheckpointManager, atomic_write_text
+from repro.experiments.checkpoint import atomic_write_text
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.parallel import Executor, execute_units, with_checkpoint
+from repro.experiments.parallel import Executor, execute_units
 from repro.experiments.report import render_table
 from repro.experiments.runner import ScenarioResult
 from repro.experiments.tables import PROPOSED_POLICY, REFERENCE_POLICY
@@ -123,7 +123,6 @@ def run_injection_sweep(
     policies: Sequence[str] = (REFERENCE_POLICY, PROPOSED_POLICY),
     base: Optional[ScenarioConfig] = None,
     executor: Optional[Executor] = None,
-    checkpoint: Optional[CheckpointManager] = None,
     **scenario_kwargs,
 ) -> InjectionSweep:
     """Sweep offered load, running every policy at each point.
@@ -138,15 +137,11 @@ def run_injection_sweep(
         Base scenario; ``scenario_kwargs`` override its fields.
     executor:
         Optional :class:`~repro.experiments.parallel.Executor`; all
-        (rate, policy) points are independent and fan out at once.
-    checkpoint:
-        Optional :class:`~repro.experiments.checkpoint.CheckpointManager`
-        journaling each completed point (crash-safe resume); wraps the
-        executor (building a serial one when none was given).
+        (rate, policy) points are independent and fan out at once (and
+        are journaled when it has a checkpoint).
     """
     if not rates:
         raise ValueError("sweep needs at least one rate")
-    executor = with_checkpoint(executor, checkpoint)
     base = base if base is not None else ScenarioConfig()
     if scenario_kwargs:
         base = base.replace(**scenario_kwargs)

@@ -29,14 +29,9 @@ import dataclasses
 import json
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.experiments.checkpoint import CampaignInterrupted, CheckpointManager
+from repro.experiments.checkpoint import CheckpointManager
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.parallel import (
-    Executor,
-    ScenarioFailure,
-    WorkUnit,
-    with_checkpoint,
-)
+from repro.experiments.parallel import Executor, ScenarioFailure, WorkUnit
 from repro.experiments.runner import ScenarioResult
 from repro.faults.spec import FaultSpec
 
@@ -243,30 +238,37 @@ def run_fault_campaign(
 ) -> ResilienceReport:
     """Run the whole sweep and assemble the resilience report.
 
-    Always goes through :meth:`Executor.map_robust`, so a hanging or
-    crashing cell becomes a FAILED row instead of killing the campaign.
+    Always goes through :meth:`Executor.map_robust` (a serial one when
+    ``executor`` is ``None``), so a hanging or crashing cell becomes a
+    FAILED row instead of killing the campaign.
 
-    With a ``checkpoint``, every completed cell is journaled as it
-    finishes; an interrupted campaign (drain or crash) resumes from the
-    journal and its report is byte-identical to an uninterrupted run.
-    ``campaign.state.json`` records status ``interrupted``/``complete``
-    plus any per-cell failures with full tracebacks.
+    A crash-safe campaign gives ``executor`` a checkpoint and runs in
+    its ``with`` block::
+
+        with Executor(max_workers=1, checkpoint=checkpoint) as ex:
+            report = run_fault_campaign(config, executor=ex)
+
+    Every completed cell is then journaled as it finishes; an
+    interrupted campaign (drain or crash) resumes from the journal and
+    its report is byte-identical to an uninterrupted run.  The block's
+    end writes ``campaign.state.json``: status ``interrupted`` or
+    ``complete`` plus any per-cell failures with full tracebacks.
+
+    ``checkpoint`` is accepted only as ``None`` or the executor's own
+    checkpoint; the checkpoint reaches a campaign through its executor.
     """
-    executor = with_checkpoint(executor, checkpoint) or Executor(max_workers=1)
+    executor = executor if executor is not None else Executor(max_workers=1)
+    if checkpoint is not None and checkpoint is not executor.checkpoint:
+        raise ValueError(
+            "run_fault_campaign journals through its executor's checkpoint; "
+            "pass the checkpoint to Executor(checkpoint=...)"
+        )
     cells = campaign_cells(config)
     units: List[WorkUnit] = [
         (_cell_scenario(config, policy, kind, rate), 0)
         for policy, kind, rate in cells
     ]
-    try:
-        outcomes = executor.map_robust(units)
-    except CampaignInterrupted as exc:
-        if checkpoint is not None:
-            checkpoint.write_state(
-                "interrupted", pending=exc.pending,
-                failures=executor.failure_records,
-            )
-        raise
+    outcomes = executor.map_robust(units)
 
     rows: List[ResilienceRow] = []
     for (policy, kind, rate), outcome in zip(cells, outcomes):
@@ -292,8 +294,6 @@ def run_fault_campaign(
             row.violations = result.violations
             row.fault_counters = result.fault_counters
         rows.append(row)
-    if checkpoint is not None:
-        checkpoint.write_state("complete", failures=executor.failure_records)
     return ResilienceReport(
         config=config, rows=rows, executor_summary=executor.summary()
     )

@@ -700,80 +700,121 @@ class TestForgedRecords:
 
 
 # ----------------------------------------------------------------------
-# Campaign drivers handed an executor and a checkpoint
+# Campaign drivers on an executor that owns the checkpoint
 # ----------------------------------------------------------------------
-def _drive_campaign(executor, checkpoint, out):
+def _drive_campaign(executor, out):
     config = CampaignConfig(
         cycles=150, warmup=50, iterations=1, include_real_traffic=False
     )
-    run_campaign(config, json_dir=out, executor=executor, checkpoint=checkpoint)
+    run_campaign(config, json_dir=out, executor=executor)
 
 
-def _drive_fault_campaign(executor, checkpoint, out):
+def _drive_fault_campaign(executor, out):
     config = FaultCampaignConfig(
         kinds=("sensor-dropout",), fault_rates=(0.0, 1.0),
         policies=("sensor-wise",), **FAST,
     )
-    run_fault_campaign(config, executor=executor, checkpoint=checkpoint)
+    run_fault_campaign(config, executor=executor)
 
 
-def _drive_sweep(executor, checkpoint, out):
+def _drive_sweep(executor, out):
     base = ScenarioConfig(num_nodes=4, num_vcs=2, **FAST)
-    run_injection_sweep(
-        [0.05, 0.1], base=base, executor=executor, checkpoint=checkpoint
-    )
+    run_injection_sweep([0.05, 0.1], base=base, executor=executor)
+
+
+def _state(directory):
+    return json.loads((directory / CheckpointManager.STATE_FILENAME).read_text())
 
 
 class TestDriversJournalThroughGivenExecutor:
-    """A checkpoint handed to a driver beside an executor built without
-    one is journaled through, and a resume is served from it."""
+    """A driver run inside ``with Executor(checkpoint=...)`` is journaled
+    through it, the block's end writes the state file, and a resume is
+    served from the journal."""
 
     @pytest.mark.parametrize(
         "drive", [_drive_campaign, _drive_fault_campaign, _drive_sweep]
     )
     def test_checkpoint_attached_and_resumed(self, drive, tmp_path):
-        first = Executor(max_workers=1)
         checkpoint = CheckpointManager(tmp_path / "ckpt", meta={"m": 1})
-        drive(first, checkpoint, tmp_path / "first")
-        checkpoint.close()
+        with Executor(max_workers=1, checkpoint=checkpoint) as first:
+            drive(first, tmp_path / "first")
         assert first.stats.units_total > 0
         assert len(checkpoint.journal) == checkpoint.journal.appended > 0
+        state = _state(tmp_path / "ckpt")
+        assert (state["status"], state["done"]) == ("complete", len(checkpoint.journal))
+        assert state["summary"] == first.summary()
 
-        resumed = Executor(max_workers=1)
         checkpoint = CheckpointManager(tmp_path / "ckpt", meta={"m": 1})
-        drive(resumed, checkpoint, tmp_path / "resumed")
-        checkpoint.close()
+        with Executor(max_workers=1, checkpoint=checkpoint) as resumed:
+            drive(resumed, tmp_path / "resumed")
         assert resumed.stats.journal_hits == first.stats.units_total
         assert checkpoint.journal.appended == 0
 
+    def test_fault_campaign_refuses_a_second_checkpoint(self, tmp_path):
+        checkpoint = CheckpointManager(tmp_path / "ckpt", meta={"m": 1})
+        with pytest.raises(ValueError, match="Executor\\(checkpoint"):
+            run_fault_campaign(
+                FaultCampaignConfig(**FAST), executor=Executor(max_workers=1),
+                checkpoint=checkpoint,
+            )
+        checkpoint.close()
+
+
+class TestExecutorStateFile:
+    """``Executor.__exit__`` is where a campaign's status is decided."""
+
+    def test_drain_writes_interrupted_with_pending(self, tmp_path):
+        checkpoint = CheckpointManager(tmp_path, meta={"m": 1})
+        executor = Executor(max_workers=1, checkpoint=checkpoint)
+        executor.progress = lambda line: executor.request_drain()
+        with pytest.raises(CampaignInterrupted) as excinfo:
+            with executor:
+                executor.map(tiny_units(3))
+        state = _state(tmp_path)
+        assert state["status"] == "interrupted"
+        assert state["pending"] == excinfo.value.pending == 2
+        assert state["done"] == 1
+
+    def test_other_exception_keeps_previous_state(self, tmp_path):
+        checkpoint = CheckpointManager(tmp_path, meta={"m": 1})
+        with Executor(max_workers=1, checkpoint=checkpoint) as executor:
+            executor.map(tiny_units(1))
+        before = (tmp_path / CheckpointManager.STATE_FILENAME).read_bytes()
+        checkpoint = CheckpointManager(tmp_path, meta={"m": 1})
+        with pytest.raises(KeyError):
+            with Executor(max_workers=1, checkpoint=checkpoint):
+                raise KeyError("not a campaign outcome")
+        assert (tmp_path / CheckpointManager.STATE_FILENAME).read_bytes() == before
+
+    def test_exit_closes_the_checkpoint(self, tmp_path):
+        checkpoint = CheckpointManager(tmp_path, meta={"m": 1})
+        with Executor(max_workers=1, checkpoint=checkpoint):
+            pass
+        assert checkpoint.journal._fh.closed
+        assert _state(tmp_path)["status"] == "complete"
+
 
 class TestJournalReplayCounters:
-    """An executor counts a resumed journal's replay (results recovered,
-    torn records skipped) exactly once, however the checkpoint was
-    attached to it."""
+    """A resumed journal's replay (results recovered, torn records
+    skipped) is counted once, by the checkpoint, and lands in the state
+    file's ``journal`` block."""
 
-    @pytest.mark.parametrize("attach", ["driver", "constructor", "both"])
-    def test_resumed_fault_campaign_counts_replay(self, attach, tmp_path):
+    def test_resumed_fault_campaign_counts_replay(self, tmp_path):
         checkpoint = CheckpointManager(tmp_path / "ckpt", meta={"m": 1})
-        _drive_fault_campaign(None, checkpoint, tmp_path)
+        with Executor(max_workers=1, checkpoint=checkpoint) as executor:
+            _drive_fault_campaign(executor, tmp_path)
         done = len(checkpoint.journal)
-        checkpoint.close()
         assert done > 0
         with open(tmp_path / "ckpt" / ScenarioJournal.FILENAME, "a") as fh:
             fh.write('{"type": "result", "key": "cut short')  # a torn tail
 
         checkpoint = CheckpointManager(tmp_path / "ckpt", meta={"m": 1})
-        executor = Executor(
-            max_workers=1,
-            checkpoint=None if attach == "driver" else checkpoint,
-        )
-        handed = None if attach == "constructor" else checkpoint
-        _drive_fault_campaign(executor, handed, tmp_path)
-        checkpoint.close()
-        counters = executor.metrics.as_dict()["counters"]
-        assert counters["checkpoint.journal_replayed"] == done
-        assert counters["checkpoint.journal_torn"] == 1
+        with Executor(max_workers=1, checkpoint=checkpoint) as executor:
+            _drive_fault_campaign(executor, tmp_path)
+        counters = checkpoint.counters()
+        assert (counters["replayed"], counters["torn"]) == (done, 1)
         assert executor.stats.journal_hits == done
+        assert _state(tmp_path / "ckpt")["journal"] == counters
 
 
 # ----------------------------------------------------------------------

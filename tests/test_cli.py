@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -166,3 +168,37 @@ class TestGovernanceFlags:
         # spawns none itself.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "--workers", "2"])
+
+
+#: Every command that takes --checkpoint-dir, at a tiny budget.
+CHECKPOINTED = {
+    "table2": ["table2"],
+    "table3": ["table3"],
+    "table4": ["table4", "--iterations", "1"],
+    "sweep": ["sweep", "--rates", "0.05,0.1"],
+    "campaign": ["campaign", "--iterations", "1", "--skip-real",
+                 "--out", "{tmp}/report.md"],
+    "fault-campaign": ["fault-campaign", "--kinds", "sensor-dropout",
+                       "--fault-rates", "0.0,1.0"],
+    "dse search": ["dse", "search", "--nodes", "2", "--population", "4",
+                   "--generations", "1", "--out", "{tmp}/dse.json"],
+}
+
+
+class TestCheckpointStateFile:
+    @pytest.mark.parametrize("command", sorted(CHECKPOINTED))
+    def test_every_checkpointed_command_writes_complete_state(
+        self, command, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "ckpt"
+        argv = [arg.format(tmp=tmp_path) for arg in CHECKPOINTED[command]]
+        assert main(argv + [
+            "--cycles", "120", "--warmup", "20", "--checkpoint-dir", str(ckpt),
+        ]) == 0
+        capsys.readouterr()
+        state = json.loads((ckpt / "campaign.state.json").read_text())
+        records = (ckpt / "scenario.journal.jsonl").read_text().splitlines()
+        assert state["status"] == "complete"
+        assert state["done"] == len(records) - 1 > 0  # - header
+        assert state["pending"] == 0
+        assert " scenarios (" in state["summary"]

@@ -24,6 +24,7 @@ per-attempt worker processes.
 
 from __future__ import annotations
 
+import json
 import math
 import multiprocessing
 import os
@@ -503,10 +504,11 @@ class TestGovernedCampaignContract:
             executor.map([_tiny_unit(seed=1)])
 
     def test_budget_exceeded_after_others_complete_then_resume(self, tmp_path):
-        """The ISSUE's acceptance scenario, serially: one scenario busts
-        its CPU budget and is quarantined, every other unit completes
-        and is journaled, and a resume with a larger budget serves the
-        completed set from the journal with identical results."""
+        """One scenario busts its CPU budget and is quarantined, every
+        other unit completes and is journaled, the executor's ``with``
+        block records ``budget-exceeded``, and a resume with a larger
+        budget serves the completed set from the journal with identical
+        results."""
         units = [_tiny_unit(seed=1), _tiny_unit(seed=2), _heavy_unit()]
         checkpoint = CheckpointManager(tmp_path / "ckpt")
         executor = Executor(
@@ -516,7 +518,8 @@ class TestGovernedCampaignContract:
                                   quarantine_threshold=1),
         )
         with pytest.raises(BudgetExceeded) as excinfo:
-            executor.map(units)
+            with executor:
+                executor.map(units)
         failures = excinfo.value.failures
         assert len(failures) == 1
         assert failures[0].kind == "cpu"
@@ -524,7 +527,10 @@ class TestGovernedCampaignContract:
         assert failures[0].scenario == units[2][0]
         # The healthy units were journaled before the raise.
         assert len(checkpoint.journal) == 2
-        checkpoint.close()
+        state = json.loads(checkpoint.state_path.read_text())
+        assert state["status"] == "budget-exceeded"
+        assert (state["done"], state["pending"]) == (2, 1)
+        assert state["failed"][0]["kind"] == "cpu"
 
         resumed = CheckpointManager(tmp_path / "ckpt")
         assert resumed.journal.replayed == 2

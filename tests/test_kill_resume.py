@@ -176,6 +176,44 @@ class TestSigtermDrain:
         assert state["pending"] == 0
 
 
+class TestSigtermDrainWithoutJournal:
+    """A drained run names the store that kept its finished scenarios —
+    or says that none did — instead of promising a journal."""
+
+    ARGS = ["table3", "--jobs", "2", "--cycles", "20000", "--warmup", "100"]
+
+    def _drain(self, extra=()):
+        proc = _spawn(self.ARGS, extra)
+        try:
+            # The first progress line comes from inside the drain
+            # handlers' scope: a finished scenario.
+            for raw in proc.stderr:
+                if b"[1/18]" in raw:
+                    break
+            proc.send_signal(signal.SIGTERM)
+            _, rest = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        stderr = rest.decode()
+        assert proc.returncode == EXIT_INTERRUPTED, stderr
+        return stderr
+
+    def test_no_store_says_so(self):
+        stderr = self._drain()
+        assert "draining" in stderr
+        assert "no journal or result store" in stderr
+        assert "journal flushed" not in stderr
+        assert "None" not in stderr
+
+    def test_cache_dir_is_named(self, tmp_path):
+        cache = tmp_path / "cache"
+        stderr = self._drain(["--cache-dir", str(cache)])
+        assert f"result store {cache}" in stderr
+        assert "journal" not in stderr
+        assert "None" not in stderr
+
+
 class TestInProcessCampaignResume:
     def test_campaign_drain_then_resume_tables_byte_identical(self, tmp_path):
         config = CampaignConfig(
@@ -198,11 +236,8 @@ class TestInProcessCampaignResume:
 
         executor.progress = drain_after_five
         with pytest.raises(CampaignInterrupted):
-            run_campaign(
-                config, json_dir=interrupted_dir,
-                executor=executor, checkpoint=checkpoint,
-            )
-        checkpoint.close()
+            with executor:
+                run_campaign(config, json_dir=interrupted_dir, executor=executor)
         state = json.loads((ckpt_dir / "campaign.state.json").read_text())
         assert state["status"] == "interrupted"
         done_at_interrupt = state["done"]
@@ -210,10 +245,8 @@ class TestInProcessCampaignResume:
 
         resumed_dir = tmp_path / "resumed"
         checkpoint = CheckpointManager(ckpt_dir, meta={"m": 1})
-        result = run_campaign(
-            config, json_dir=resumed_dir, checkpoint=checkpoint
-        )
-        checkpoint.close()
+        with Executor(max_workers=1, checkpoint=checkpoint) as executor:
+            result = run_campaign(config, json_dir=resumed_dir, executor=executor)
         assert result.table3 is not None
 
         golden_files = sorted(p.name for p in golden_dir.iterdir())
