@@ -206,17 +206,34 @@ def _meta_command(args: argparse.Namespace) -> str:
     return _META_COMMAND.get(args.command, args.command)
 
 
-def _make_checkpoint(args: argparse.Namespace, config_blob):
-    """CheckpointManager from --resume/--checkpoint-dir (or ``None``).
+@contextlib.contextmanager
+def _executing(args: argparse.Namespace, config_blob):
+    """Open the checkpoint and build the executor of one campaign command.
 
-    ``--resume`` restores the campaign description stored in the journal
-    header; ``--checkpoint-dir`` starts (or implicitly resumes) a journal
-    described by ``config_blob``.
+    ``--resume DIR`` reopens the checkpoint in ``DIR``; the command reads
+    the campaign description stored in its journal header back from
+    ``executor.checkpoint.meta``.  ``--checkpoint-dir`` starts (or
+    implicitly resumes) a journal described by ``config_blob``; with
+    neither the executor keeps no journal.  ``--jobs 1`` runs one
+    scenario at a time in this process.
+
+    The body runs inside ``with executor`` with drain-on-signal handlers
+    installed: however it ends, the executor writes the checkpoint's
+    ``campaign.state.json`` and closes itself and the checkpoint; its
+    summary is logged when the body ends normally.  Flags the executor
+    cannot honour together (``--port`` with ``--timeout``, ``--retries``
+    or ``--budget*``) are a usage error.
     """
-    from repro.experiments.checkpoint import CheckpointError, CheckpointManager
+    from repro.experiments.checkpoint import (
+        CheckpointError,
+        CheckpointManager,
+        graceful_shutdown,
+    )
+    from repro.experiments.parallel import Executor
 
     command = _meta_command(args)
     resume = getattr(args, "resume", None)
+    checkpoint = None
     if resume is not None:
         meta = CheckpointManager.load_meta(resume)
         if _META_COMMAND.get(meta.get("command"), meta.get("command")) != command:
@@ -224,32 +241,14 @@ def _make_checkpoint(args: argparse.Namespace, config_blob):
                 f"{resume} holds a {meta.get('command')!r} checkpoint, "
                 f"not {command!r}"
             )
-        return CheckpointManager(resume, meta=meta)
-    if getattr(args, "checkpoint_dir", None) is not None:
+        checkpoint = CheckpointManager(resume, meta=meta)
+    elif args.checkpoint_dir is not None:
         meta = {"command": command, "config": config_blob}
-        return CheckpointManager(args.checkpoint_dir, meta=meta)
-    return None
-
-
-@contextlib.contextmanager
-def _executing(args: argparse.Namespace, checkpoint):
-    """The executor of one campaign command (``None`` keeps the serial
-    path), built from the execution flags around ``checkpoint``.
-
-    The body runs inside ``with executor`` with drain-on-signal handlers
-    installed: however it ends, the executor writes the checkpoint's
-    ``campaign.state.json`` and closes itself and ``checkpoint``; its
-    summary is logged when the body ends normally.  Flags the executor
-    cannot honour together (``--port`` with ``--timeout``, ``--retries``
-    or ``--budget*``) are a usage error.
-    """
-    from repro.experiments.checkpoint import graceful_shutdown
-    from repro.experiments.parallel import make_executor
-
+        checkpoint = CheckpointManager(args.checkpoint_dir, meta=meta)
     try:
-        executor = make_executor(
-            args.jobs,
-            cache_dir=args.cache_dir,
+        executor = Executor(
+            max_workers=args.jobs,
+            cache=args.cache_dir,
             progress=log.info,
             timeout=getattr(args, "timeout", None),
             retries=getattr(args, "retries", 0),
@@ -261,9 +260,6 @@ def _executing(args: argparse.Namespace, checkpoint):
         if checkpoint is not None:
             checkpoint.close()
         build_parser().error(f"{args.command}: {exc}")
-    if executor is None:
-        yield None
-        return
     with executor, graceful_shutdown(executor, notify=log.warning):
         yield executor
     log.info(executor.summary())
@@ -284,11 +280,18 @@ def _dse_blob(args: argparse.Namespace) -> dict:
         "objectives": [
             name.strip() for name in args.objectives.split(",") if name.strip()
         ],
+        "ga": {
+            "population": args.population,
+            "generations": args.generations,
+            "seed": args.seed,
+            "crossover_rate": args.crossover_rate,
+            "mutation_rate": args.mutation_rate,
+        },
     }
 
 
 def _dse_setup(blob: dict):
-    """(space, objectives) from a DSE description blob.
+    """(space, objectives, GA config) from a DSE description blob.
 
     Rebuilding from the blob — not from live argparse values — is what
     makes ``--resume`` restore the original space even when the retyped
@@ -296,7 +299,7 @@ def _dse_setup(blob: dict):
     simulates a genome under the same traffic, so searches at different
     seeds can share one ``--cache-dir``.
     """
-    from repro.dse import default_space, parse_param_spec, resolve_objectives
+    from repro.dse import GAConfig, default_space, parse_param_spec, resolve_objectives
     from repro.dse.space import DesignSpace
     from repro.experiments.config import ScenarioConfig
 
@@ -312,7 +315,7 @@ def _dse_setup(blob: dict):
         )
     else:
         space = default_space(base)
-    return space, resolve_objectives(blob["objectives"])
+    return space, resolve_objectives(blob["objectives"]), GAConfig(**blob["ga"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -675,13 +678,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.experiments.tables import run_synthetic_table
 
         num_vcs = 4 if args.command == "table2" else 2
-        checkpoint = _make_checkpoint(
+        with _executing(
             args,
             {"num_vcs": num_vcs, "cycles": args.cycles,
              "warmup": args.warmup, "seed": args.seed,
              "regime": args.regime},
-        )
-        with _executing(args, checkpoint) as executor:
+        ) as executor:
             table = run_synthetic_table(
                 num_vcs=num_vcs, cycles=args.cycles, warmup=args.warmup,
                 seed=args.seed, executor=executor,
@@ -693,13 +695,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table4":
         from repro.experiments.tables import run_real_table
 
-        checkpoint = _make_checkpoint(
+        with _executing(
             args,
             {"iterations": args.iterations, "cycles": args.cycles,
              "warmup": args.warmup, "seed": args.seed,
              "regime": args.regime},
-        )
-        with _executing(args, checkpoint) as executor:
+        ) as executor:
             table = run_real_table(
                 iterations=args.iterations,
                 cycles=args.cycles,
@@ -757,11 +758,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             include_real_traffic=not args.skip_real,
             regime=args.regime,
         )
-        checkpoint = _make_checkpoint(args, dataclasses.asdict(config))
-        if args.resume is not None:
-            # The journal header is the source of truth on resume.
-            config = CampaignConfig(**checkpoint.meta["config"])
-        with _executing(args, checkpoint) as executor:
+        with _executing(args, dataclasses.asdict(config)) as executor:
+            if args.resume is not None:
+                # The journal header is the source of truth on resume.
+                config = CampaignConfig(**executor.checkpoint.meta["config"])
             result = run_campaign(
                 config, report_path=args.out, json_dir=args.json_dir,
                 executor=executor,
@@ -781,14 +781,13 @@ def _dispatch(args: argparse.Namespace) -> int:
             cycles=args.cycles, warmup=args.warmup, seed=args.seed,
             regime=args.regime,
         )
-        checkpoint = _make_checkpoint(
+        with _executing(
             args,
             {"nodes": args.nodes, "vcs": args.vcs, "rates": rates,
              "policies": policies, "cycles": args.cycles,
              "warmup": args.warmup, "seed": args.seed,
              "regime": args.regime},
-        )
-        with _executing(args, checkpoint) as executor:
+        ) as executor:
             sweep = run_injection_sweep(
                 rates, policies=policies, base=base, executor=executor
             )
@@ -849,10 +848,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             validate_every=args.validate_every,
             **kwargs,
         )
-        checkpoint = _make_checkpoint(args, dataclasses.asdict(config))
-        if args.resume is not None:
-            config = FaultCampaignConfig(**checkpoint.meta["config"])
-        with _executing(args, checkpoint) as executor:
+        with _executing(args, dataclasses.asdict(config)) as executor:
+            if args.resume is not None:
+                config = FaultCampaignConfig(**executor.checkpoint.meta["config"])
             report = run_fault_campaign(config, executor=executor)
             emit(report.to_markdown())
             if args.out:
@@ -982,6 +980,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 def _dispatch_dse(args: argparse.Namespace) -> int:
     """The ``repro-noc dse`` command group (search / report)."""
     from repro.dse import DesignSpaceError
+    from repro.experiments.checkpoint import CheckpointError
 
     # The meta command names the subcommand, so a journal of another
     # command is refused on resume (and the resume hint prints the real
@@ -1002,37 +1001,26 @@ def _dispatch_dse(args: argparse.Namespace) -> int:
             emit(f"wrote {args.csv}")
         return 0
 
-    from repro.dse import DSEEngine, DSEResult, GAConfig
+    from repro.dse import DSEEngine, DSEResult
 
     blob = _dse_blob(args)
-    try:
-        space, objectives = _dse_setup(blob)
-    except (DesignSpaceError, ValueError) as exc:
-        log.error("%s", exc)
-        return 2
-    blob["ga"] = {
-        "population": args.population,
-        "generations": args.generations,
-        "seed": args.seed,
-        "crossover_rate": args.crossover_rate,
-        "mutation_rate": args.mutation_rate,
-    }
-    checkpoint = _make_checkpoint(args, blob)
-    if args.resume is not None:
-        blob = checkpoint.meta["config"]
-        space, objectives = _dse_setup(blob)
-    try:
-        config = GAConfig(**blob["ga"])
-    except (TypeError, ValueError) as exc:
-        # TypeError: a resumed journal names a retired GAConfig field.
-        log.error("%s", exc)
-        return 2
-    with _executing(args, checkpoint) as executor:
-        engine = DSEEngine(
-            space, objectives, config,
-            executor=executor, checkpoint=checkpoint,
-        )
-        engine.run(resume=checkpoint is not None)
+    if args.resume is None:
+        try:
+            space, objectives, config = _dse_setup(blob)
+        except (DesignSpaceError, ValueError) as exc:
+            log.error("%s", exc)
+            return 2
+    with _executing(args, blob) as executor:
+        if args.resume is not None:
+            try:
+                space, objectives, config = _dse_setup(
+                    executor.checkpoint.meta["config"]
+                )
+            except (DesignSpaceError, TypeError, ValueError) as exc:
+                # TypeError: the journal names a retired GAConfig field.
+                raise CheckpointError(f"cannot resume {args.resume}: {exc}") from exc
+        engine = DSEEngine(space, objectives, config, executor=executor)
+        engine.run()
         result = DSEResult.from_archive(
             space, objectives, engine.archive,
             counters=engine.counters,

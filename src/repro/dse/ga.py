@@ -14,10 +14,11 @@ re-inventing them:
   scenario_hash`) of a re-proposed genome matches its first evaluation
   across generations, restarts and hosts.
 * **Durability** is ``ga.state.json`` — written atomically after every
-  generation with the same digest gating the campaign journals use.  A
-  SIGTERM mid-generation leaves the partially evaluated generation in
-  the WAL; on ``--resume`` the same generation is re-entered and every
-  journaled unit is served without re-simulation.
+  generation, beside the executor's checkpoint journal, with the same
+  digest gating the campaign journals use.  A SIGTERM mid-generation
+  leaves the partially evaluated generation in the WAL; on ``--resume``
+  the same generation is re-entered and every journaled unit is served
+  without re-simulation.
 
 Determinism: all randomness flows from
 :func:`repro.nbti.process_variation.scenario_seed` with labeled streams
@@ -41,8 +42,8 @@ from repro.dse.pareto import (
 )
 from repro.dse.space import DesignSpace, DesignSpaceError, Genome
 from repro.experiments.checkpoint import (
+    CampaignInterrupted,
     CheckpointError,
-    CheckpointManager,
     atomic_write_json,
     config_digest,
 )
@@ -50,8 +51,8 @@ from repro.experiments.parallel import (
     CACHE_SCHEMA_VERSION,
     Executor,
     ScenarioFailure,
+    executor_or_serial,
 )
-from repro.experiments.runner import run_scenario
 from repro.nbti.process_variation import scenario_seed
 from repro.telemetry.log import get_logger
 from repro.telemetry.metrics import MetricsRegistry
@@ -98,12 +99,11 @@ class DSEEngine:
     config:
         The :class:`GAConfig`; its seed roots every RNG stream.
     executor:
-        Optional :class:`~repro.experiments.parallel.Executor`.  When
-        absent, evaluations run serially in-process (unit tests).
-    checkpoint:
-        Optional :class:`~repro.experiments.checkpoint.CheckpointManager`.
-        Enables the WAL resume path and hosts ``ga.state.json`` in the
-        same directory as the scenario journal.
+        The :class:`~repro.experiments.parallel.Executor` every genome is
+        evaluated through (its ``map_robust``: one child per attempt);
+        ``None`` uses a serial one.  When it has a checkpoint,
+        ``ga.state.json`` lives in the checkpoint's directory beside the
+        scenario journal, and :meth:`run` resumes from it.
     metrics:
         Optional registry receiving per-generation counters/gauges.
     """
@@ -114,7 +114,6 @@ class DSEEngine:
         objectives: Sequence[Objective],
         config: GAConfig,
         executor: Optional[Executor] = None,
-        checkpoint: Optional[CheckpointManager] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not objectives:
@@ -122,8 +121,7 @@ class DSEEngine:
         self.space = space
         self.objectives = tuple(objectives)
         self.config = config
-        self.executor = executor
-        self.checkpoint = checkpoint
+        self.executor = executor_or_serial(executor)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: genome -> oriented objective vector, for every evaluated point.
         self.archive: Dict[Genome, Tuple[float, ...]] = {}
@@ -160,9 +158,10 @@ class DSEEngine:
 
     @property
     def state_path(self) -> Optional[Path]:
-        if self.checkpoint is None:
+        checkpoint = self.executor.checkpoint
+        if checkpoint is None:
             return None
-        return self.checkpoint.directory / GA_STATE_FILENAME
+        return checkpoint.directory / GA_STATE_FILENAME
 
     # -- RNG streams ----------------------------------------------------
     def _rng(self, generation: int, purpose: str) -> random.Random:
@@ -224,9 +223,9 @@ class DSEEngine:
     def _evaluate(self, genomes: Sequence[Genome]) -> None:
         """Fill the archive for every genome not already in it.
 
-        Runs through the executor when one is attached (cache, journal,
-        worker processes, retries); failures are logged, counted, and leave the
-        genome unevaluated (it simply never enters the archive).
+        Runs through the executor (cache, journal, worker processes,
+        retries); failures are logged, counted, and leave the genome
+        unevaluated (it simply never enters the archive).
         """
         fresh: List[Genome] = []
         seen = set()
@@ -242,10 +241,7 @@ class DSEEngine:
             return
         units = [(self.space.decode(genome), 0) for genome in fresh]
         self.counters["simulated"] += len(units)
-        if self.executor is not None:
-            outcomes = self.executor.map_robust(units)
-        else:
-            outcomes = [run_scenario(scenario, it) for scenario, it in units]
+        outcomes = self.executor.map_robust(units)
         for genome, (scenario, _), outcome in zip(fresh, units, outcomes):
             if isinstance(outcome, ScenarioFailure):
                 self.counters["failed"] += 1
@@ -365,20 +361,18 @@ class DSEEngine:
         return survivors
 
     # -- the loop -------------------------------------------------------
-    def run(self, resume: bool = False) -> "DSEEngine":
+    def run(self) -> "DSEEngine":
         """Execute (or continue) the campaign.
 
-        With ``resume`` and an existing compatible ``ga.state.json``,
-        the loop restarts at the first unfinished generation; evaluation
-        of that generation replays journaled units for free.  Raises
+        When the executor's checkpoint directory holds a compatible
+        ``ga.state.json``, the loop restarts at the first unfinished
+        generation; evaluation of that generation replays journaled
+        units for free.  Raises
         :class:`~repro.experiments.checkpoint.CampaignInterrupted` when
         a drain request (SIGINT/SIGTERM) stops the campaign early —
         after durably writing the interrupted state.
         """
-        from repro.experiments.checkpoint import CampaignInterrupted
-
-        resumed = resume and self._load_state()
-        if resumed:
+        if self._load_state():
             log.info(
                 "resuming DSE at generation %d (%d archived evaluations)",
                 self._next_generation, len(self.archive),

@@ -18,7 +18,7 @@ from repro.area import compute_overhead_report
 from repro.experiments.checkpoint import atomic_write_text
 from repro.experiments.config import ScenarioConfig, format_experimental_setup
 from repro.nbti.regime import get_regime
-from repro.experiments.parallel import Executor
+from repro.experiments.parallel import Executor, executor_or_serial
 from repro.experiments.tables import (
     run_cooperation_gain,
     run_real_table,
@@ -146,12 +146,13 @@ def run_campaign(
         When given, the three tables are additionally saved as JSON via
         :mod:`repro.experiments.persistence`.
     executor:
-        Optional :class:`~repro.experiments.parallel.Executor` fanning
-        the campaign's independent scenarios across worker processes
-        (and/or serving them from its on-disk cache).  Table contents
-        are identical to the serial run.  For a crash-safe campaign,
-        give the executor a checkpoint and run inside its ``with``
-        block::
+        The :class:`~repro.experiments.parallel.Executor` every scenario
+        of the campaign runs through: it fans them across worker
+        processes and/or serves them from its on-disk cache.  ``None``
+        runs them on a serial executor.  Table contents are identical
+        either way, and the report's ``## Execution`` section carries
+        the executor's summary.  For a crash-safe campaign, give the
+        executor a checkpoint and run inside its ``with`` block::
 
             with Executor(checkpoint=CheckpointManager(directory)) as ex:
                 run_campaign(config, executor=ex)
@@ -161,6 +162,7 @@ def run_campaign(
         on a drain, ``budget-exceeded``).
     """
     config = config if config is not None else CampaignConfig()
+    executor = executor_or_serial(executor)
     started = time.perf_counter()
     # The stress regime rides into every scenario the campaign builds;
     # the default ("fresh") keeps all artifacts byte-identical.
@@ -206,7 +208,7 @@ def run_campaign(
         cooperation=cooperation,
         area_text=area_text,
         wall_seconds=time.perf_counter() - started,
-        execution_summary=executor.summary() if executor is not None else None,
+        execution_summary=executor.summary(),
     )
     if json_dir is not None:
         from repro.experiments.persistence import (

@@ -354,6 +354,11 @@ class ScenarioJournal:
             return None
         return result
 
+    def was_replayed(self, key: str) -> bool:
+        """Whether ``key``'s record was on disk when the journal opened
+        (not appended by this process)."""
+        return isinstance(self._index.get(key), int)
+
     @property
     def results(self) -> Dict[str, ScenarioResult]:
         """Every readable result, in record order (decodes each one)."""
@@ -822,12 +827,9 @@ def graceful_shutdown(
     the caller to exit with :data:`EXIT_INTERRUPTED`.  A second signal
     raises ``KeyboardInterrupt`` immediately (hard cancel).
 
-    No-op when ``executor`` is ``None`` or when not running in the
-    main thread (signal handlers cannot be installed there).
+    No-op when not running in the main thread (signal handlers cannot
+    be installed there).
     """
-    if executor is None:
-        yield
-        return
     seen = {"count": 0}
 
     def _handler(signum, frame):  # noqa: ARG001 - signal handler signature

@@ -6,13 +6,17 @@ purely by seed derivation (:func:`repro.nbti.process_variation.scenario_seed`),
 never by shared state, which makes the sweep embarrassingly parallel.
 This module exploits that:
 
-* :class:`Executor` maps ``(ScenarioConfig, iteration)`` work units to
+* :class:`Executor` is the only way a set of work units runs.  It maps
+  ``(ScenarioConfig, iteration)`` units to
   :class:`~repro.experiments.runner.ScenarioResult` objects through one
   dispatch loop that runs each attempt in a killable child process
   (at most ``max_workers`` live), in-process, or as a lease served to
   remote workers, with results bit-identical every way (determinism
   is a property of the work units, not of scheduling; verified by
-  ``tests/test_parallel.py`` and ``tests/test_distributed.py``).
+  ``tests/test_parallel.py`` and ``tests/test_distributed.py``).  A
+  driver called without an executor runs on
+  :func:`executor_or_serial`'s serial one (``max_workers=1``), so a
+  serial run reports progress, journals and drains like a parallel one.
 * ``Executor(cache=dir)`` keeps results in a
   :class:`~repro.experiments.checkpoint.ScenarioJournal` store keyed by
   :func:`cache_key`, a stable hash of the scenario parameters, the
@@ -260,7 +264,9 @@ class ExecutorStats:
     #: Torn records in the ``cache`` store, served as misses (mirrors
     #: the store's own ``torn`` count so one summary line covers it).
     cache_corrupt: int = 0
-    #: Units served from the write-ahead scenario journal (resume hits).
+    #: Units served from a journal record that was already on disk when
+    #: the journal opened (resume hits).  A repeat of a unit this run
+    #: computed counts in ``cache_hits``.
     journal_hits: int = 0
 
     @property
@@ -609,10 +615,10 @@ class Executor:
         for store in stores:
             hit = store.get(key)
             if hit is not None:
-                if store is self.cache:
-                    self.stats.cache_hits += 1
-                else:
+                if store is not self.cache and store.was_replayed(key):
                     self.stats.journal_hits += 1
+                else:
+                    self.stats.cache_hits += 1
                 self._store(key, hit)
                 return hit
         return None
@@ -1002,43 +1008,11 @@ class Executor:
             self.progress(line)
 
 
-def make_executor(
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    checkpoint: Optional[CheckpointManager] = None,
-    distributed=None,
-    governor: Optional[Union[ScenarioGovernor, GovernorSpec]] = None,
-) -> Optional[Executor]:
-    """CLI helper: build an :class:`Executor` only when one is wanted.
+def executor_or_serial(executor: Optional[Executor]) -> Executor:
+    """``executor``, or a serial one for a caller that passes none.
 
-    ``jobs=1`` with no cache and no robustness/checkpoint/distributed/
-    governor knobs keeps the historical in-function serial
-    path (returns ``None``); ``jobs=0`` auto-detects worker count.
+    The serial executor runs one scenario at a time in this process
+    (:meth:`Executor.map_robust` still isolates each attempt in a
+    child), with no store and no progress lines.
     """
-    if (
-        (jobs == 1 or jobs is None)
-        and cache_dir is None
-        and timeout is None
-        and retries == 0
-        and checkpoint is None
-        and distributed is None
-        and governor is None
-    ):
-        return None
-    return Executor(
-        max_workers=jobs, cache=cache_dir, progress=progress,
-        timeout=timeout, retries=retries,
-        checkpoint=checkpoint, distributed=distributed, governor=governor,
-    )
-
-
-def execute_units(
-    units: Sequence[WorkUnit], executor: Optional[Executor] = None
-) -> List[ScenarioResult]:
-    """Run units through ``executor``, or serially in-process when ``None``."""
-    if executor is None:
-        return [run_scenario(scenario, iteration) for scenario, iteration in units]
-    return executor.map(units)
+    return executor if executor is not None else Executor(max_workers=1)

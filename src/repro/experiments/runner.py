@@ -296,14 +296,13 @@ def run_policies(
     Traffic and PV are identical across policies by construction; only
     the recovery decisions differ (the paper's comparison protocol).
     An :class:`~repro.experiments.parallel.Executor` fans the policies
-    out across workers (results are identical to the serial path).
+    out across workers (results are identical to the serial one used
+    when none is given).
     """
-    if executor is not None:
-        results = executor.map(
-            [(scenario.with_policy(policy), iteration) for policy in policies]
-        )
-        return dict(zip(policies, results))
-    return {
-        policy: run_scenario(scenario.with_policy(policy), iteration)
-        for policy in policies
-    }
+    # Imported here: the executor module imports this one.
+    from repro.experiments.parallel import executor_or_serial
+
+    results = executor_or_serial(executor).map(
+        [(scenario.with_policy(policy), iteration) for policy in policies]
+    )
+    return dict(zip(policies, results))

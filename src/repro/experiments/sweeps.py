@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.experiments.checkpoint import atomic_write_text
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.parallel import Executor, execute_units
+from repro.experiments.parallel import Executor, executor_or_serial
 from repro.experiments.report import render_table
 from repro.experiments.runner import ScenarioResult
 from repro.experiments.tables import PROPOSED_POLICY, REFERENCE_POLICY
@@ -150,7 +150,7 @@ def run_injection_sweep(
         for rate in rates
         for policy in policies
     ]
-    all_results = execute_units(units, executor)
+    all_results = executor_or_serial(executor).map(units)
     points: List[SweepPoint] = []
     for rate_index, rate in enumerate(rates):
         results = {

@@ -23,7 +23,7 @@ from repro.nbti.constants import SECONDS_PER_YEAR
 from repro.nbti.model import NBTIModel
 from repro.stats.summary import VectorStats
 from repro.experiments.config import REAL_TRAFFIC, ScenarioConfig
-from repro.experiments.parallel import Executor, execute_units
+from repro.experiments.parallel import Executor, executor_or_serial
 from repro.experiments.report import pct, pct_pair, render_table
 from repro.experiments.runner import ScenarioResult, run_policies
 
@@ -123,7 +123,7 @@ def run_synthetic_table(
         for rate in rates
     ]
     units = [(base.with_policy(policy), 0) for base in bases for policy in policies]
-    all_results = execute_units(units, executor)
+    all_results = executor_or_serial(executor).map(units)
     rows: List[SyntheticRow] = []
     for row_index, base in enumerate(bases):
         results = {
@@ -244,8 +244,8 @@ def run_real_table(
         for iteration in range(iterations)
         for policy in policies
     ]
-    all_results = execute_units(
-        [(bases[n].with_policy(p), it) for n, p, it in plan], executor
+    all_results = executor_or_serial(executor).map(
+        [(bases[n].with_policy(p), it) for n, p, it in plan]
     )
     results_by_key = {key: result for key, result in zip(plan, all_results)}
     rows: List[RealRow] = []

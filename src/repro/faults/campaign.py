@@ -31,7 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.checkpoint import CheckpointManager
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.parallel import Executor, ScenarioFailure, WorkUnit
+from repro.experiments.parallel import (
+    Executor,
+    ScenarioFailure,
+    WorkUnit,
+    executor_or_serial,
+)
 from repro.experiments.runner import ScenarioResult
 from repro.faults.spec import FaultSpec
 
@@ -257,7 +262,7 @@ def run_fault_campaign(
     ``checkpoint`` is accepted only as ``None`` or the executor's own
     checkpoint; the checkpoint reaches a campaign through its executor.
     """
-    executor = executor if executor is not None else Executor(max_workers=1)
+    executor = executor_or_serial(executor)
     if checkpoint is not None and checkpoint is not executor.checkpoint:
         raise ValueError(
             "run_fault_campaign journals through its executor's checkpoint; "

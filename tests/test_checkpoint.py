@@ -46,7 +46,6 @@ from repro.experiments.parallel import (
     Executor,
     ScenarioFailure,
     cache_key,
-    make_executor,
 )
 from repro.experiments.runner import run_scenario
 from repro.experiments.sweeps import run_injection_sweep
@@ -366,14 +365,6 @@ class TestExecutorCheckpoint:
         assert [fingerprint(r) for r in resumed] == [
             fingerprint(r) for r in baseline
         ]
-
-    def test_make_executor_checkpoint_forces_executor(self, tmp_path):
-        assert make_executor(1) is None
-        manager = CheckpointManager(tmp_path, meta={})
-        executor = make_executor(1, checkpoint=manager)
-        assert isinstance(executor, Executor)
-        assert executor.checkpoint is manager
-        manager.close()
 
 
 # ----------------------------------------------------------------------

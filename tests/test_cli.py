@@ -202,3 +202,21 @@ class TestCheckpointStateFile:
         assert state["done"] == len(records) - 1 > 0  # - header
         assert state["pending"] == 0
         assert " scenarios (" in state["summary"]
+
+    def test_only_replayed_records_count_as_resumed(self, tmp_path, capsys):
+        """A fresh campaign whose studies share scenarios serves the
+        repeats as cache hits; only a --resume reports resumed units."""
+        ckpt = tmp_path / "ckpt"
+        assert main([
+            "campaign", "--cycles", "120", "--warmup", "20", "--iterations",
+            "1", "--skip-real", "--out", str(tmp_path / "report.md"),
+            "--checkpoint-dir", str(ckpt),
+        ]) == 0
+        fresh = capsys.readouterr().err
+        assert "42/42 scenarios (5 cached)" in fresh
+        assert "resumed" not in fresh
+        assert main(["campaign", "--resume", str(ckpt),
+                     "--out", str(tmp_path / "again.md")]) == 0
+        resumed = capsys.readouterr().err
+        assert "(0 cached)" in resumed
+        assert "42 resumed from journal" in resumed

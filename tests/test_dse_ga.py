@@ -158,7 +158,7 @@ class TestCheckpointing:
         config = GAConfig(population=4, generations=2, seed=3)
         checkpoint = self.make_checkpoint(tmp_path)
         executor = Executor(max_workers=1, checkpoint=checkpoint)
-        engine = run_engine(config, executor=executor, checkpoint=checkpoint)
+        engine = run_engine(config, executor=executor)
         checkpoint.close()
         state_path = tmp_path / "ckpt" / "ga.state.json"
         ok, summary = verify_ga_state(state_path)
@@ -173,18 +173,12 @@ class TestCheckpointing:
         config = GAConfig(population=4, generations=3, seed=3)
         checkpoint = self.make_checkpoint(tmp_path)
         executor = Executor(max_workers=1, checkpoint=checkpoint)
-        golden = report_of(
-            run_engine(config, executor=executor, checkpoint=checkpoint)
-        ).to_json()
+        golden = report_of(run_engine(config, executor=executor)).to_json()
         checkpoint.close()
 
         checkpoint = self.make_checkpoint(tmp_path)
         executor = Executor(max_workers=1, checkpoint=checkpoint)
-        engine = DSEEngine(
-            micro_space(), micro_objectives(), config,
-            executor=executor, checkpoint=checkpoint,
-        )
-        engine.run(resume=True)
+        engine = run_engine(config, executor=executor)
         checkpoint.close()
         assert executor.stats.units_total == 0  # nothing re-simulated
         assert report_of(engine).to_json() == golden
@@ -194,17 +188,16 @@ class TestCheckpointing:
 
         config = GAConfig(population=4, generations=1, seed=3)
         checkpoint = self.make_checkpoint(tmp_path)
-        run_engine(config, checkpoint=checkpoint)
+        run_engine(config, executor=Executor(max_workers=1, checkpoint=checkpoint))
         checkpoint.close()
 
         other_config = GAConfig(population=6, generations=2, seed=3)
         checkpoint = self.make_checkpoint(tmp_path)
-        engine = DSEEngine(
-            micro_space(), micro_objectives(), other_config,
-            checkpoint=checkpoint,
-        )
         with pytest.raises(CheckpointError):
-            engine.run(resume=True)
+            run_engine(
+                other_config,
+                executor=Executor(max_workers=1, checkpoint=checkpoint),
+            )
         checkpoint.close()
 
     def test_verify_ga_state_rejects_garbage(self, tmp_path):

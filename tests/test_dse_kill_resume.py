@@ -143,12 +143,12 @@ class TestInProcessDrainResume:
     def config(self):
         return GAConfig(population=4, generations=3, seed=3)
 
-    def run_to_completion(self, checkpoint=None, executor=None):
+    def run_to_completion(self, executor=None):
         engine = DSEEngine(
             self.space(), resolve_objectives(["md_duty", "p95_latency"]),
-            self.config(), executor=executor, checkpoint=checkpoint,
+            self.config(), executor=executor,
         )
-        engine.run(resume=checkpoint is not None)
+        engine.run()
         return DSEResult.from_archive(
             engine.space, engine.objectives, engine.archive,
             counters=engine.counters,
@@ -173,7 +173,7 @@ class TestInProcessDrainResume:
         executor.progress = drain_mid_generation
         engine = DSEEngine(
             self.space(), resolve_objectives(["md_duty", "p95_latency"]),
-            self.config(), executor=executor, checkpoint=checkpoint,
+            self.config(), executor=executor,
         )
         with pytest.raises(CampaignInterrupted):
             engine.run()
@@ -191,7 +191,7 @@ class TestInProcessDrainResume:
 
         checkpoint = CheckpointManager(ckpt_dir, meta={"m": 1})
         executor = Executor(max_workers=1, checkpoint=checkpoint)
-        resumed = self.run_to_completion(checkpoint=checkpoint, executor=executor)
+        resumed = self.run_to_completion(executor=executor)
         checkpoint.close()
         assert resumed.to_json() == golden
         # Journaled units of the interrupted generation were replayed,

@@ -18,7 +18,6 @@ from repro.experiments.parallel import (
     RetryBackoff,
     ScenarioFailure,
     cache_key,
-    make_executor,
 )
 from repro.experiments.runner import run_scenario
 
@@ -289,17 +288,7 @@ class TestCorruptCache:
         assert "corrupt" not in executor.summary()
 
 
-class TestMakeExecutor:
-    def test_plain_serial_returns_none(self):
-        assert make_executor(1) is None
-        assert make_executor(None) is None
-
-    def test_robustness_knobs_force_an_executor(self, tmp_path):
-        assert isinstance(make_executor(1, timeout=5.0), Executor)
-        assert isinstance(make_executor(1, retries=2), Executor)
-        assert isinstance(make_executor(1, cache_dir=tmp_path), Executor)
-        assert isinstance(make_executor(4), Executor)
-
+class TestExecutorKnobs:
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             Executor(timeout=0)

@@ -20,6 +20,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -180,35 +181,58 @@ class TestSigtermDrainWithoutJournal:
     """A drained run names the store that kept its finished scenarios —
     or says that none did — instead of promising a journal."""
 
-    ARGS = ["table3", "--jobs", "2", "--cycles", "20000", "--warmup", "100"]
+    ARGS = ["table3", "--cycles", "20000", "--warmup", "100"]
 
-    def _drain(self, extra=()):
+    def _drain(self, extra):
+        """SIGTERM the run after its first progress line; return the
+        stderr that followed it."""
         proc = _spawn(self.ARGS, extra)
-        try:
-            # The first progress line comes from inside the drain
-            # handlers' scope: a finished scenario.
+        lines = []
+        progressed = threading.Event()
+
+        def read():
             for raw in proc.stderr:
+                lines.append(raw.decode())
+                # The first progress line comes from inside the drain
+                # handlers' scope: a finished scenario.
                 if b"[1/18]" in raw:
-                    break
+                    progressed.set()
+            progressed.set()  # end of stream: the run is over
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        try:
+            assert progressed.wait(timeout=120), "no progress line in 120s"
             proc.send_signal(signal.SIGTERM)
-            _, rest = proc.communicate(timeout=120)
+            proc.wait(timeout=120)
+            reader.join(timeout=60)
         finally:
             if proc.poll() is None:
                 proc.kill()
-        stderr = rest.decode()
+                proc.wait()
+        stderr = "".join(lines)
+        first = next(
+            (i for i, line in enumerate(lines) if "[1/18]" in line), None
+        )
+        assert first is not None, stderr
         assert proc.returncode == EXIT_INTERRUPTED, stderr
-        return stderr
+        return "".join(lines[first + 1:])
 
     def test_no_store_says_so(self):
-        stderr = self._drain()
+        stderr = self._drain(["--jobs", "2"])
         assert "draining" in stderr
         assert "no journal or result store" in stderr
         assert "journal flushed" not in stderr
         assert "None" not in stderr
 
+    def test_serial_run_drains(self):
+        stderr = self._drain([])
+        assert "draining" in stderr
+        assert "no journal or result store" in stderr
+
     def test_cache_dir_is_named(self, tmp_path):
         cache = tmp_path / "cache"
-        stderr = self._drain(["--cache-dir", str(cache)])
+        stderr = self._drain(["--jobs", "2", "--cache-dir", str(cache)])
         assert f"result store {cache}" in stderr
         assert "journal" not in stderr
         assert "None" not in stderr

@@ -21,8 +21,6 @@ from repro.experiments.parallel import (
     Executor,
     ScenarioFailure,
     cache_key,
-    execute_units,
-    make_executor,
 )
 from repro.experiments.runner import run_scenario
 from repro.experiments.sweeps import run_injection_sweep
@@ -114,19 +112,6 @@ class TestExecutorDeterminism:
             executor.map([(good, 0), (broken, 0)])
         assert len(checkpoint.journal) == 1
         checkpoint.close()
-
-
-class TestExecuteUnits:
-    def test_none_executor_is_plain_serial(self):
-        units = small_units()[:1]
-        assert result_fingerprint(execute_units(units)[0]) == result_fingerprint(
-            run_scenario(*units[0])
-        )
-
-    def test_with_executor_delegates(self):
-        ex = Executor(max_workers=1)
-        execute_units(small_units()[:2], ex)
-        assert ex.stats.units_completed == 2
 
 
 class TestResultCache:
@@ -250,17 +235,6 @@ class TestProgressAndStats:
         assert ex.stats.units_completed == 2
         assert ex.stats.serial_seconds > 0.0
         assert ex.stats.wall_seconds > 0.0
-
-
-class TestMakeExecutor:
-    def test_default_is_none(self):
-        assert make_executor(1) is None
-        assert make_executor(None) is None
-
-    def test_jobs_or_cache_build_executor(self, tmp_path):
-        assert make_executor(4).max_workers == 4
-        ex = make_executor(1, cache_dir=tmp_path / "c")
-        assert ex is not None and ex.cache is not None
 
 
 class TestCampaignParallel:
