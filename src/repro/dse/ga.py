@@ -30,10 +30,12 @@ dict iteration order, or worker completion order, which is what makes
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import codec
 from repro.dse.objectives import Objective, evaluate_objectives
 from repro.dse.pareto import (
     crowding_distance,
@@ -66,6 +68,27 @@ GA_STATE_FILENAME = "ga.state.json"
 
 #: Contestants per parent pick: the binary tournament of NSGA-II.
 TOURNAMENT_SIZE = 2
+
+
+@dataclasses.dataclass
+class ArchiveEntry:
+    """One evaluated genome and its oriented objective vector."""
+
+    genome: Genome
+    objectives: Tuple[float, ...]
+
+
+@dataclasses.dataclass
+class GAState:
+    """``ga.state.json``: where a campaign stood after its last generation."""
+
+    schema: int
+    digest: str
+    status: str
+    next_generation: int
+    population: List[Genome]
+    archive: List[ArchiveEntry]
+    counters: Dict[str, int]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,48 +198,32 @@ class DSEEngine:
         path = self.state_path
         if path is None:
             return
-        blob = {
-            "schema": GA_STATE_SCHEMA,
-            "digest": self.digest(),
-            "status": status,
-            "next_generation": self._next_generation,
-            "population": [list(g) for g in self._population],
-            "archive": [
-                {"genome": list(genome), "objectives": list(values)}
-                for genome, values in sorted(self.archive.items())
-            ],
-            "counters": dict(sorted(self.counters.items())),
-        }
-        atomic_write_json(path, blob)
+        state = GAState(
+            schema=GA_STATE_SCHEMA,
+            digest=self.digest(),
+            status=status,
+            next_generation=self._next_generation,
+            population=self._population,
+            archive=[ArchiveEntry(*item) for item in sorted(self.archive.items())],
+            counters=self.counters,
+        )
+        atomic_write_json(path, codec.to_json(state))
 
     def _load_state(self) -> bool:
         """Adopt a prior run's state; False when none exists."""
         path = self.state_path
         if path is None or not path.exists():
             return False
-        import json
-
-        try:
-            blob = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(f"unreadable GA state {path}: {exc}") from exc
-        if blob.get("schema") != GA_STATE_SCHEMA:
-            raise CheckpointError(
-                f"GA state schema {blob.get('schema')!r} != {GA_STATE_SCHEMA} in {path}"
-            )
-        if blob.get("digest") != self.digest():
+        state = read_ga_state(path)
+        if state.digest != self.digest():
             raise CheckpointError(
                 f"GA state in {path} was written for a different space/"
                 "config (digest mismatch); use a fresh --checkpoint-dir"
             )
-        self._next_generation = int(blob["next_generation"])
-        self._population = [tuple(g) for g in blob["population"]]
-        self.archive = {
-            tuple(entry["genome"]): tuple(entry["objectives"])
-            for entry in blob["archive"]
-        }
-        for key, value in blob.get("counters", {}).items():
-            self.counters[key] = int(value)
+        self._next_generation = state.next_generation
+        self._population = state.population
+        self.archive = {entry.genome: entry.objectives for entry in state.archive}
+        self.counters.update(state.counters)
         return True
 
     # -- evaluation -----------------------------------------------------
@@ -459,6 +466,23 @@ def _fitter(a: Tuple[Genome, int, float], b: Tuple[Genome, int, float]) -> bool:
     return a[2] > b[2]
 
 
+def read_ga_state(path) -> GAState:
+    """The ``ga.state.json`` at ``path``, else :class:`CheckpointError`."""
+    try:
+        blob = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"GA state {path} unreadable: {exc}") from exc
+    schema = blob.get("schema") if isinstance(blob, dict) else None
+    if schema != GA_STATE_SCHEMA:
+        raise CheckpointError(
+            f"GA state {path} has schema {schema!r} (expected {GA_STATE_SCHEMA})"
+        )
+    try:
+        return codec.decode(blob, GAState)
+    except codec.DecodeError as exc:
+        raise CheckpointError(f"GA state {path} is {exc}") from None
+
+
 def verify_ga_state(path) -> Tuple[bool, str]:
     """Structural health check of a ``ga.state.json`` file.
 
@@ -466,27 +490,12 @@ def verify_ga_state(path) -> Tuple[bool, str]:
     checkpoint directory gets the same rot-scanning story as the
     scenario journal it sits next to.  Returns ``(ok, summary line)``.
     """
-    import json
-
-    path = Path(path)
     try:
-        blob = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        return False, f"{path.name} unreadable: {exc}"
-    if not isinstance(blob, dict) or blob.get("schema") != GA_STATE_SCHEMA:
-        return False, (
-            f"{path.name} schema {blob.get('schema')!r} "
-            f"(expected {GA_STATE_SCHEMA})"
-        )
-    missing = [
-        key
-        for key in ("digest", "status", "next_generation", "population", "archive")
-        if key not in blob
-    ]
-    if missing:
-        return False, f"{path.name} missing key(s): {', '.join(missing)}"
+        state = read_ga_state(path)
+    except CheckpointError as exc:
+        return False, str(exc)
     return True, (
-        f"{path.name} OK: status={blob['status']}, "
-        f"next_generation={blob['next_generation']}, "
-        f"archive={len(blob['archive'])} evaluation(s)"
+        f"{Path(path).name} OK: status={state.status}, "
+        f"next_generation={state.next_generation}, "
+        f"archive={len(state.archive)} evaluation(s)"
     )

@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import codec
 from repro.dse.objectives import Objective
 from repro.dse.pareto import (
     hypervolume,
@@ -44,22 +45,12 @@ class FrontMember:
     objectives: Dict[str, float]       # objective name -> raw value
     knee: bool = False
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "genome": list(self.genome),
-            "values": {k: self.values[k] for k in sorted(self.values)},
-            "objectives": {
-                k: self.objectives[k] for k in sorted(self.objectives)
-            },
-            "knee": self.knee,
-        }
-
 
 @dataclasses.dataclass
 class DSEResult:
     """Everything a consumer needs from one exploration campaign."""
 
-    objective_names: Tuple[str, ...]
+    objectives: Tuple[str, ...]        # objective names, in order
     front: List[FrontMember]
     hypervolume: float
     evaluated: int
@@ -106,7 +97,7 @@ class DSEResult:
             )
         volume = hypervolume(front_points, reference_point(points))
         return cls(
-            objective_names=tuple(o.name for o in objectives),
+            objectives=tuple(o.name for o in objectives),
             front=members,
             hypervolume=volume,
             evaluated=len(archive),
@@ -117,16 +108,7 @@ class DSEResult:
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": DSE_REPORT_SCHEMA,
-            "status": self.status,
-            "objectives": list(self.objective_names),
-            "front": [member.to_dict() for member in self.front],
-            "hypervolume": self.hypervolume,
-            "evaluated": self.evaluated,
-            "space_size": self.space_size,
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-        }
+        return {"schema": DSE_REPORT_SCHEMA, **codec.to_json(self)}
 
     def to_json(self) -> str:
         """Canonical JSON — the byte-identity surface for determinism."""
@@ -142,12 +124,12 @@ class DSEResult:
         parameter_names = sorted(
             {name for member in self.front for name in member.values}
         )
-        header = parameter_names + list(self.objective_names) + ["knee"]
+        header = parameter_names + list(self.objectives) + ["knee"]
         lines = [",".join(header)]
         for member in self.front:
             row = [str(member.values.get(name, "")) for name in parameter_names]
             row.extend(
-                f"{member.objectives[name]:.6g}" for name in self.objective_names
+                f"{member.objectives[name]:.6g}" for name in self.objectives
             )
             row.append("1" if member.knee else "0")
             lines.append(",".join(row))
@@ -158,33 +140,16 @@ class DSEResult:
         """Rehydrate a report written by :meth:`write_json`.
 
         Keys an older report carries that this version no longer writes
-        (its pre-screen accounting) are ignored.
+        (its pre-screen ``savings`` and ``surrogate_scores``) are ignored.
         """
-        if blob.get("schema") != DSE_REPORT_SCHEMA:
+        schema = blob.get("schema") if isinstance(blob, dict) else None
+        if schema != DSE_REPORT_SCHEMA:
             raise ValueError(
-                f"unsupported DSE report schema {blob.get('schema')!r} "
+                f"unsupported DSE report schema {schema!r} "
                 f"(expected {DSE_REPORT_SCHEMA})"
             )
-        members = [
-            FrontMember(
-                genome=tuple(entry["genome"]),
-                values=dict(entry["values"]),
-                objectives={
-                    k: float(v) for k, v in entry["objectives"].items()
-                },
-                knee=bool(entry.get("knee", False)),
-            )
-            for entry in blob["front"]
-        ]
-        return cls(
-            objective_names=tuple(blob["objectives"]),
-            front=members,
-            hypervolume=float(blob["hypervolume"]),
-            evaluated=int(blob["evaluated"]),
-            space_size=int(blob["space_size"]),
-            counters={k: int(v) for k, v in blob.get("counters", {}).items()},
-            status=str(blob.get("status", "complete")),
-        )
+        names = {field.name for field in dataclasses.fields(cls)}
+        return codec.decode({k: v for k, v in blob.items() if k in names}, cls)
 
     @classmethod
     def load(cls, path) -> "DSEResult":
@@ -199,12 +164,12 @@ class DSEResult:
         parameter_names = sorted(
             {name for member in self.front for name in member.values}
         )
-        headers = parameter_names + list(self.objective_names) + ["pick"]
+        headers = parameter_names + list(self.objectives) + ["pick"]
         rows = []
         for member in self.front:
             row = [str(member.values.get(name, "")) for name in parameter_names]
             row.extend(
-                f"{member.objectives[name]:.4g}" for name in self.objective_names
+                f"{member.objectives[name]:.4g}" for name in self.objectives
             )
             row.append("knee" if member.knee else "")
             rows.append(row)

@@ -31,6 +31,7 @@ import dataclasses
 import math
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro import codec
 from repro.experiments.config import ScenarioConfig
 from repro.noc.topology import build_topology
 
@@ -254,20 +255,9 @@ class DesignSpace:
         """
         return {
             "parameters": [p.describe() for p in self.parameters],
-            "base": _jsonable(dataclasses.asdict(self.base)),
+            "base": codec.to_json(self.base),
             "constraints": len(self.constraints),
         }
-
-
-def _jsonable(value):
-    """Recursively coerce a scenario dict into JSON-stable primitives."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return repr(value)
 
 
 def default_space(base: Optional[ScenarioConfig] = None) -> DesignSpace:

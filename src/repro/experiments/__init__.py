@@ -35,12 +35,8 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.persistence import (
     PersistenceError,
-    load_real_table,
-    load_synthetic_table,
-    load_vth_report,
-    save_real_table,
-    save_synthetic_table,
-    save_vth_report,
+    load_artifact,
+    save_artifact,
 )
 from repro.experiments.sweeps import (
     InjectionSweep,
@@ -106,10 +102,6 @@ __all__ = [
     "atomic_write_text",
     "graceful_shutdown",
     "PersistenceError",
-    "load_real_table",
-    "load_synthetic_table",
-    "load_vth_report",
-    "save_real_table",
-    "save_synthetic_table",
-    "save_vth_report",
+    "load_artifact",
+    "save_artifact",
 ]

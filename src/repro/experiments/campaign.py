@@ -211,19 +211,15 @@ def run_campaign(
         execution_summary=executor.summary(),
     )
     if json_dir is not None:
-        from repro.experiments.persistence import (
-            save_real_table,
-            save_synthetic_table,
-            save_vth_report,
-        )
+        from repro.experiments.persistence import save_artifact
 
         json_dir = Path(json_dir)
         json_dir.mkdir(parents=True, exist_ok=True)
-        save_synthetic_table(table2, json_dir / "table2.json")
-        save_synthetic_table(table3, json_dir / "table3.json")
-        if table4 is not None:
-            save_real_table(table4, json_dir / "table4.json")
-        save_vth_report(vth_report, json_dir / "vth_saving.json")
+        artifacts = {"table2": table2, "table3": table3, "table4": table4,
+                     "vth_saving": vth_report}
+        for name, artifact in artifacts.items():
+            if artifact is not None:
+                save_artifact(artifact, json_dir / f"{name}.json")
     if report_path is not None:
         atomic_write_text(report_path, result.to_markdown())
     return result

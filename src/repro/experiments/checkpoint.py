@@ -11,8 +11,9 @@ into the final JSON.  Three cooperating pieces make campaigns durable:
   truncated hybrid.
 * :class:`ScenarioJournal` — a write-ahead, append-only JSONL log, and
   the one on-disk result store.  One fsync'd record per completed
-  :class:`~repro.experiments.runner.ScenarioResult` (as CRC-guarded
-  JSON: nothing on disk is a pickle), keyed by the same scenario hash
+  :class:`~repro.experiments.runner.ScenarioResult` (its
+  :mod:`repro.codec` JSON behind a CRC-guarded prefix: nothing on disk
+  is a pickle), keyed by the same scenario hash
   ``--cache-dir`` uses, which opens a journal bound to no campaign
   (:meth:`ScenarioJournal.store`).  The first line is a header carrying
   the cache schema version, the code version and a digest of the
@@ -44,17 +45,17 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import json
 import os
+import re
 import signal
 import tempfile
-import typing
 import zlib
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from repro import codec
 from repro.version import __version__
 from repro.telemetry.log import get_logger
 from repro.experiments.runner import ScenarioResult
@@ -64,8 +65,9 @@ log = get_logger("checkpoint")
 PathLike = Union[str, Path]
 
 #: Journal file-format version (bump on incompatible layout changes).
-#: Version 1 carried base64 pickles; version 2 carries JSON results.
-JOURNAL_SCHEMA_VERSION = 2
+#: Version 1 carried base64 pickles, version 2 JSON results escaped into
+#: a string field; version 3 carries them raw behind a sliceable prefix.
+JOURNAL_SCHEMA_VERSION = 3
 
 #: Exit code of a campaign that drained cleanly after SIGINT/SIGTERM:
 #: finished scenarios are in its journal, if it has one, and the run is
@@ -180,15 +182,17 @@ class ScenarioJournal:
     """Append-only write-ahead log of completed scenario results.
 
     Line 1 is a header record; every further line is one result record
-    ``{"crc": <crc32>, "key": <scenario-hash>, "payload": <result
-    JSON>, "type": "result"}`` (see :func:`encode_result`), written in
-    one ``write`` on an ``O_APPEND`` handle — so processes sharing a
-    journal never overwrite each other's records — and ``fsync``'d
-    before the writer moves on: a result is durable before the campaign
-    acts on it.
+    ``{"crc":"<crc32, 8 hex digits>","key":"<scenario-hash>","result":
+    <result JSON>}``: a fixed-layout prefix, then the result's
+    :func:`repro.codec.dumps` text as it is, with the CRC taken over
+    those payload bytes.  Each record is written in one ``write`` on an
+    ``O_APPEND`` handle — so processes sharing a journal never
+    overwrite each other's records — and ``fsync``'d before the writer
+    moves on: a result is durable before the campaign acts on it.
 
-    Replay at open checks each record's CRC; results decode on lookup.
-    A line that fails either, or holds a result whose
+    Replay at open slices each record and checks its CRC without
+    parsing it; a lookup parses and decodes its payload once.  A line
+    that fails either, or holds a result whose
     :func:`~repro.experiments.parallel.cache_key` is not its key, is
     counted in :attr:`torn` and served as a miss, never fatal.  A mismatched *header* is fatal
     (:class:`CheckpointError`): mixing results from a different
@@ -309,7 +313,7 @@ class ScenarioJournal:
                 if not line.strip():
                     continue
                 try:
-                    key, _ = _read_record(line)
+                    key, _ = _slice_record(line)
                 except TornRecord:
                     self.torn += 1
                     continue
@@ -323,8 +327,8 @@ class ScenarioJournal:
         already journaled (appends are idempotent per key)."""
         if key in self._index:
             return False
-        record = {"type": "result", **encode_record(key, result)}
-        data = _dump_record(record).encode("utf-8")
+        payload = codec.dumps(result).encode("ascii")
+        data = _RECORD % (zlib.crc32(payload), key.encode("ascii"), payload)
         # One unbuffered write: with O_APPEND the record lands whole at
         # the end of the file, whatever other writers do meanwhile.
         if self._fh.write(data) != len(data):
@@ -343,7 +347,7 @@ class ScenarioJournal:
         try:
             with open(self.path, "rb") as fh:
                 fh.seek(entry)
-                found, payload = _read_record(fh.readline())
+                found, payload = _slice_record(fh.readline())
             if found != key:
                 raise TornRecord("record moved")
             result = _decode_under(key, payload)
@@ -437,7 +441,7 @@ def verify_journal(path: PathLike) -> JournalVerifyReport:
     with open(path, "rb") as fh:
         raw = fh.read()
     missing_newline = bool(raw) and not raw.endswith(b"\n")
-    lines = raw.decode("utf-8", errors="replace").splitlines()
+    lines = raw.splitlines()
     if not lines:
         return JournalVerifyReport(
             path=path, header_ok=False, header_error="empty file",
@@ -466,7 +470,7 @@ def verify_journal(path: PathLike) -> JournalVerifyReport:
             continue
         total += 1
         try:
-            _decode_under(*_read_record(line))
+            _decode_under(*_slice_record(line))
         except TornRecord as exc:
             torn.append(f"line {number}: {exc}")
         else:
@@ -527,66 +531,51 @@ class TornRecord(ValueError):
     """A journal line that replay and lookup skip; the message says why."""
 
 
-def _read_record(line: Union[str, bytes]) -> Tuple[str, str]:
-    """``(key, payload)`` of a CRC-valid result record, else :class:`TornRecord`."""
-    try:
-        record = json.loads(line)
-    except ValueError:
-        raise TornRecord("not valid JSON (torn write)") from None
-    if not isinstance(record, dict) or record.get("type") != "result":
-        kind = record.get("type") if isinstance(record, dict) else None
-        raise TornRecord(f"not a result record (type={kind!r})")
-    return _record_fields(record)
+#: A result record: ``crc`` (of the payload bytes), ``key``, payload.
+_RECORD = b'{"crc":"%08x","key":"%s","result":%s}\n'
+_RECORD_PREFIX = re.compile(rb'\{"crc":"([0-9a-f]{8})","key":"(\w*)","result":')
 
 
-def _record_fields(record: Dict[str, Any]) -> Tuple[str, str]:
-    key, crc, payload = record.get("key"), record.get("crc"), record.get("payload")
-    if not isinstance(key, str) or not isinstance(crc, int) or not isinstance(payload, str):
-        raise TornRecord("malformed record fields")
-    if _crc(payload) != crc:
+def _slice_record(line: bytes) -> Tuple[str, bytes]:
+    """``(key, payload)`` of a CRC-valid result record, else
+    :class:`TornRecord`: slices the line, never parses it."""
+    prefix = _RECORD_PREFIX.match(line)
+    end = -2 if line.endswith(b"}\n") else -1
+    if prefix is None or line[end] != ord("}"):
+        raise TornRecord("not a result record (torn write)")
+    crc, key = prefix.groups()
+    payload = line[prefix.end():end]
+    if zlib.crc32(payload) != int(crc, 16):
         raise TornRecord("CRC mismatch")
-    return key, payload
+    return key.decode("ascii"), payload
 
 
-def _crc(payload: str) -> int:
-    return zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-
-
-# ----------------------------------------------------------------------
-# Result codec
-# ----------------------------------------------------------------------
-def encode_result(result: Any) -> str:
-    """Compact, deterministic JSON text of a result (or a work unit).
-
-    Dataclasses become objects of their fields (in declaration order),
-    str-keyed dicts objects, other dicts lists of ``[key, value]``
-    pairs, tuples lists.  Dict order is kept, since what sums over a
-    result's dicts depends on it.  Values typed ``object`` must be
-    JSON-native.
-    """
-    return json.dumps(_to_json(result), separators=(",", ":"))
-
-
-def decode_result(payload: str, tp: Any = ScenarioResult) -> Any:
-    """Inverse of :func:`encode_result`, guided by the declared type ``tp``.
-
-    The payload comes from outside the program: anything but exactly
-    the declared fields with the declared types raises
-    :class:`TornRecord`, and nothing but the declared dataclasses is
-    ever built.
-    """
+def _decode(payload: Union[str, bytes], tp: Any) -> Any:
     try:
-        return _from_json(tp, json.loads(payload))
-    except Exception as exc:  # noqa: BLE001 - untrusted input fails arbitrarily
-        name = getattr(tp, "__name__", tp)
-        raise TornRecord(f"payload is not a {name} ({exc})") from None
+        return codec.loads(payload, tp)
+    except codec.DecodeError as exc:
+        raise TornRecord(f"payload is {exc}") from None
 
 
+def _decode_under(key: str, payload: bytes) -> ScenarioResult:
+    """The result in ``payload`` if it is the one ``key`` names: a
+    record filed under another scenario's key is a torn record."""
+    from repro.experiments.parallel import cache_key  # parallel imports this module
+
+    result = _decode(payload, ScenarioResult)
+    if cache_key(result.scenario, result.iteration) != key:
+        raise TornRecord("result of another scenario (key mismatch)")
+    return result
+
+
+# ----------------------------------------------------------------------
+# Wire records
+# ----------------------------------------------------------------------
 def encode_record(key: str, value: Any) -> Dict[str, Any]:
-    """The journal's ``key``/``crc``/``payload`` record fields of a
-    result, or of a work unit on its way to a worker."""
-    payload = encode_result(value)
-    return {"key": key, "crc": _crc(payload), "payload": payload}
+    """The ``key``/``crc``/``payload`` fields a result or work unit
+    travels in between coordinator and workers."""
+    payload = codec.dumps(value)
+    return {"key": key, "crc": zlib.crc32(payload.encode("ascii")), "payload": payload}
 
 
 def decode_record(record: Any, tp: Any = ScenarioResult) -> Tuple[str, Any]:
@@ -597,86 +586,16 @@ def decode_record(record: Any, tp: Any = ScenarioResult) -> Tuple[str, Any]:
     """
     if not isinstance(record, dict):
         raise TornRecord("record is not a JSON object")
-    key, payload = _record_fields(record)
+    key, crc, payload = record.get("key"), record.get("crc"), record.get("payload")
+    if not isinstance(key, str) or not isinstance(crc, int) or not isinstance(payload, str):
+        raise TornRecord("malformed record fields")
+    # encode_record writes ASCII; a non-ASCII payload (a lone surrogate
+    # escape, say) is corrupt, not a reason to fail the encode below.
+    if not payload.isascii() or zlib.crc32(payload.encode("ascii")) != crc:
+        raise TornRecord("CRC mismatch")
     if tp is ScenarioResult:
         return key, _decode_under(key, payload)
-    return key, decode_result(payload, tp)
-
-
-def _decode_under(key: str, payload: str) -> ScenarioResult:
-    """The result in ``payload`` if it is the one ``key`` names: a
-    record filed under another scenario's key is a torn record."""
-    from repro.experiments.parallel import cache_key  # parallel imports this module
-
-    result = decode_result(payload)
-    if cache_key(result.scenario, result.iteration) != key:
-        raise TornRecord("result of another scenario (key mismatch)")
-    return result
-
-
-def _to_json(value: Any) -> Any:
-    if isinstance(value, (str, int, float)) or value is None:
-        return value
-    if isinstance(value, dict):
-        if all(isinstance(key, str) for key in value):
-            return {key: _to_json(item) for key, item in value.items()}
-        return [[_to_json(key), _to_json(item)] for key, item in value.items()]
-    if isinstance(value, (list, tuple)):
-        return [_to_json(item) for item in value]
-    return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
-
-
-#: What a JSON leaf may be per declared scalar type (never a bool for
-#: a number; a float field may hold an int).
-_SCALARS = {int: int, float: (int, float), str: str, bool: bool}
-
-
-@functools.lru_cache(maxsize=None)
-def _shape(tp: Any) -> Tuple[Any, Any]:
-    """``(origin, args)`` of a declared type; a dataclass's args are its
-    ``{field: type}``."""
-    if dataclasses.is_dataclass(tp):
-        hints = typing.get_type_hints(tp)
-        return dataclasses, {f.name: hints[f.name] for f in dataclasses.fields(tp)}
-    return typing.get_origin(tp), typing.get_args(tp)
-
-
-def _from_json(tp: Any, value: Any) -> Any:
-    accepted = _SCALARS.get(tp)
-    if accepted is not None:
-        _expect(isinstance(value, accepted) and (tp is bool or not isinstance(value, bool)), tp, value)
-        return value
-    if tp is object:
-        return value
-    origin, args = _shape(tp)
-    if origin is dataclasses:
-        if not isinstance(value, dict) or value.keys() != args.keys():
-            raise TornRecord(f"fields of {tp.__name__} do not match")
-        return tp(**{name: _from_json(args[name], value[name]) for name in args})
-    if origin is Union:
-        if value is None and type(None) in args:
-            return None
-        (inner,) = [arg for arg in args if arg is not type(None)]
-        return _from_json(inner, value)
-    if origin is dict:
-        key_type, item_type = args
-        _expect(isinstance(value, (dict, list)), tp, value)
-        pairs = value.items() if isinstance(value, dict) else value
-        return {_from_json(key_type, key): _from_json(item_type, item) for key, item in pairs}
-    _expect(isinstance(value, list), tp, value)
-    if origin is list:
-        return [_from_json(args[0], item) for item in value]
-    if origin is tuple:
-        if args[-1] is Ellipsis:
-            return tuple(_from_json(args[0], item) for item in value)
-        _expect(len(value) == len(args), tp, value)
-        return tuple(_from_json(arg, item) for arg, item in zip(args, value))
-    raise TornRecord(f"no decoding for declared type {tp}")
-
-
-def _expect(ok: bool, tp: Any, value: Any) -> None:
-    if not ok:
-        raise TornRecord(f"expected {tp}, found {type(value).__name__}")
+    return key, _decode(payload, tp)
 
 
 # ----------------------------------------------------------------------

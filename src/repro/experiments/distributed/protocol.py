@@ -1,14 +1,14 @@
 """Wire protocol of the distributed campaign engine.
 
 Everything on the wire is JSON over plain HTTP (stdlib only — no new
-dependencies).  Simulation objects travel as the scenario journal's
-record fields: ``key`` (the scenario hash), ``payload`` (the compact
-JSON text of the ``WorkUnit`` going out or the
+dependencies).  Simulation objects travel as three fields: ``key``
+(the scenario hash), ``payload`` (the :mod:`repro.codec` JSON text of
+the ``WorkUnit`` going out or the
 :class:`~repro.experiments.runner.ScenarioResult` coming back) and
-``crc`` (CRC-32 of the payload), encoded and decoded by
-:func:`~repro.experiments.checkpoint.encode_record` and
+``crc`` (CRC-32 of the payload bytes, as in a journal record), encoded
+and decoded by :func:`~repro.experiments.checkpoint.encode_record` and
 :func:`~repro.experiments.checkpoint.decode_record`.  A completion's
-fields are what gets journaled, and decoding builds nothing but the
+result is what gets journaled, and decoding builds nothing but the
 declared dataclasses: no client can make the coordinator run code.
 
 Endpoints (all bodies are JSON objects):

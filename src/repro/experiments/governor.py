@@ -275,7 +275,6 @@ class GovernorSpec:
     wall_seconds: Optional[float] = None
     cpu_seconds: Optional[float] = None
     rss_bytes: Optional[int] = None
-    adaptive: bool = True
     scale: float = 1.0
     quarantine_threshold: int = 2
 
@@ -320,19 +319,18 @@ class ScenarioGovernor:
         cpu = spec.cpu_seconds
         wall = spec.wall_seconds
         rss = spec.rss_bytes
-        if spec.adaptive:
-            estimate = estimate_cost(scenario)
-            if cpu is None:
-                cpu = estimate.cpu_seconds * spec.scale
-            if wall is None:
-                # Explicit CPU caps bound wall too: a scenario that may
-                # burn at most N CPU seconds should not wait-forever.
-                base = spec.cpu_seconds if spec.cpu_seconds is not None else (
-                    estimate.cpu_seconds * spec.scale
-                )
-                wall = base * WALL_SLACK_FACTOR
-            if rss is None:
-                rss = int(estimate.rss_bytes * spec.scale)
+        estimate = estimate_cost(scenario)
+        if cpu is None:
+            cpu = estimate.cpu_seconds * spec.scale
+        if wall is None:
+            # Explicit CPU caps bound wall too: a scenario that may
+            # burn at most N CPU seconds should not wait-forever.
+            base = spec.cpu_seconds if spec.cpu_seconds is not None else (
+                estimate.cpu_seconds * spec.scale
+            )
+            wall = base * WALL_SLACK_FACTOR
+        if rss is None:
+            rss = int(estimate.rss_bytes * spec.scale)
         return ResourceBudget(wall_seconds=wall, cpu_seconds=cpu, rss_bytes=rss)
 
     def budget_info(self, scenario, actual_seconds: Optional[float] = None) -> Dict[str, object]:

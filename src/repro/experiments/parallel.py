@@ -440,8 +440,12 @@ class Executor:
         self.log_level = log_level if log_level is not None else current_log_level()
         self.checkpoint = checkpoint
         journal = None if checkpoint is None else checkpoint.journal
-        #: Every store a unit is looked up in (in this order) and appended to.
-        self._stores = [store for store in (journal, cache) if store is not None]
+        #: Every store a unit is looked up in (in this order) and appended
+        #: to.  Without one, results are held in memory, so a unit that
+        #: recurs across map calls is served, not simulated again.
+        self._stores = [
+            store for store in (journal, cache) if store is not None
+        ] or [_HeldResults()]
         if governor is not None and not isinstance(governor, ScenarioGovernor):
             governor = ScenarioGovernor(governor)
         self.governor = governor
@@ -576,9 +580,10 @@ class Executor:
         results: List[Optional[Outcome]] = [None] * len(units)
         errors: Dict[int, BaseException] = {}
 
+        keys = [cache_key(*unit) for unit in units]
         pending: List[int] = []
         for index, unit in enumerate(units):
-            known = self._lookup(unit)
+            known = self._lookup(keys[index])
             if known is not None:
                 results[index] = known
                 self._report(index, unit, known, cached=True)
@@ -599,20 +604,16 @@ class Executor:
                 or self.governor is not None
                 or (self.max_workers > 1 and len(pending) > 1)
             )
-            self._dispatch(units, pending, results, errors, in_process)
+            self._dispatch(units, keys, pending, results, errors, in_process)
 
         self.stats.units_completed += len(units)
         self.stats.wall_seconds += time.perf_counter() - started
         return results, errors  # type: ignore[return-value]  # every slot is filled
 
-    def _lookup(self, unit: WorkUnit) -> Optional[ScenarioResult]:
-        """Serve a unit from the first store that holds it (a record
+    def _lookup(self, key: str) -> Optional[ScenarioResult]:
+        """Serve a unit from the first store that holds its key (a record
         holding another scenario's result is a torn record: a miss)."""
-        stores = self._stores
-        if not stores:
-            return None
-        key = cache_key(*unit)
-        for store in stores:
+        for store in self._stores:
             hit = store.get(key)
             if hit is not None:
                 if store is not self.cache and store.was_replayed(key):
@@ -626,6 +627,7 @@ class Executor:
     def _dispatch(
         self,
         units: Sequence[WorkUnit],
+        keys: Sequence[str],
         pending: Sequence[int],
         results: List[Optional[Outcome]],
         errors: Dict[int, BaseException],
@@ -642,21 +644,18 @@ class Executor:
         multiplexes result pipes and the coordinator's event pipe
         becoming readable, per-attempt deadlines and lease expiry, and
         backoff delays elapsing for queued retries.  Units that share a
-        cache key go out as one lease: the first one's outcome settles
-        the rest.
+        cache key run as one attempt (one lease): the first one's outcome
+        settles the rest.
         """
         ctx = multiprocessing.get_context()
         server = None if self.distributed is None else self._ensure_server()
-        keys: Dict[int, str] = {}  # unit index -> cache key of its lease
+        leaders: Dict[str, int] = {}
         followers: Dict[int, List[int]] = {}
-        if server is not None:
-            leaders: Dict[str, int] = {}
-            for index in pending:
-                leader = leaders.setdefault(cache_key(*units[index]), index)
-                if leader != index:
-                    followers.setdefault(leader, []).append(index)
-            keys = {index: key for key, index in leaders.items()}
-            pending = list(keys)
+        for index in pending:
+            leader = leaders.setdefault(keys[index], index)
+            if leader != index:
+                followers.setdefault(leader, []).append(index)
+        pending = list(leaders.values())
         # (unit index, attempt number, earliest monotonic start time)
         queue: List[Tuple[int, int, float]] = [(i, 1, 0.0) for i in pending]
         running: dict = {}  # receiving pipe end -> task record
@@ -678,8 +677,11 @@ class Executor:
             return server is not None or len(running) < self.max_workers
 
         def finish(index: int, result: ScenarioResult) -> None:
-            for i in [index, *followers.get(index, ())]:
-                self._finish(i, units[i], result, results)
+            self._finish(index, units[index], keys[index], result, results)
+            for i in followers.get(index, ()):  # served by the leader's attempt
+                self.stats.cache_hits += 1
+                results[i] = result
+                self._report(i, units[i], result, cached=True)
 
         def spawn(index: int, attempt: int) -> None:
             # The result carries the unit back up the pipe, so an
@@ -971,6 +973,7 @@ class Executor:
         self,
         index: int,
         unit: WorkUnit,
+        key: str,
         result: ScenarioResult,
         results: List[Optional[ScenarioResult]],
     ) -> None:
@@ -979,8 +982,7 @@ class Executor:
         self.metrics.observe("scenario.sim_seconds", result.sim_seconds)
         # Write-ahead: the result is durable (fsync'd journal record)
         # before the campaign consumes it.
-        if self._stores:
-            self._store(cache_key(*unit), result)
+        self._store(key, result)
         self._report(index, unit, result, cached=False)
 
     def _store(self, key: str, result: ScenarioResult) -> None:
@@ -1008,11 +1010,21 @@ class Executor:
             self.progress(line)
 
 
+class _HeldResults(dict):
+    """The in-memory result store of an executor that has no other."""
+
+    def append(self, key: str, result: ScenarioResult) -> None:
+        self.setdefault(key, result)
+
+    def was_replayed(self, key: str) -> bool:
+        return False
+
+
 def executor_or_serial(executor: Optional[Executor]) -> Executor:
     """``executor``, or a serial one for a caller that passes none.
 
     The serial executor runs one scenario at a time in this process
     (:meth:`Executor.map_robust` still isolates each attempt in a
-    child), with no store and no progress lines.
+    child), with no on-disk store and no progress lines.
     """
     return executor if executor is not None else Executor(max_workers=1)

@@ -1,48 +1,59 @@
 """JSON persistence for experiment artifacts.
 
-Long table runs are worth keeping: this module serializes the harness's
-result objects (synthetic/real tables, sweeps, Vth reports) to plain
-JSON — versioned, diff-friendly, and loadable without re-simulation —
-so EXPERIMENTS.md updates and cross-machine comparisons don't require
+Long table runs are worth keeping: this module saves the harness's
+result objects (synthetic/real tables, Vth reports) as plain JSON —
+versioned, diff-friendly, and loadable without re-simulation — so
+EXPERIMENTS.md updates and cross-machine comparisons don't require
 re-running anything.
 
-Only *results* round-trip; the heavyweight per-run
-:class:`~repro.experiments.runner.ScenarioResult` objects are reduced
-to their table-relevant fields.
+A file wraps the artifact's :func:`repro.codec.to_json` data as
+``{"kind": ..., "payload": ..., "schema": 1}``; loading checks the kind
+and the schema, then decodes the payload as the declared type.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Type, TypeVar, Union
 
+from repro import codec
 from repro.experiments.checkpoint import atomic_write_json
-from repro.experiments.tables import (
-    RealRow,
-    RealTable,
-    SyntheticRow,
-    SyntheticTable,
-    VthSavingReport,
-    VthSavingRow,
-)
+from repro.experiments.tables import RealTable, SyntheticTable, VthSavingReport
 
 #: Format version written into every file (bump on schema changes).
 SCHEMA_VERSION = 1
 
+#: The ``kind`` each persisted type is filed under.
+KINDS = {
+    SyntheticTable: "synthetic_table",
+    RealTable: "real_table",
+    VthSavingReport: "vth_report",
+}
+
 PathLike = Union[str, Path]
+Artifact = TypeVar("Artifact")
 
 
 class PersistenceError(ValueError):
     """Raised when a file does not contain the expected artifact."""
 
 
-def _wrap(kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-    return {"schema": SCHEMA_VERSION, "kind": kind, "payload": payload}
+def save_artifact(artifact: Any, path: PathLike) -> None:
+    """Atomically write a table or report (a crash mid-save leaves the
+    old file intact instead of a truncated, unloadable one)."""
+    blob = {
+        "schema": SCHEMA_VERSION,
+        "kind": KINDS[type(artifact)],
+        "payload": codec.to_json(artifact),
+    }
+    atomic_write_json(path, blob)
 
 
-def _unwrap(data: Dict[str, Any], kind: str) -> Dict[str, Any]:
+def load_artifact(path: PathLike, tp: Type[Artifact]) -> Artifact:
+    """Load a ``tp`` written by :func:`save_artifact`."""
+    kind = KINDS[tp]
+    data = _load(path)
     if not isinstance(data, dict) or "kind" not in data:
         raise PersistenceError("not a repro experiment artifact")
     if data.get("schema") != SCHEMA_VERSION:
@@ -54,16 +65,13 @@ def _unwrap(data: Dict[str, Any], kind: str) -> Dict[str, Any]:
         raise PersistenceError(
             f"expected a {kind!r} artifact, found {data['kind']!r}"
         )
-    return data["payload"]
+    try:
+        return codec.decode(data.get("payload"), tp)
+    except codec.DecodeError as exc:
+        raise PersistenceError(f"{path}: payload is {exc}") from None
 
 
-def _dump(path: PathLike, blob: Dict[str, Any]) -> None:
-    # Atomic (tmp + fsync + rename): a crash mid-save leaves the old
-    # artifact intact instead of a truncated, unloadable file.
-    atomic_write_json(path, blob)
-
-
-def _load(path: PathLike) -> Dict[str, Any]:
+def _load(path: PathLike) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -81,114 +89,3 @@ def _looks_truncated(text: str) -> bool:
     """Heuristic: valid JSON prefix that stops mid-document."""
     stripped = text.rstrip()
     return stripped.startswith(("{", "[")) and not stripped.endswith(("}", "]"))
-
-
-# ----------------------------------------------------------------------
-# Synthetic tables (Tables II / III)
-# ----------------------------------------------------------------------
-def save_synthetic_table(table: SyntheticTable, path: PathLike) -> None:
-    """Serialize a Table II/III result (per-VC duties and MD ids)."""
-    payload = {
-        "num_vcs": table.num_vcs,
-        "policies": list(table.policies),
-        "rows": [
-            {"label": row.label, "md_vc": row.md_vc, "duty": row.duty}
-            for row in table.rows
-        ],
-    }
-    _dump(path, _wrap("synthetic_table", payload))
-
-
-def load_synthetic_table(path: PathLike) -> SyntheticTable:
-    """Load a table written by :func:`save_synthetic_table`.
-
-    The per-run :class:`ScenarioResult` details are not persisted;
-    loaded rows carry an empty ``results`` mapping.
-    """
-    payload = _unwrap(_load(path), "synthetic_table")
-    rows = [
-        SyntheticRow(
-            label=row["label"],
-            md_vc=row["md_vc"],
-            duty={k: list(v) for k, v in row["duty"].items()},
-            results={},
-        )
-        for row in payload["rows"]
-    ]
-    return SyntheticTable(
-        num_vcs=payload["num_vcs"],
-        policies=tuple(payload["policies"]),
-        rows=rows,
-    )
-
-
-# ----------------------------------------------------------------------
-# Real-traffic table (Table IV)
-# ----------------------------------------------------------------------
-def save_real_table(table: RealTable, path: PathLike) -> None:
-    """Serialize a Table IV result (avg/std per VC per policy)."""
-    payload = {
-        "num_vcs": table.num_vcs,
-        "iterations": table.iterations,
-        "policies": list(table.policies),
-        "rows": [
-            {
-                "label": row.label,
-                "num_nodes": row.num_nodes,
-                "router": row.router,
-                "port": row.port,
-                "md_vc": row.md_vc,
-                "avg": row.avg,
-                "std": row.std,
-            }
-            for row in table.rows
-        ],
-    }
-    _dump(path, _wrap("real_table", payload))
-
-
-def load_real_table(path: PathLike) -> RealTable:
-    """Load a table written by :func:`save_real_table`."""
-    payload = _unwrap(_load(path), "real_table")
-    rows = [
-        RealRow(
-            label=row["label"],
-            num_nodes=row["num_nodes"],
-            router=row["router"],
-            port=row["port"],
-            md_vc=row["md_vc"],
-            avg={k: list(v) for k, v in row["avg"].items()},
-            std={k: list(v) for k, v in row["std"].items()},
-        )
-        for row in payload["rows"]
-    ]
-    return RealTable(
-        num_vcs=payload["num_vcs"],
-        iterations=payload["iterations"],
-        policies=tuple(payload["policies"]),
-        rows=rows,
-    )
-
-
-# ----------------------------------------------------------------------
-# Vth saving report
-# ----------------------------------------------------------------------
-def save_vth_report(report: VthSavingReport, path: PathLike) -> None:
-    """Serialize a Sec. V Vth-saving report."""
-    payload = {
-        "scenario_label": report.scenario_label,
-        "years": report.years,
-        "rows": [dataclasses.asdict(row) for row in report.rows],
-    }
-    _dump(path, _wrap("vth_report", payload))
-
-
-def load_vth_report(path: PathLike) -> VthSavingReport:
-    """Load a report written by :func:`save_vth_report`."""
-    payload = _unwrap(_load(path), "vth_report")
-    rows = [VthSavingRow(**row) for row in payload["rows"]]
-    return VthSavingReport(
-        scenario_label=payload["scenario_label"],
-        years=payload["years"],
-        rows=rows,
-    )

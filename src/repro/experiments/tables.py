@@ -25,7 +25,7 @@ from repro.stats.summary import VectorStats
 from repro.experiments.config import REAL_TRAFFIC, ScenarioConfig
 from repro.experiments.parallel import Executor, executor_or_serial
 from repro.experiments.report import pct, pct_pair, render_table
-from repro.experiments.runner import ScenarioResult, run_policies
+from repro.experiments.runner import run_policies
 
 #: Reference (rr) and proposed (sensor-wise) policies used by Gap columns.
 REFERENCE_POLICY = "rr-no-sensor"
@@ -52,7 +52,6 @@ class SyntheticRow:
     label: str
     md_vc: int
     duty: Dict[str, List[float]]  # policy -> per-VC duty cycle (%)
-    results: Dict[str, ScenarioResult]
 
     @property
     def gap(self) -> float:
@@ -136,7 +135,6 @@ def run_synthetic_table(
                 label=base.label,
                 md_vc=any_result.md_vc,
                 duty={p: r.duty_cycles for p, r in results.items()},
-                results=results,
             )
         )
     return SyntheticTable(num_vcs=num_vcs, policies=tuple(policies), rows=rows)

@@ -29,6 +29,7 @@ import dataclasses
 import json
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import codec
 from repro.experiments.checkpoint import CheckpointManager
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import (
@@ -155,11 +156,10 @@ class ResilienceReport:
         return None
 
     def to_json(self) -> str:
-        """Deterministic JSON payload (no wall-clock times)."""
-        payload = {
-            "config": dataclasses.asdict(self.config),
-            "rows": [dataclasses.asdict(row) for row in self.rows],
-        }
+        """Deterministic JSON payload: no wall-clock times, so not the
+        executor summary."""
+        payload = codec.to_json(self)
+        del payload["executor_summary"]
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_markdown(self) -> str:

@@ -36,9 +36,9 @@ from repro.experiments.checkpoint import (
     atomic_write_json,
     atomic_write_text,
     bound_traceback,
-    encode_result,
     verify_journal,
 )
+from repro import codec
 from repro.experiments.campaign import CampaignConfig, run_campaign
 from repro.experiments.config import REAL_TRAFFIC, ScenarioConfig
 from repro.experiments.parallel import (
@@ -77,20 +77,17 @@ def mapped(units, **kwargs):
 
 def payload_record(key, payload):
     """A result record around any ``payload`` text, with a valid CRC."""
-    return json.dumps({
-        "type": "result", "key": key, "payload": payload,
-        "crc": zlib.crc32(payload.encode()) & 0xFFFFFFFF,
-    })
+    crc = zlib.crc32(payload.encode())
+    return '{"crc":"%08x","key":"%s","result":%s}' % (crc, key, payload)
 
 
 def tamper_payload(line):
     """The record with one payload digit changed and its CRC left stale."""
-    record = json.loads(line)
-    payload = record["payload"]
+    prefix, marker, payload = line.partition('"result":')
     at = next(i for i, c in enumerate(payload) if c.isdigit())
-    record["payload"] = payload[:at] + str((int(payload[at]) + 1) % 10) + payload[at + 1:]
-    assert zlib.crc32(record["payload"].encode()) & 0xFFFFFFFF != record["crc"]
-    return json.dumps(record)
+    tampered = payload[:at] + str((int(payload[at]) + 1) % 10) + payload[at + 1:]
+    assert tampered != payload and len(tampered) == len(payload)
+    return prefix + marker + tampered
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +192,24 @@ class TestScenarioJournal:
         replayed = ScenarioJournal(path, meta={})
         assert replayed.torn == 1
         assert replayed.get(key) is None
+        replayed.close()
+
+    def test_open_parses_only_the_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "j.jsonl"
+        journal = ScenarioJournal(path, meta={})
+        for unit in tiny_units(3):
+            journal.append(cache_key(*unit), run_scenario(*unit))
+        journal.close()
+        header, *records = path.read_text().splitlines()
+        records[1] = tamper_payload(records[1])
+        path.write_text("\n".join([header, *records]) + "\n")
+
+        parsed = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+        replayed = ScenarioJournal(path, meta={})
+        assert parsed == [(header + "\n").encode()]  # the header alone
+        assert (replayed.replayed, replayed.torn) == (2, 1)
         replayed.close()
 
     def test_garbage_line_skipped(self, tmp_path):
@@ -592,7 +607,7 @@ class TestResultCodec:
         assert decoded == result
         # Same types and dict order, hence the same bytes and digests.
         assert list(decoded.port_duty) == list(result.port_duty)
-        assert encode_result(decoded) == encode_result(result)
+        assert codec.dumps(decoded) == codec.dumps(result)
         assert workloads.digest(decoded) == workloads.digest(result)
 
 
@@ -661,7 +676,7 @@ class TestForgedRecords:
     def test_wrong_shape_is_a_counted_miss(self, forgery, tmp_path):
         unit = tiny_units(1)[0]
         result = run_scenario(*unit)
-        blob = FORGERIES[forgery](json.loads(encode_result(result)))
+        blob = FORGERIES[forgery](json.loads(codec.dumps(result)))
         path = self._forge(tmp_path, unit, json.dumps(blob))
 
         store = ScenarioJournal.store(tmp_path)
@@ -893,7 +908,28 @@ class TestResultStore:
             json.dumps(header) + "\n" + json.dumps(record) + "\n"
         )
         assert CheckpointManager.load_meta(tmp_path) == meta
-        with pytest.raises(CheckpointError, match="journal schema 1 != 2"):
+        with pytest.raises(CheckpointError, match="journal schema 1 != 3"):
+            CheckpointManager(tmp_path, meta=meta)
+
+    def test_v2_escaped_payload_journal_refused_on_resume(self, tmp_path):
+        meta = {"command": "campaign", "config": {}}
+        unit = tiny_units(1)[0]
+        payload = codec.dumps(run_scenario(*unit))
+        header = {
+            "type": "header", "journal_schema": 2,
+            "cache_schema": CACHE_SCHEMA_VERSION, "code_version": __version__,
+            "config_digest": "0" * 64, "meta": meta,
+        }
+        # Version 2 escaped the result JSON into a string field.
+        record = {
+            "type": "result", "key": cache_key(*unit),
+            "crc": zlib.crc32(payload.encode()), "payload": payload,
+        }
+        (tmp_path / ScenarioJournal.FILENAME).write_text(
+            json.dumps(header) + "\n" + json.dumps(record) + "\n"
+        )
+        assert CheckpointManager.load_meta(tmp_path) == meta
+        with pytest.raises(CheckpointError, match="journal schema 2 != 3"):
             CheckpointManager(tmp_path, meta=meta)
 
     def test_version_bump_opens_a_fresh_store(self, tmp_path, monkeypatch):

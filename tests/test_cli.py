@@ -113,7 +113,6 @@ class TestGovernanceFlags:
 
         spec = _make_governor(self._args(["campaign", "--budget"]))
         assert spec is not None
-        assert spec.adaptive
         assert spec.cpu_seconds is None
         assert spec.scale == 1.0
 
@@ -220,3 +219,12 @@ class TestCheckpointStateFile:
         resumed = capsys.readouterr().err
         assert "(0 cached)" in resumed
         assert "42 resumed from journal" in resumed
+
+    def test_storeless_campaign_serves_shared_scenarios(self, tmp_path, capsys):
+        """The Vth and cooperation studies share 5 scenarios with the
+        tables; without a store they are still not simulated twice."""
+        assert main([
+            "campaign", "--cycles", "120", "--warmup", "20", "--iterations",
+            "1", "--skip-real", "--out", str(tmp_path / "report.md"),
+        ]) == 0
+        assert "42/42 scenarios (5 cached)" in capsys.readouterr().err

@@ -349,6 +349,9 @@ class TestProtocol:
             decode_record(record, WorkUnit)
         with pytest.raises(TornRecord, match="not a JSON object"):
             decode_record("not a record", WorkUnit)
+        # A JSON body may carry a lone surrogate, which no UTF-8 encodes.
+        with pytest.raises(TornRecord, match="CRC"):
+            decode_record(dict(record, payload="\ud800"), WorkUnit)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

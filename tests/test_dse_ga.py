@@ -216,7 +216,7 @@ class TestReport:
         config = GAConfig(population=4, generations=2, seed=7)
         engine = run_engine(config)
         result = report_of(engine)
-        assert result.objective_names == ("md_duty", "p95_latency")
+        assert result.objectives == ("md_duty", "p95_latency")
         assert len(result.front) >= 1
         assert sum(1 for member in result.front if member.knee) == 1
         for member in result.front:

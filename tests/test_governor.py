@@ -257,13 +257,6 @@ class TestGovernorSpec:
         ).budget_for(scenario)
         assert pinned.cpu_seconds == 7.0
 
-    def test_non_adaptive_spec_leaves_unset_dimensions_open(self):
-        governor = ScenarioGovernor(GovernorSpec(cpu_seconds=5.0, adaptive=False))
-        budget = governor.budget_for(_tiny_scenario())
-        assert budget.cpu_seconds == 5.0
-        assert budget.wall_seconds is None
-        assert budget.rss_bytes is None
-
 
 class TestResourceBudget:
     def test_validation(self):

@@ -95,9 +95,12 @@ class TestExecutorDeterminism:
             Executor(max_workers=-1)
 
     def test_scenario_errors_propagate(self):
+        # Every unit must hash to a key (the executor dedups by it), so
+        # the crashing unit is a ScenarioConfig with a malformed fault list.
         good = ScenarioConfig(num_nodes=4, num_vcs=2, **FAST)
+        broken = good.replace(faults=("not-a-fault-spec",))
         with pytest.raises(AttributeError):
-            Executor(max_workers=2).map([(good, 0), (None, 0)])
+            Executor(max_workers=2).map([(good, 0), (broken, 0)])
 
     def test_map_raises_only_after_every_unit_is_journaled(self, tmp_path):
         # map is map_robust plus a raise: the healthy unit completes and
@@ -166,6 +169,36 @@ class TestResultCache:
         assert reopened.get(cache_key(scenario, 0)) == result
 
 
+class TestStorelessDedup:
+    """Without a store an executor still runs each distinct unit once."""
+
+    def test_repeats_run_once_within_and_across_maps(self):
+        calls = []
+
+        def worker(unit):
+            calls.append(unit)
+            return run_scenario(*unit)
+
+        a, b = small_units()[:2]
+        ex = Executor(max_workers=1, worker=worker)
+        first = ex.map([a, b, a])
+        assert calls == [a, b]
+        assert first[2] is first[0]
+        assert ex.stats.cache_hits == 1
+        again = ex.map([b])
+        assert calls == [a, b]
+        assert again[0] is first[1]
+        assert ex.stats.cache_hits == 2
+
+    def test_repeats_in_child_processes_run_once(self):
+        a = small_units()[0]
+        ex = Executor(max_workers=2)
+        outcomes = ex.map_robust([a, a])
+        assert outcomes[1] is outcomes[0]
+        assert ex.stats.cache_hits == 1
+        assert ex.stats.serial_seconds == outcomes[0].wall_seconds
+
+
 def _break_process_spawn(monkeypatch):
     def blocked(self):
         raise OSError("spawn blocked")
@@ -200,8 +233,9 @@ class TestFallback:
     def test_robust_map_runs_in_process_when_spawn_fails(self, monkeypatch):
         _break_process_spawn(monkeypatch)
         good = small_units()[0]
+        broken = (good[0].replace(faults=("not-a-fault-spec",)), 0)
         ex = Executor(max_workers=2)
-        result, failure = ex.map_robust([good, (None, 0)])
+        result, failure = ex.map_robust([good, broken])
         assert ex.stats.fallbacks == 1
         assert result_fingerprint(result) == result_fingerprint(run_scenario(*good))
         assert isinstance(failure, ScenarioFailure)

@@ -8,12 +8,8 @@ import pytest
 
 from repro.experiments.persistence import (
     PersistenceError,
-    load_real_table,
-    load_synthetic_table,
-    load_vth_report,
-    save_real_table,
-    save_synthetic_table,
-    save_vth_report,
+    load_artifact,
+    save_artifact,
 )
 from repro.experiments.tables import (
     RealRow,
@@ -33,7 +29,6 @@ def make_synthetic_table() -> SyntheticTable:
             "rr-no-sensor": [10.0, 11.0],
             "sensor-wise": [3.0, 1.0],
         },
-        results={},
     )
     return SyntheticTable(
         num_vcs=2, policies=("rr-no-sensor", "sensor-wise"), rows=[row]
@@ -67,8 +62,8 @@ class TestSyntheticRoundTrip:
     def test_roundtrip_preserves_everything(self, tmp_path):
         table = make_synthetic_table()
         path = tmp_path / "t3.json"
-        save_synthetic_table(table, path)
-        loaded = load_synthetic_table(path)
+        save_artifact(table, path)
+        loaded = load_artifact(path, SyntheticTable)
         assert loaded.num_vcs == table.num_vcs
         assert loaded.policies == table.policies
         assert loaded.rows[0].label == table.rows[0].label
@@ -77,12 +72,12 @@ class TestSyntheticRoundTrip:
 
     def test_format_works_after_load(self, tmp_path):
         path = tmp_path / "t3.json"
-        save_synthetic_table(make_synthetic_table(), path)
-        assert "4core-inj0.10" in load_synthetic_table(path).format()
+        save_artifact(make_synthetic_table(), path)
+        assert "4core-inj0.10" in load_artifact(path, SyntheticTable).format()
 
     def test_file_is_stable_json(self, tmp_path):
         path = tmp_path / "t3.json"
-        save_synthetic_table(make_synthetic_table(), path)
+        save_artifact(make_synthetic_table(), path)
         data = json.loads(path.read_text())
         assert data["kind"] == "synthetic_table"
         assert data["schema"] == 1
@@ -92,8 +87,8 @@ class TestRealRoundTrip:
     def test_roundtrip(self, tmp_path):
         table = make_real_table()
         path = tmp_path / "t4.json"
-        save_real_table(table, path)
-        loaded = load_real_table(path)
+        save_artifact(table, path)
+        loaded = load_artifact(path, RealTable)
         assert loaded.iterations == 10
         assert loaded.rows[0].gap == pytest.approx(table.rows[0].gap)
         assert loaded.rows[0].md_std_improved == table.rows[0].md_std_improved
@@ -103,8 +98,8 @@ class TestVthRoundTrip:
     def test_roundtrip(self, tmp_path):
         report = make_vth_report()
         path = tmp_path / "vth.json"
-        save_vth_report(report, path)
-        loaded = load_vth_report(path)
+        save_artifact(report, path)
+        loaded = load_artifact(path, VthSavingReport)
         assert loaded.scenario_label == report.scenario_label
         assert loaded.saving_of("sensor-wise") == pytest.approx(0.528)
 
@@ -112,43 +107,43 @@ class TestVthRoundTrip:
 class TestErrorHandling:
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "x.json"
-        save_vth_report(make_vth_report(), path)
+        save_artifact(make_vth_report(), path)
         with pytest.raises(PersistenceError):
-            load_synthetic_table(path)
+            load_artifact(path, SyntheticTable)
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text(json.dumps({"schema": 99, "kind": "vth_report", "payload": {}}))
         with pytest.raises(PersistenceError):
-            load_vth_report(path)
+            load_artifact(path, VthSavingReport)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(PersistenceError):
-            load_real_table(path)
+            load_artifact(path, RealTable)
 
     def test_truncated_file_distinguished_from_wrong_kind(self, tmp_path):
         """A crash-torn file reports truncation, not a kind mismatch."""
         path = tmp_path / "x.json"
-        save_vth_report(make_vth_report(), path)
+        save_artifact(make_vth_report(), path)
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
         with pytest.raises(PersistenceError, match="truncated"):
-            load_vth_report(path)
+            load_artifact(path, VthSavingReport)
 
     def test_empty_file_reported_as_truncated(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("")
         with pytest.raises(PersistenceError, match="truncated"):
-            load_vth_report(path)
+            load_artifact(path, VthSavingReport)
 
     def test_not_json_reported_distinctly(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("this was never JSON\n")
         with pytest.raises(PersistenceError, match="not valid JSON"):
-            load_vth_report(path)
+            load_artifact(path, VthSavingReport)
 
     def test_save_leaves_no_temp_files(self, tmp_path):
-        save_vth_report(make_vth_report(), tmp_path / "vth.json")
+        save_artifact(make_vth_report(), tmp_path / "vth.json")
         assert [p.name for p in tmp_path.iterdir()] == ["vth.json"]

@@ -737,7 +737,7 @@ def test_table3_golden_bytes_under_soa(tmp_path):
     unchanged, the experiment cache schema stays at version 4 — bump it
     only if an engine change ever alters results on purpose."""
     from repro.experiments.parallel import CACHE_SCHEMA_VERSION
-    from repro.experiments.persistence import save_synthetic_table
+    from repro.experiments.persistence import save_artifact
     from repro.experiments.tables import run_synthetic_table
 
     assert CACHE_SCHEMA_VERSION == 4
@@ -747,7 +747,7 @@ def test_table3_golden_bytes_under_soa(tmp_path):
             cycles=800, warmup=200, seed=1,
         )
     out = tmp_path / "table3.json"
-    save_synthetic_table(table, out)
+    save_artifact(table, out)
     golden = (GOLDEN / "table3_small_golden.json").read_bytes()
     assert out.read_bytes() == golden
 

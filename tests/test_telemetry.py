@@ -53,7 +53,7 @@ class TestGoldenByteIdentity:
     """Telemetry-off output must be byte-identical to the seed goldens."""
 
     def test_table3_json_unchanged(self, tmp_path):
-        from repro.experiments.persistence import save_synthetic_table
+        from repro.experiments.persistence import save_artifact
         from repro.experiments.tables import run_synthetic_table
 
         table = run_synthetic_table(
@@ -61,7 +61,7 @@ class TestGoldenByteIdentity:
             cycles=800, warmup=200, seed=1,
         )
         out = tmp_path / "table3.json"
-        save_synthetic_table(table, out)
+        save_artifact(table, out)
         assert out.read_bytes() == (DATA / "table3_small_golden.json").read_bytes()
 
     def test_fault_campaign_json_unchanged(self):

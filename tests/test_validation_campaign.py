@@ -138,10 +138,11 @@ class TestCampaign:
             assert (out / "json" / name).exists()
 
     def test_json_round_trips(self, result):
-        from repro.experiments.persistence import load_synthetic_table
+        from repro.experiments.persistence import load_artifact
+        from repro.experiments.tables import SyntheticTable
 
         campaign, out = result
-        loaded = load_synthetic_table(out / "json" / "table2.json")
+        loaded = load_artifact(out / "json" / "table2.json", SyntheticTable)
         assert loaded.gaps() == pytest.approx(campaign.table2.gaps())
 
     def test_skip_real_traffic(self, tmp_path):
